@@ -6,8 +6,8 @@ colouring file), ``construct`` (emit a constructive colouring), ``walk``
 
 Exit codes: 0 success / all pass; 1 invalid colouring, failed suite or
 infeasible construction; 2 malformed arguments or input files; 3 budget
-truncation in ``spectrum``.  ``SIGMA_SPECTRA_THREADS`` caps parallel k
-decisions (0 = auto).
+truncation in ``spectrum``.  ``SIGMA_SPECTRA_THREADS`` is accepted and
+ignored, with a warning: the k of a spectrum are decided in one thread.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     HypergraphSpec,
     build_sigma,
     colouring_from_json,
+    colouring_to_dict,
     colouring_to_json,
 )
 from .engine import k_colourable, spectrum
@@ -65,16 +66,6 @@ class RunReport:
             "wall_time_s": self.wall_time_s,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunReport":
-        return cls(
-            command=data["command"],
-            spec=data["spec"],
-            result=data["result"],
-            complete=data["complete"],
-            wall_time_s=data["wall_time_s"],
-        )
-
 
 def _spec_to_dict(spec: HypergraphSpec) -> dict[str, Any]:
     return {
@@ -99,14 +90,6 @@ def _witness_to_dict(witness: EdgeWitness) -> dict[str, Any]:
     }
 
 
-def _colouring_to_dict(colouring: Colouring) -> dict[str, Any]:
-    return {
-        "n": colouring.n,
-        "q": colouring.q,
-        "classes": [list(cls) for cls in colouring.classes],
-    }
-
-
 class UsageError(Exception):
     pass
 
@@ -126,14 +109,19 @@ def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
         try:
             with open(args.spec_file, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
             raise UsageError(f"cannot read spec file: {exc}") from exc
         fields = {"n", "r", "q", "sigma", "alpha", "beta"}
         if not isinstance(data, dict) or not fields <= set(data):
             raise UsageError(f"spec file needs fields {sorted(fields)}")
-        n, r, q = data["n"], data["r"], data["q"]
         parts = data["sigma"]
-        alpha, beta = data["alpha"], data["beta"]
+        scalars = [data[f] for f in ("n", "r", "q", "alpha", "beta")]
+        if not isinstance(parts, list) or any(
+                type(v) is not int for v in scalars + parts):
+            raise UsageError(
+                "spec file fields must be integers and sigma a list of integers"
+            )
+        n, r, q, alpha, beta = scalars
     else:
         missing = [
             flag for flag in ("n", "r", "q", "sigma", "alpha", "beta")
@@ -162,19 +150,18 @@ def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("SIGMA_SPECTRA_THREADS")
-    if raw is None or raw == "":
-        return 1
+def _engine_colouring(spec: HypergraphSpec, k: int,
+                      budget: int | None) -> Colouring | None:
     try:
-        value = int(raw)
-    except ValueError:
-        print(
-            f"warning: ignoring non-integer SIGMA_SPECTRA_THREADS={raw!r}",
-            file=sys.stderr,
-        )
-        return 1
-    return value if value >= 0 else 1
+        return k_colourable(spec, k, budget)
+    except ValueError as exc:  # k outside [1, n*q]
+        raise UsageError(str(exc)) from exc
+
+
+def _non_negative_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _emit(report: RunReport, output: str | None) -> None:
@@ -190,12 +177,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     t0 = time.perf_counter()
     try:
-        result = spectrum(
-            spec,
-            k_max=args.k_max,
-            node_budget=args.budget,
-            workers=_workers_from_env(),
-        )
+        result = spectrum(spec, k_max=args.k_max, node_budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     wall = time.perf_counter() - t0
@@ -273,7 +255,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         else:  # engine
             if args.k is None:
                 raise UsageError("--kind engine needs --k")
-            found = k_colourable(spec, args.k, args.budget)
+            found = _engine_colouring(spec, args.k, args.budget)
             if found is None:
                 print(f"no colouring with exactly {args.k} colours",
                       file=sys.stderr)
@@ -296,7 +278,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         spec=_spec_to_dict(spec),
         result={
             "kind": args.kind,
-            "colouring": _colouring_to_dict(colouring),
+            "colouring": colouring_to_dict(colouring),
             "colour_count": colouring.colour_count,
         },
         complete=True,
@@ -315,7 +297,7 @@ def _cmd_walk(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError, SigmaSpectraError, ValueError) as exc:
             raise UsageError(f"cannot read start colouring: {exc}") from exc
     elif args.start_k is not None:
-        found = k_colourable(spec, args.start_k, args.budget)
+        found = _engine_colouring(spec, args.start_k, args.budget)
         if found is None:
             print(f"no colouring with exactly {args.start_k} colours",
                   file=sys.stderr)
@@ -337,14 +319,14 @@ def _cmd_walk(args: argparse.Namespace) -> int:
         spec=_spec_to_dict(spec),
         result={
             "direction": args.direction,
-            "start": _colouring_to_dict(start),
+            "start": colouring_to_dict(start),
             "steps": [
                 {
                     "kind": ws.step.kind,
                     "class_index": ws.step.class_index,
                     "colour_count": ws.colour_count,
                     "valid": ws.valid,
-                    "colouring": _colouring_to_dict(ws.colouring),
+                    "colouring": colouring_to_dict(ws.colouring),
                 }
                 for ws in steps
             ],
@@ -399,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum = subs.add_parser("spectrum", help="compute feasible k and gaps")
     _add_spec_flags(p_spectrum)
     p_spectrum.add_argument("--k-max", type=int, default=None)
-    p_spectrum.add_argument("--budget", type=int, default=None,
+    p_spectrum.add_argument("--budget", type=_non_negative_int, default=None,
                             help="node budget per k decision")
     p_spectrum.add_argument("--format", choices=("json", "csv"), default="json")
     p_spectrum.add_argument("--output", default=None)
@@ -417,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("mono", "layered", "beta", "engine"), required=True
     )
     p_construct.add_argument("--k", type=int, default=None)
-    p_construct.add_argument("--budget", type=int, default=None)
+    p_construct.add_argument("--budget", type=_non_negative_int, default=None)
     p_construct.add_argument("--raw", action="store_true",
                              help="emit the bare colouring file instead of a report")
     p_construct.add_argument("--output", default=None)
@@ -429,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument("--start-file", default=None)
     p_walk.add_argument("--start-k", type=int, default=None,
                         help="start from an engine colouring with this many colours")
-    p_walk.add_argument("--budget", type=int, default=None)
+    p_walk.add_argument("--budget", type=_non_negative_int, default=None)
     p_walk.add_argument("--output", default=None)
     p_walk.set_defaults(func=_cmd_walk)
 
@@ -445,6 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "SIGMA_SPECTRA_THREADS" in os.environ:
+        print("warning: ignoring SIGMA_SPECTRA_THREADS; "
+              "k decisions run in one thread", file=sys.stderr)
     try:
         return args.func(args)
     except UsageError as exc:

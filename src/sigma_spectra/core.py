@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InvalidPartitionError
 
@@ -31,6 +31,7 @@ __all__ = [
     "part_arrangements",
     "count_edges",
     "canonical_colouring",
+    "colouring_to_dict",
     "colouring_to_json",
     "colouring_from_json",
 ]
@@ -352,19 +353,26 @@ def canonical_colouring(colouring: Colouring) -> Colouring:
 # no whitespace variance: writing what the reader produced is bit-exact.
 
 
-def colouring_to_json(colouring: Colouring) -> str:
-    payload = {
+def colouring_to_dict(colouring: Colouring) -> dict[str, Any]:
+    """The JSON payload of a colouring, as written by the colouring file
+    and embedded in the CLI reports."""
+    return {
         "n": colouring.n,
         "q": colouring.q,
         "classes": [list(cls) for cls in colouring.classes],
     }
-    return json.dumps(payload, separators=(", ", ": "))
+
+
+def colouring_to_json(colouring: Colouring) -> str:
+    return json.dumps(colouring_to_dict(colouring), separators=(", ", ": "))
 
 
 def colouring_from_json(text: str) -> Colouring:
     data = json.loads(text)
     if not isinstance(data, dict) or not {"n", "q", "classes"} <= set(data):
         raise DimensionMismatchError("colouring JSON needs fields n, q, classes")
+    if type(data["n"]) is not int or type(data["q"]) is not int:
+        raise DimensionMismatchError("fields 'n' and 'q' must be integers")
     classes = data["classes"]
     if not isinstance(classes, list) or len(classes) != data["n"]:
         raise DimensionMismatchError("field 'classes' must list n classes")

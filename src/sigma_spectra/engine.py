@@ -18,7 +18,6 @@ as early as possible.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -105,7 +104,17 @@ ProfileKey = tuple[tuple[int, int], ...]
 
 
 class _Search:
-    """One exact-k feasibility search over class profiles.
+    """Exact-k feasibility searches over class profiles, one context per spec.
+
+    State lives as long as it stays true.  Per spec: the part arrangements,
+    the memo state cap, class admissibility (one profile against
+    ``delta_max`` and beta) and shape verdicts.  A shape verdict says
+    whether every edge over a tuple of class profiles sees between alpha
+    and beta colours; those profiles fix the colours an edge sees, whatever
+    k the whole colouring uses, so the verdict holds for every k.  Per k,
+    reset by :meth:`decide`: the node count, the failure memo, the placed
+    profiles, the witness, the per-class colour cap with its partitions,
+    and the bindings, whose fresh-colour filter reads k.
 
     Beyond the canonical-prefix reductions, failing search states are
     memoised: whether a prefix can complete depends only on how many classes
@@ -115,12 +124,19 @@ class _Search:
     Prefixes differing elsewhere collapse onto one verdict.
     """
 
-    def __init__(self, spec: HypergraphSpec, k: int, node_budget: int | None):
+    def __init__(self, spec: HypergraphSpec):
         self.spec = spec
+        self.arrangements = part_arrangements(spec.sigma)
+        self.state_cap = spec.sigma.s - 1
+        self._admissible_cache: dict[ProfileKey, bool] = {}
+        self._shape_cache: dict[tuple, bool] = {}
+
+    def decide(self, k: int, node_budget: int | None) -> KDecision:
+        """Decide exactly ``k`` colours; "unknown" when the budget trips."""
+        spec = self.spec
         self.k = k
         self.node_budget = node_budget
         self.nodes = 0
-        self.arrangements = part_arrangements(spec.sigma)
         # an edge puts its largest part on any class, so when delta_max > beta
         # no class may carry more than beta colours
         self.max_new = min(spec.q, k)
@@ -129,12 +145,15 @@ class _Search:
         self.partitions = _partitions(spec.q, self.max_new, spec.q)
         self.keys: list[ProfileKey] = []
         self.key_counts: dict[ProfileKey, int] = {}
-        self.state_cap = spec.sigma.s - 1
         self.failed: set = set()
         self.witness: Colouring | None = None
-        self._admissible_cache: dict[ProfileKey, bool] = {}
-        self._shape_cache: dict[tuple, bool] = {}
         self._bindings_cache: dict[tuple, tuple] = {}
+        try:
+            found = self._place(0, (spec.q + 1,), 0)
+        except BudgetExceededError:
+            return KDecision(k=k, verdict="unknown", witness=None, nodes=self.nodes)
+        return KDecision(k=k, verdict="feasible" if found else "infeasible",
+                         witness=self.witness, nodes=self.nodes)
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -170,7 +189,7 @@ class _Search:
 
     def _check_new_class(self, i: int) -> bool:
         """All edge shapes whose last class is ``i``; duplicate profile
-        combinations are checked once, with verdicts cached per search."""
+        combinations are checked once, with verdicts cached per spec."""
         spec = self.spec
         s = spec.sigma.s
         if i + 1 < s:
@@ -242,9 +261,6 @@ class _Search:
             self._bindings_cache[(partition, used)] = cached
         return cached
 
-    def run(self) -> bool:
-        return self._place(0, (self.spec.q + 1,), 0)
-
     def _state(self, i: int, prev: tuple[int, ...], used: int):
         if self.state_cap == 0:
             return (i, prev, used)
@@ -301,28 +317,22 @@ def _trivial_colouring(spec: HypergraphSpec, k: int) -> Colouring:
     return canonical_colouring(Colouring(classes=classes))
 
 
-def decide_k(
-    spec: HypergraphSpec, k: int, node_budget: int | None = None
-) -> KDecision:
+def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
+             *, _search: _Search | None = None) -> KDecision:
     """Decide whether a valid colouring with exactly ``k`` colours exists.
 
     Returns verdict "unknown" instead of raising when the node budget runs
-    out.  Raises ``ValueError`` for k outside [1, n*q].
+    out.  Raises ``ValueError`` for k outside [1, n*q].  ``_search`` is the
+    search context of ``spec`` shared by the k of one spectrum.
     """
     if not 1 <= k <= spec.num_vertices:
         raise ValueError(f"k={k} outside [1, {spec.num_vertices}]")
     if not spec.has_edges:
         return KDecision(k=k, verdict="feasible",
                          witness=_trivial_colouring(spec, k), nodes=0)
-    search = _Search(spec, k, node_budget)
-    try:
-        found = search.run()
-    except BudgetExceededError:
-        return KDecision(k=k, verdict="unknown", witness=None, nodes=search.nodes)
-    if found:
-        return KDecision(k=k, verdict="feasible", witness=search.witness,
-                         nodes=search.nodes)
-    return KDecision(k=k, verdict="infeasible", witness=None, nodes=search.nodes)
+    if _search is None:
+        _search = _Search(spec)
+    return _search.decide(k, node_budget)
 
 
 def k_colourable(
@@ -367,26 +377,20 @@ def spectrum(
     spec: HypergraphSpec,
     k_max: int | None = None,
     node_budget: int | None = None,
-    workers: int = 1,
 ) -> SpectrumResult:
     """Decide every k from 1 to ``k_max`` (default n*q) and assemble the
     spectrum, chromatic endpoints and gap intervals.
 
-    Independent k decisions may run on a thread pool; the result is
-    assembled in k order and identical for any worker count.
+    Each k goes through :func:`decide_k` with one shared search context,
+    so verdicts that hold for every k are found once; each verdict,
+    witness and node count equals that of a lone :func:`decide_k` call.
     """
     cap = spec.num_vertices if k_max is None else min(k_max, spec.num_vertices)
     if cap < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    ks = list(range(1, cap + 1))
-    if workers == 1 or len(ks) <= 1:
-        decisions = [decide_k(spec, k, node_budget) for k in ks]
-    else:
-        pool_size = workers if workers > 0 else None
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            decisions = list(
-                pool.map(lambda k: decide_k(spec, k, node_budget), ks)
-            )
+    search = _Search(spec)
+    decisions = [decide_k(spec, k, node_budget, _search=search)
+                 for k in range(1, cap + 1)]
     feasible = [d.k for d in decisions if d.verdict == "feasible"]
     unknown = [d.k for d in decisions if d.verdict == "unknown"]
     chi = feasible[0] if feasible else None

@@ -4,6 +4,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from sigma_spectra.cli import RunReport, main
 
@@ -78,9 +79,10 @@ class TestSpectrumCommand:
 
     def test_threads_env_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SIGMA_SPECTRA_THREADS", "2")
-        code, out, _ = run(capsys, ["spectrum", *GAP_FLAGS])
+        code, out, err = run(capsys, ["spectrum", *GAP_FLAGS])
         assert code == 0
         assert json.loads(out)["result"]["feasible_k"] == [2, 5]
+        assert err.count("SIGMA_SPECTRA_THREADS") == 1
 
     def test_bad_threads_env_warns_not_fails(self, capsys, monkeypatch):
         monkeypatch.setenv("SIGMA_SPECTRA_THREADS", "lots")
@@ -262,16 +264,69 @@ class TestVerifyCommand:
 
 
 class TestRunReport:
-    def test_round_trip_lossless(self):
+    def test_to_dict_matches_schema(self):
+        spec = {"n": 2, "r": 2, "q": 1, "sigma": [1, 1], "alpha": 2, "beta": 2}
         report = RunReport(
             command="spectrum",
-            spec={"n": 2, "r": 2, "q": 1, "sigma": [1, 1],
-                  "alpha": 2, "beta": 2},
+            spec=spec,
             result={"feasible_k": [2]},
             complete=True,
             wall_time_s=0.125,
         )
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        again = RunReport.from_dict(json.loads(text))
-        assert again == report
-        assert json.dumps(again.to_dict(), indent=2, sort_keys=True) == text
+        assert report.to_dict() == {
+            "command": "spectrum",
+            "spec": spec,
+            "result": {"feasible_k": [2]},
+            "complete": True,
+            "wall_time_s": 0.125,
+        }
+        jsonschema.validate(report.to_dict(), load_schema("run_report.schema.json"))
+
+
+# (argv, files): "{name}" in argv is replaced by the path of files[name],
+# written as JSON, or as they are when bytes
+BAD_INPUTS = {
+    "spec-field-not-int": (
+        ["spectrum", "--spec-file", "{spec}"],
+        {"spec": {"n": "5", "r": 4, "q": 2, "sigma": [2, 2],
+                  "alpha": 3, "beta": 3}},
+    ),
+    "spec-file-not-utf8": (
+        ["spectrum", "--spec-file", "{spec}"], {"spec": b"\xff\xfe{}"},
+    ),
+    "walk-start-k-out-of-range": (
+        ["walk", *GAP_FLAGS, "--direction", "down", "--start-k", "99"], {},
+    ),
+    "engine-k-zero": (
+        ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0"], {},
+    ),
+    "negative-budget": (["spectrum", *GAP_FLAGS, "--budget", "-5"], {}),
+    "colouring-n-bool": (
+        # one class, so n=true would pass as n=1
+        ["check", "--n", "1", "--r", "4", "--q", "2", "--sigma", "2,2",
+         "--alpha", "2", "--beta", "2", "--colouring-file", "{colouring}"],
+        {"colouring": {"n": True, "q": 2, "classes": [[0, 1]]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path):
+    argv, files = BAD_INPUTS[case]
+    paths = {}
+    for name, payload in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        if isinstance(payload, bytes):
+            paths[name].write_bytes(payload)
+        else:
+            paths[name].write_text(json.dumps(payload), encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        err.splitlines()[-1:]

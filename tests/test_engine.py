@@ -16,6 +16,7 @@ from sigma_spectra import (
     spectrum,
     verify_interval,
 )
+from sigma_spectra.verification import nogap_grid
 
 
 def spec_of(n, q, parts, alpha, beta):
@@ -98,12 +99,25 @@ class TestSpectrum:
             for k in gap:
                 assert k not in res.unknown_k
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs(self):
         a = spectrum(GAP22)
         b = spectrum(GAP22)
-        c = spectrum(GAP22, workers=3)
-        assert a == b == c
-        assert a.witnesses == b.witnesses == c.witnesses
+        assert a == b
+        assert a.witnesses == b.witnesses
+
+    @pytest.mark.parametrize("node_budget", [None, 200])
+    def test_shared_search_matches_lone_decisions(self, node_budget):
+        # a budget of 200 trips inside many k, so any state a tripped k
+        # left in the shared search would show in the k after it
+        specs = [*nogap_grid(), GAP22, A2]
+        for spec in specs:
+            res = spectrum(spec, node_budget=node_budget)
+            for k in range(1, spec.num_vertices + 1):
+                d = decide_k(spec, k, node_budget)
+                assert (k in res.feasible_k) == (d.verdict == "feasible"), (spec, k)
+                assert (k in res.unknown_k) == (d.verdict == "unknown"), (spec, k)
+                assert res.witnesses.get(k) == d.witness, (spec, k)
+                assert res.nodes_explored[k] == d.nodes, (spec, k)
 
     def test_nodes_recorded_per_k(self):
         res = spectrum(GAP22)
@@ -112,9 +126,6 @@ class TestSpectrum:
     def test_k_max_below_one_rejected(self):
         with pytest.raises(ValueError):
             spectrum(GAP22, k_max=0)
-
-    def test_auto_worker_count(self):
-        assert spectrum(GAP22, workers=0) == spectrum(GAP22)
 
 
 class TestVerifyInterval:
