@@ -6,7 +6,8 @@ colouring file), ``construct`` (emit a constructive colouring), ``walk``
 
 Exit codes: 0 success / all pass; 1 invalid colouring, failed suite or
 infeasible construction; 2 malformed arguments or input files; 3 budget
-truncation in ``spectrum``.  ``SIGMA_SPECTRA_THREADS`` is accepted and
+truncation in ``spectrum``, or a ``walk`` or ``construct`` cut short by
+``--budget``.  ``SIGMA_SPECTRA_THREADS`` is accepted and
 ignored, with a warning: the k of a spectrum are decided in one thread.
 """
 
@@ -35,7 +36,7 @@ from .core import (
     colouring_to_json,
 )
 from .engine import k_colourable, spectrum
-from .errors import SigmaSpectraError, TheoremViolationError
+from .errors import BudgetExceededError, SigmaSpectraError, TheoremViolationError
 from .validator import EdgeWitness, find_violation
 from .verification import SUITES, run_suite
 
@@ -261,6 +262,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return EXIT_FAIL
             colouring = found
+    except BudgetExceededError:
+        raise
     except SigmaSpectraError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -311,6 +314,8 @@ def _cmd_walk(args: argparse.Namespace) -> int:
     except TheoremViolationError as exc:
         print(f"walk diagnostic: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except BudgetExceededError:
+        raise
     except SigmaSpectraError as exc:
         raise UsageError(str(exc)) from exc
     wall = time.perf_counter() - t0
@@ -435,6 +440,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExceededError as exc:
+        print(f"truncated: {exc}", file=sys.stderr)
+        return EXIT_TRUNCATED
 
 
 if __name__ == "__main__":

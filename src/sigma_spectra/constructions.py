@@ -204,15 +204,21 @@ def recolour_whole_class(colouring: Colouring, class_index: int) -> Colouring:
     """Repaint one whole class with a colour used nowhere else.
 
     Keeps validity for any window with ``s >= 2`` and smallest part at least
-    ``r - beta + 1``; canonicalised on return.
+    ``r - beta + 1``.  Only class ``class_index`` changes; the result is not
+    canonicalised.
     """
-    raw = _recolour_whole_class_raw(colouring, class_index)
-    return canonical_colouring(raw)
-
-
-def _recolour_whole_class_raw(colouring: Colouring, class_index: int) -> Colouring:
     z = _fresh_colour(colouring)
     return _replace_class(colouring, class_index, (z,) * colouring.q)
+
+
+def _check_private(colouring: Colouring, class_index: int,
+                   colours: tuple[int, int]) -> None:
+    where = _classes_of_colour(colouring)
+    for colour in colours:
+        if where.get(colour) != {class_index}:
+            raise InfeasibleError(
+                f"colour {colour} must appear in class {class_index} and nowhere else"
+            )
 
 
 def recolour_merge_two_unique(
@@ -220,23 +226,12 @@ def recolour_merge_two_unique(
 ) -> Colouring:
     """Merge two colours private to one class into a single fresh colour.
 
-    Drops the colour count by exactly one; canonicalised on return.
+    Drops the colour count by exactly one.  Only class ``class_index``
+    changes; the result is not canonicalised.
     """
-    raw = _recolour_merge_raw(colouring, class_index, x, y)
-    return canonical_colouring(raw)
-
-
-def _recolour_merge_raw(
-    colouring: Colouring, class_index: int, x: int, y: int
-) -> Colouring:
     if x == y:
         raise InfeasibleError("x and y must be two different colours")
-    where = _classes_of_colour(colouring)
-    for colour in (x, y):
-        if where.get(colour) != {class_index}:
-            raise InfeasibleError(
-                f"colour {colour} must appear in class {class_index} and nowhere else"
-            )
+    _check_private(colouring, class_index, (x, y))
     z = _fresh_colour(colouring)
     new_class = tuple(
         z if c in (x, y) else c for c in colouring.classes[class_index]
@@ -252,23 +247,12 @@ def split_to_fixed(
 
     Both colours must be confined to the class; for a window with alpha = 2
     the result stays valid because other classes still contribute a second
-    colour and no edge gains any colour.  Canonicalised on return.
+    colour and no edge gains any colour.  Only class ``class_index``
+    changes; the result is not canonicalised.
     """
-    raw = _split_to_fixed_raw(colouring, class_index, source, target)
-    return canonical_colouring(raw)
-
-
-def _split_to_fixed_raw(
-    colouring: Colouring, class_index: int, source: int, target: int
-) -> Colouring:
     if source == target:
         raise InfeasibleError("source and target must differ")
-    where = _classes_of_colour(colouring)
-    for colour in (source, target):
-        if where.get(colour) != {class_index}:
-            raise InfeasibleError(
-                f"colour {colour} must appear in class {class_index} and nowhere else"
-            )
+    _check_private(colouring, class_index, (source, target))
     new_class = tuple(
         target if c == source else c for c in colouring.classes[class_index]
     )
@@ -363,6 +347,9 @@ def spectrum_walk_steps(
             )
         )
 
+    # the private-colour counts (2 meaning two or more) a walk looks for,
+    # in order of preference
+    wanted = (2, 1) if direction == "down" else (0, 1)
     guard = 0
     while (current.colour_count > target if direction == "down"
            else current.colour_count < target):
@@ -370,51 +357,12 @@ def spectrum_walk_steps(
         if guard > 4 * spec.n * spec.num_vertices:
             raise TheoremViolationError("walk failed to make progress")
         privates = _private_map(current)
-        non_mono = [
-            i for i, cls in enumerate(current.classes) if len(set(cls)) > 1
-        ]
-        moved = False
-        if direction == "down":
-            for i in non_mono:
-                palette = sorted(set(current.classes[i]))
-                if len(privates[i]) >= 2:
-                    if len(privates[i]) == len(palette):
-                        raw = _split_to_fixed_raw(
-                            current, i, palette[-1], palette[0]
-                        )
-                        record("split-to-fixed",
-                               i, tuple(palette), raw)
-                    else:
-                        x, y = privates[i][0], privates[i][1]
-                        raw = _recolour_merge_raw(current, i, x, y)
-                        record("merge-two-unique-to-new", i, tuple(palette), raw)
-                    moved = True
-                    break
-            if not moved:
-                for i in non_mono:
-                    if len(privates[i]) == 1:
-                        palette = sorted(set(current.classes[i]))
-                        raw = _recolour_whole_class_raw(current, i)
-                        record("whole-class-to-new", i, tuple(palette), raw)
-                        moved = True
-                        break
-        else:
-            for i in non_mono:
-                if not privates[i]:
-                    palette = sorted(set(current.classes[i]))
-                    raw = _recolour_whole_class_raw(current, i)
-                    record("whole-class-to-new", i, tuple(palette), raw)
-                    moved = True
-                    break
-            if not moved:
-                for i in non_mono:
-                    if len(privates[i]) == 1:
-                        palette = sorted(set(current.classes[i]))
-                        raw = _recolour_whole_class_raw(current, i)
-                        record("whole-class-to-new", i, tuple(palette), raw)
-                        moved = True
-                        break
-        if not moved:
+        first_with: dict[int, int] = {}
+        for i, cls in enumerate(current.classes):
+            if len(set(cls)) > 1:
+                first_with.setdefault(min(len(privates[i]), 2), i)
+        i = next((first_with[p] for p in wanted if p in first_with), None)
+        if i is None:
             step_to = (
                 current.colour_count - 1
                 if direction == "down"
@@ -427,6 +375,18 @@ def spectrum_walk_steps(
                     f"k={step_to} is infeasible; contradicts the no-gap law"
                 )
             record("engine-fallback", None, (), fallback)
+            continue
+        palette = sorted(set(current.classes[i]))
+        mine = privates[i]
+        if len(mine) < 2:
+            kind, after = "whole-class-to-new", recolour_whole_class(current, i)
+        elif len(mine) == len(palette):
+            kind, after = "split-to-fixed", split_to_fixed(
+                current, i, palette[-1], palette[0])
+        else:
+            kind, after = "merge-two-unique-to-new", recolour_merge_two_unique(
+                current, i, mine[0], mine[1])
+        record(kind, i, tuple(palette), after)
     return steps
 
 

@@ -106,15 +106,16 @@ ProfileKey = tuple[tuple[int, int], ...]
 class _Search:
     """Exact-k feasibility searches over class profiles, one context per spec.
 
-    State lives as long as it stays true.  Per spec: the part arrangements,
-    the memo state cap, class admissibility (one profile against
-    ``delta_max`` and beta) and shape verdicts.  A shape verdict says
-    whether every edge over a tuple of class profiles sees between alpha
-    and beta colours; those profiles fix the colours an edge sees, whatever
-    k the whole colouring uses, so the verdict holds for every k.  Per k,
-    reset by :meth:`decide`: the node count, the failure memo, the placed
-    profiles, the witness, the per-class colour cap with its partitions,
-    and the bindings, whose fresh-colour filter reads k.
+    State lives as long as it stays true.  Per spec, for every k up to
+    ``k_max``: the part arrangements, the memo state cap, the shape
+    verdicts and the colour bindings.  A shape verdict says whether every
+    edge over a tuple of class profiles sees between alpha and beta
+    colours; those profiles fix the colours an edge sees, whatever k the
+    whole colouring uses, so the verdict holds for every k.  Bindings are
+    generated with at most ``k_max`` colours and filtered to the current k
+    where they are used.  Per k, reset by :meth:`decide`: the node count,
+    the failure memo, the placed profiles, the witness and the per-class
+    colour cap with its partitions.
 
     Beyond the canonical-prefix reductions, failing search states are
     memoised: whether a prefix can complete depends only on how many classes
@@ -124,21 +125,26 @@ class _Search:
     Prefixes differing elsewhere collapse onto one verdict.
     """
 
-    def __init__(self, spec: HypergraphSpec):
+    def __init__(self, spec: HypergraphSpec, k_max: int):
         self.spec = spec
+        self.k_max = k_max
         self.arrangements = part_arrangements(spec.sigma)
         self.state_cap = spec.sigma.s - 1
-        self._admissible_cache: dict[ProfileKey, bool] = {}
         self._shape_cache: dict[tuple, bool] = {}
+        self._bindings_cache: dict[tuple, tuple] = {}
 
     def decide(self, k: int, node_budget: int | None) -> KDecision:
         """Decide exactly ``k`` colours; "unknown" when the budget trips."""
+        assert k <= self.k_max, f"k={k} above the context's k_max={self.k_max}"
         spec = self.spec
         self.k = k
         self.node_budget = node_budget
         self.nodes = 0
-        # an edge puts its largest part on any class, so when delta_max > beta
-        # no class may carry more than beta colours
+        # An edge may put its largest part, delta_max vertices, on any class,
+        # so when delta_max > beta no class may carry more than beta colours.
+        # This clamp is the whole largest-part condition: a class of at most
+        # beta parts (each part >= 1 vertex) needs at most beta colours to
+        # cover delta_max vertices and can never be forced past beta.
         self.max_new = min(spec.q, k)
         if spec.sigma.delta_max > spec.beta:
             self.max_new = min(self.max_new, spec.beta)
@@ -147,7 +153,6 @@ class _Search:
         self.key_counts: dict[ProfileKey, int] = {}
         self.failed: set = set()
         self.witness: Colouring | None = None
-        self._bindings_cache: dict[tuple, tuple] = {}
         try:
             found = self._place(0, (spec.q + 1,), 0)
         except BudgetExceededError:
@@ -161,31 +166,6 @@ class _Search:
             raise BudgetExceededError(
                 f"exceeded {self.node_budget} nodes deciding k={self.k}"
             )
-
-    def _class_admissible(self, key: ProfileKey) -> bool:
-        """Necessary conditions on a single class for the largest part.
-
-        Some edge assigns its largest part to this class (edges exist), so
-        a pick of ``delta_max`` vertices must be able to stay within beta
-        and must not be forced past beta.
-        """
-        spec = self.spec
-        cached = self._admissible_cache.get(key)
-        if cached is not None:
-            return cached
-        delta = spec.sigma.delta_max
-        ok = min(delta, len(key)) <= spec.beta
-        if ok:
-            covered = 0
-            forced = 0
-            for m in sorted((m for _c, m in key), reverse=True):
-                if covered >= delta:
-                    break
-                covered += m
-                forced += 1
-            ok = forced <= spec.beta
-        self._admissible_cache[key] = ok
-        return ok
 
     def _check_new_class(self, i: int) -> bool:
         """All edge shapes whose last class is ``i``; duplicate profile
@@ -215,50 +195,42 @@ class _Search:
                 return False
         return True
 
-    def _bindings(self, partition: tuple[int, ...], used: int):
-        """All canonical colour bindings of ``partition``.
+    def _bindings(self, partition: tuple[int, ...], used: int
+                  ) -> tuple[tuple[ProfileKey, int], ...]:
+        """All canonical colour bindings of ``partition`` after ``used``
+        colours, as (profile key, new used count), with at most ``k_max``
+        colours; cached, since they depend on nothing else.
 
-        Yields (content dict, new used-colour count).  Parts with equal size
-        form groups; each group takes a set of old colours plus fresh ones,
-        fresh identifiers running consecutively, larger sizes first.
+        Parts with equal size form groups; each group takes a set of old
+        colours plus fresh ones, fresh identifiers running consecutively,
+        larger sizes first.
         """
-        groups: list[tuple[int, int]] = []
-        for size, grp in itertools.groupby(partition):
-            groups.append((size, len(list(grp))))
+        cached = self._bindings_cache.get((partition, used))
+        if cached is not None:
+            return cached
+        groups = [(size, len(list(grp)))
+                  for size, grp in itertools.groupby(partition)]
+        out: list[tuple[ProfileKey, int]] = []
 
         def assign(gi: int, available: tuple[int, ...], fresh: int,
-                   content: dict[int, int]):
+                   pairs: tuple[tuple[int, int], ...]) -> None:
             if gi == len(groups):
-                yield dict(content), used + fresh
+                out.append((tuple(sorted(pairs)), used + fresh))
                 return
             size, count = groups[gi]
             for t in range(min(count, len(available)), -1, -1):
                 new_here = count - t
-                if used + fresh + new_here > self.k:
-                    continue
+                if used + fresh + new_here > self.k_max:
+                    break
+                first_new = used + fresh
+                new_pairs = tuple((first_new + j, size) for j in range(new_here))
                 for olds in itertools.combinations(available, t):
-                    nxt = dict(content)
-                    for c in olds:
-                        nxt[c] = size
-                    for j in range(new_here):
-                        nxt[used + fresh + j] = size
                     rest = tuple(c for c in available if c not in olds)
-                    yield from assign(gi + 1, rest, fresh + new_here, nxt)
+                    assign(gi + 1, rest, fresh + new_here,
+                           pairs + tuple((c, size) for c in olds) + new_pairs)
 
-        yield from assign(0, tuple(range(used)), 0, {})
-
-    def _bindings_for(self, partition: tuple[int, ...], used: int):
-        """Admissible bindings as (profile key, new used count), cached:
-        they depend only on the partition and the used-colour count."""
-        cached = self._bindings_cache.get((partition, used))
-        if cached is None:
-            cached = tuple(
-                (key, new_used)
-                for content, new_used in self._bindings(partition, used)
-                for key in (tuple(sorted(content.items())),)
-                if self._class_admissible(key)
-            )
-            self._bindings_cache[(partition, used)] = cached
+        assign(0, tuple(range(used)), 0, ())
+        cached = self._bindings_cache[(partition, used)] = tuple(out)
         return cached
 
     def _state(self, i: int, prev: tuple[int, ...], used: int):
@@ -284,12 +256,14 @@ class _Search:
         state = self._state(i, prev, used)
         if state in self.failed:
             return False
-        remaining_after = spec.n - i - 1
+        # fresh counts only grow down a binding's branch, so testing k here
+        # keeps the bindings of at most k colours in their generation order
+        least = self.k - (spec.n - i - 1) * self.max_new
         for partition in self.partitions:
             if partition > prev:
                 continue
-            for key, new_used in self._bindings_for(partition, used):
-                if new_used + remaining_after * self.max_new < self.k:
+            for key, new_used in self._bindings(partition, used):
+                if not least <= new_used <= self.k:
                     continue
                 self._tick()
                 self.keys.append(key)
@@ -331,7 +305,7 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
         return KDecision(k=k, verdict="feasible",
                          witness=_trivial_colouring(spec, k), nodes=0)
     if _search is None:
-        _search = _Search(spec)
+        _search = _Search(spec, k)
     return _search.decide(k, node_budget)
 
 
@@ -388,7 +362,7 @@ def spectrum(
     cap = spec.num_vertices if k_max is None else min(k_max, spec.num_vertices)
     if cap < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    search = _Search(spec)
+    search = _Search(spec, cap)
     decisions = [decide_k(spec, k, node_budget, _search=search)
                  for k in range(1, cap + 1)]
     feasible = [d.k for d in decisions if d.verdict == "feasible"]

@@ -224,18 +224,32 @@ def _check_dimensions(spec: HypergraphSpec, colouring: Colouring) -> None:
         )
 
 
+def _first_violation(spec: HypergraphSpec, colouring: Colouring
+                     ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """The first shape, in shape order, whose colour range leaves the window:
+    (class tuple, parts, the offending distinct-colour count), or None.
+
+    Each class's profile key is built once; the shapes of a spec never ask
+    for more vertices than a class holds, so the checks of
+    :func:`edge_colour_range` are skipped.
+    """
+    _check_dimensions(spec, colouring)
+    keys = [profile_of(colouring, i).key() for i in range(spec.n)]
+    for class_tuple, parts in edge_shapes(spec):
+        lo, hi = range_of_keys(tuple(keys[i] for i in class_tuple), parts)
+        if lo < spec.alpha:
+            return class_tuple, parts, lo
+        if hi > spec.beta:
+            return class_tuple, parts, hi
+    return None
+
+
 def is_valid(spec: HypergraphSpec, colouring: Colouring) -> bool:
     """True iff every edge carries between alpha and beta distinct colours.
 
     Vacuously true when the hypergraph has no edges.
     """
-    _check_dimensions(spec, colouring)
-    profiles = [profile_of(colouring, i) for i in range(spec.n)]
-    for class_tuple, parts in edge_shapes(spec):
-        lo, hi = edge_colour_range([profiles[i] for i in class_tuple], parts)
-        if lo < spec.alpha or hi > spec.beta:
-            return False
-    return True
+    return _first_violation(spec, colouring) is None
 
 
 def find_violation(spec: HypergraphSpec, colouring: Colouring) -> EdgeWitness | None:
@@ -243,19 +257,16 @@ def find_violation(spec: HypergraphSpec, colouring: Colouring) -> EdgeWitness | 
 
     ``None`` when the colouring is valid.
     """
-    _check_dimensions(spec, colouring)
-    profiles = [profile_of(colouring, i) for i in range(spec.n)]
-    for class_tuple, parts in edge_shapes(spec):
-        shape_profiles = [profiles[i] for i in class_tuple]
-        lo, hi = edge_colour_range(shape_profiles, parts)
-        bad = lo if lo < spec.alpha else (hi if hi > spec.beta else None)
-        if bad is None:
-            continue
-        choice = selection_achieving(shape_profiles, parts, bad)
-        return EdgeWitness(
-            class_tuple=class_tuple,
-            part_assignment=tuple(parts),
-            per_class_choice=choice,
-            distinct_colours=bad,
-        )
-    return None
+    found = _first_violation(spec, colouring)
+    if found is None:
+        return None
+    class_tuple, parts, bad = found
+    choice = selection_achieving(
+        [profile_of(colouring, i) for i in class_tuple], parts, bad
+    )
+    return EdgeWitness(
+        class_tuple=class_tuple,
+        part_assignment=tuple(parts),
+        per_class_choice=choice,
+        distinct_colours=bad,
+    )

@@ -330,3 +330,40 @@ def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path):
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == \
         err.splitlines()[-1:]
+
+
+APPENDIX_FLAGS = ["--n", "7", "--r", "12", "--q", "6", "--sigma", "6,6"]
+# (argv, start colouring or None): each trips --budget 1 in the engine
+BUDGET_TRIPS = {
+    "walk-start-k": (
+        ["walk", *APPENDIX_FLAGS, "--alpha", "2", "--beta", "3",
+         "--direction", "down", "--start-k", "5"], None,
+    ),
+    # classes 2i and 2i+1 share a palette, so once the last class is
+    # solid no local move applies and the walk falls back to the engine
+    "walk-engine-fallback": (
+        ["walk", "--n", "5", "--r", "6", "--q", "6", "--sigma", "3,3",
+         "--alpha", "2", "--beta", "6", "--direction", "down",
+         "--start-file", "{start}"],
+        [[(i // 2) * 3 + j % 3 for j in range(6)] for i in range(5)],
+    ),
+    "construct-engine": (
+        ["construct", *APPENDIX_FLAGS, "--alpha", "3", "--beta", "3",
+         "--kind", "engine", "--k", "4"], None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_TRIPS))
+def test_budget_trip_exits_3_with_one_line(case, capsys, tmp_path):
+    argv, classes = BUDGET_TRIPS[case]
+    start = tmp_path / "start.json"
+    if classes is not None:
+        start.write_text(json.dumps(
+            {"n": len(classes), "q": len(classes[0]), "classes": classes}))
+    argv = [arg.format(start=start) for arg in argv] + ["--budget", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -1,5 +1,8 @@
 """Search engine: exact k decisions, spectra, gaps, budgets, determinism."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from sigma_spectra import (
@@ -16,7 +19,8 @@ from sigma_spectra import (
     spectrum,
     verify_interval,
 )
-from sigma_spectra.verification import nogap_grid
+from sigma_spectra.formulas import gap_instance_params
+from sigma_spectra.verification import gap_cells, nogap_grid
 
 
 def spec_of(n, q, parts, alpha, beta):
@@ -182,3 +186,41 @@ class TestOracleAgreementSpot:
         spec = spec_of(n, q, parts, alpha, beta)
         for k in range(1, spec.num_vertices + 1):
             assert (k_colourable(spec, k) is not None) == brute_oracle(spec, k)
+
+
+class TestGoldenNodeCounts:
+    """The search visits exactly the nodes the benchmark's golden file pins
+    (read here, never written), so a change that moves them shows in the
+    tests and not only in a benchmark run."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+        .read_text(encoding="utf-8")
+    )
+    APPENDIX = spec_of(7, 6, [6, 6], 3, 3)
+
+    def test_small_nogap_spectra(self):
+        golden = self.GOLDEN["nogap-sweep"]
+        specs = [spec for spec in nogap_grid() if spec.num_vertices <= 12]
+        assert len(specs) == 72
+        for spec in specs:
+            res = spectrum(spec)
+            assert {
+                "feasible_k": list(res.feasible_k),
+                "unknown_k": list(res.unknown_k),
+                "gaps": [[g.lo, g.hi] for g in res.gaps],
+                "nodes": {str(k): n for k, n in sorted(res.nodes_explored.items())},
+            } == golden[str(spec)], spec
+
+    def test_gap_recipe_decisions(self):
+        golden = {key: record for key, record in self.GOLDEN["gap-proof"].items()
+                  if not key.startswith(f"{self.APPENDIX}|")}
+        seen = {}
+        for alpha, beta, parts in gap_cells():
+            sigma = build_sigma(parts)
+            q, n = gap_instance_params(alpha, beta, sigma)
+            spec = HypergraphSpec(n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)
+            for k in range(1, beta + 2):
+                d = decide_k(spec, k)
+                seen[f"{spec}|k={k}"] = {"verdict": d.verdict, "nodes": d.nodes}
+        assert seen == golden
