@@ -5,10 +5,11 @@ colouring file), ``construct`` (emit a constructive colouring), ``walk``
 (recolouring walk with per-step verdicts) and ``verify`` (theorem grids).
 
 Exit codes: 0 success / all pass; 1 invalid colouring, failed suite or
-infeasible construction; 2 malformed arguments or input files; 3 budget
-truncation in ``spectrum``, or a ``walk`` or ``construct`` cut short by
-``--budget``.  ``SIGMA_SPECTRA_THREADS`` is accepted and
-ignored, with a warning: the k of a spectrum are decided in one thread.
+infeasible construction; 2 malformed arguments or input files, or an
+``--output`` that cannot be written; 3 budget truncation in ``spectrum``,
+or a ``walk`` or ``construct`` cut short by ``--budget``.
+``SIGMA_SPECTRA_THREADS`` is accepted and ignored, with a warning: the k
+of a spectrum are decided in one thread.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .constructions import (
     beta_colouring,
@@ -59,13 +60,7 @@ class RunReport:
     wall_time_s: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "spec": self.spec,
-            "result": self.result,
-            "complete": self.complete,
-            "wall_time_s": self.wall_time_s,
-        }
+        return dataclasses.asdict(self)
 
 
 def _spec_to_dict(spec: HypergraphSpec) -> dict[str, Any]:
@@ -95,6 +90,9 @@ class UsageError(Exception):
     pass
 
 
+_SPEC_FIELDS = ("n", "r", "q", "sigma", "alpha", "beta")
+
+
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--spec-file", help="JSON file with n, r, q, sigma, alpha, beta")
     sub.add_argument("--n", type=int)
@@ -105,40 +103,54 @@ def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=int)
 
 
-def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
-    if args.spec_file:
-        try:
-            with open(args.spec_file, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
-            raise UsageError(f"cannot read spec file: {exc}") from exc
-        fields = {"n", "r", "q", "sigma", "alpha", "beta"}
-        if not isinstance(data, dict) or not fields <= set(data):
-            raise UsageError(f"spec file needs fields {sorted(fields)}")
-        parts = data["sigma"]
-        scalars = [data[f] for f in ("n", "r", "q", "alpha", "beta")]
-        if not isinstance(parts, list) or any(
-                type(v) is not int for v in scalars + parts):
-            raise UsageError(
-                "spec file fields must be integers and sigma a list of integers"
-            )
-        n, r, q, alpha, beta = scalars
-    else:
-        missing = [
-            flag for flag in ("n", "r", "q", "sigma", "alpha", "beta")
-            if getattr(args, flag) is None
-        ]
-        if missing:
-            raise UsageError(
-                "missing flags: " + ", ".join(f"--{m}" for m in missing)
-            )
-        n, r, q, alpha, beta = args.n, args.r, args.q, args.alpha, args.beta
-        try:
-            parts = [int(p) for p in args.sigma.split(",") if p != ""]
-        except ValueError as exc:
-            raise UsageError(f"cannot parse --sigma {args.sigma!r}") from exc
+def _read(path: str, what: str, parse: Callable[[str], Any]) -> Any:
+    """Parse a UTF-8 input file; any failure is a usage error."""
     try:
-        sigma = build_sigma(parts)
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON or a malformed colouring;
+        # RecursionError: JSON nested too deeply to decode
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
+def _write(text: str, output: str | None) -> None:
+    """Write ``text`` to the ``--output`` file, or to stdout without one."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output: {exc}") from exc
+
+
+def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
+    """Check the spec fields, from ``--spec-file`` or from the flags."""
+    if args.spec_file:
+        data = _read(args.spec_file, "spec file", json.loads)
+        if not isinstance(data, dict):
+            raise UsageError("spec file must hold a JSON object")
+        prefix = ""
+    else:
+        data = {f: getattr(args, f) for f in _SPEC_FIELDS
+                if getattr(args, f) is not None}
+        if args.sigma is not None:
+            try:
+                data["sigma"] = [int(p) for p in args.sigma.split(",") if p != ""]
+            except ValueError as exc:
+                raise UsageError(f"cannot parse --sigma {args.sigma!r}") from exc
+        prefix = "--"
+    missing = [prefix + f for f in _SPEC_FIELDS if f not in data]
+    if missing:
+        raise UsageError("missing spec fields: " + ", ".join(missing))
+    n, r, q, sigma_parts, alpha, beta = (data[f] for f in _SPEC_FIELDS)
+    if not isinstance(sigma_parts, list) or any(
+            type(v) is not int for v in [n, r, q, alpha, beta, *sigma_parts]):
+        raise UsageError("spec fields must be integers and sigma a list of integers")
+    try:
+        sigma = build_sigma(sigma_parts)
     except SigmaSpectraError as exc:
         raise UsageError(str(exc)) from exc
     if sigma.r != r:
@@ -166,12 +178,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _emit(report: RunReport, output: str | None) -> None:
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", output)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -193,12 +200,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 else "false"
             )
             lines.append(f"{k},{verdict},{result.nodes_explored.get(k, 0)}")
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.output)
     else:
         report = RunReport(
             command="spectrum",
@@ -213,11 +215,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    try:
-        with open(args.colouring_file, encoding="utf-8") as fh:
-            colouring = colouring_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, SigmaSpectraError, ValueError) as exc:
-        raise UsageError(f"cannot read colouring file: {exc}") from exc
+    colouring = _read(args.colouring_file, "colouring file", colouring_from_json)
     t0 = time.perf_counter()
     try:
         witness = find_violation(spec, colouring)
@@ -269,12 +267,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     wall = time.perf_counter() - t0
     if args.raw:
-        text = colouring_to_json(colouring) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(colouring_to_json(colouring) + "\n", args.output)
         return EXIT_OK
     report = RunReport(
         command="construct",
@@ -294,11 +287,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_walk(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if args.start_file:
-        try:
-            with open(args.start_file, encoding="utf-8") as fh:
-                start = colouring_from_json(fh.read())
-        except (OSError, json.JSONDecodeError, SigmaSpectraError, ValueError) as exc:
-            raise UsageError(f"cannot read start colouring: {exc}") from exc
+        start = _read(args.start_file, "start colouring", colouring_from_json)
     elif args.start_k is not None:
         found = _engine_colouring(spec, args.start_k, args.budget)
         if found is None:
@@ -345,11 +334,9 @@ def _cmd_walk(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
-        print(
-            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
+        raise UsageError(
+            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
         )
-        return EXIT_USAGE
     t0 = time.perf_counter()
     rows = run_suite(args.suite)
     wall = time.perf_counter() - t0

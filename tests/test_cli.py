@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, report formats, schemas."""
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sigma_spectra.cli import RunReport, main
 
@@ -284,7 +287,7 @@ class TestRunReport:
 
 
 # (argv, files): "{name}" in argv is replaced by the path of files[name],
-# written as JSON, or as they are when bytes
+# written as JSON, or as they are when bytes; "{dir}" by a directory
 BAD_INPUTS = {
     "spec-field-not-int": (
         ["spectrum", "--spec-file", "{spec}"],
@@ -307,6 +310,33 @@ BAD_INPUTS = {
          "--alpha", "2", "--beta", "2", "--colouring-file", "{colouring}"],
         {"colouring": {"n": True, "q": 2, "classes": [[0, 1]]}},
     ),
+    "spec-file-deeply-nested": (
+        ["spectrum", "--spec-file", "{spec}"], {"spec": b"[" * 20_000},
+    ),
+    "colouring-file-deeply-nested": (
+        ["check", *A2_FLAGS, "--colouring-file", "{colouring}"],
+        {"colouring": b"[" * 20_000},
+    ),
+    "unknown-suite": (["verify", "--suite", "nonsense"], {}),
+    "output-dir-missing-json": (
+        ["spectrum", *GAP_FLAGS, "--output", "{dir}/missing/report.json"], {},
+    ),
+    "output-is-a-dir-json": (["spectrum", *GAP_FLAGS, "--output", "{dir}"], {}),
+    "output-is-a-dir-csv": (
+        ["spectrum", *GAP_FLAGS, "--format", "csv", "--output", "{dir}"], {},
+    ),
+    "output-is-a-dir-raw": (
+        ["construct", *GAP_FLAGS, "--kind", "beta", "--raw", "--output", "{dir}"],
+        {},
+    ),
+    "output-is-a-dir-check": (
+        ["check", *A2_FLAGS, "--colouring-file", "{colouring}",
+         "--output", "{dir}"],
+        {"colouring": {"n": 5, "q": 2, "classes": [[0, j + 1] for j in range(5)]}},
+    ),
+    "output-is-a-dir-verify": (
+        ["verify", "--suite", "zone-only", "--output", "{dir}"], {},
+    ),
 }
 
 
@@ -320,7 +350,7 @@ def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path):
             paths[name].write_bytes(payload)
         else:
             paths[name].write_text(json.dumps(payload), encoding="utf-8")
-    argv = [arg.format(**paths) for arg in argv]
+    argv = [arg.format(dir=tmp_path, **paths) for arg in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the argument
@@ -367,3 +397,82 @@ def test_budget_trip_exits_3_with_one_line(case, capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+ODD = st.sampled_from(["0", "-1", "x", "1.5", ""])
+BUDGETS = st.sampled_from(["1", "30", "300"])
+
+
+@st.composite
+def cli_case(draw):
+    """A random argv for every subcommand but ``verify``, whose suites take
+    seconds, and the text of the colouring file it may name.  Instances
+    stay tiny and every search gets a small budget."""
+
+    def value(valid):  # one value in eight is zero, negative or not a number
+        return draw(ODD) if draw(st.integers(0, 7)) == 7 else str(draw(valid))
+
+    parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    alpha = draw(st.integers(2, 4))
+    fields = {
+        "--n": value(st.just(n)),
+        "--r": value(st.just(sum(parts))),
+        "--q": value(st.just(q)),
+        "--sigma": value(st.just(",".join(map(str, parts)))),
+        "--alpha": value(st.just(alpha)),
+        "--beta": value(st.integers(alpha, 5)),
+    }
+    command = draw(st.sampled_from(["spectrum", "check", "construct", "walk"]))
+    argv = [command]
+    for flag, text in fields.items():
+        if draw(st.integers(0, 15)):
+            argv += [flag, text]
+    k = st.integers(1, 6)
+    if command == "spectrum":
+        argv += ["--budget", value(BUDGETS), "--k-max", value(k),
+                 "--format", draw(st.sampled_from(["json", "csv"]))]
+    elif command == "check":
+        argv += ["--colouring-file", "{colouring}"]
+    elif command == "construct":
+        argv += ["--budget", value(BUDGETS), "--kind",
+                 draw(st.sampled_from(["mono", "layered", "beta", "engine"]))]
+        if draw(st.integers(0, 7)):
+            argv += ["--k", value(k)]
+        if draw(st.booleans()):
+            argv.append("--raw")
+    else:
+        argv += ["--budget", value(BUDGETS),
+                 "--direction", draw(st.sampled_from(["up", "down"]))]
+        start = draw(st.sampled_from(["k", "file", "none"]))
+        if start == "k":
+            argv += ["--start-k", value(k)]
+        elif start == "file":
+            argv += ["--start-file", "{colouring}"]
+    classes = draw(st.lists(st.lists(st.integers(0, 5), min_size=q, max_size=q),
+                            min_size=n, max_size=n))
+    colouring = draw(st.sampled_from([
+        json.dumps({"n": n, "q": q, "classes": classes}),
+        json.dumps({"n": n + 1, "q": q, "classes": classes}),
+        json.dumps({"n": n, "q": q, "classes": [[-1] * q] * n}),
+        '{"n": true, "q": 1, "classes": [[0]]}', "", "{", "null", "[" * 5000,
+    ]))
+    return argv, colouring
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_case())
+def test_fuzzed_argv_never_tracebacks(case, tmp_path):
+    argv, colouring = case
+    path = tmp_path / "colouring.json"
+    path.write_text(colouring, encoding="utf-8")
+    argv = [arg.format(colouring=path) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument
+            code = exc.code
+    assert code in {0, 1, 2, 3}, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

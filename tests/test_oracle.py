@@ -1,5 +1,8 @@
 """Literal oracle: edge materialisation and frozen verdicts."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from sigma_spectra import (
@@ -9,8 +12,11 @@ from sigma_spectra import (
     brute_oracle,
     brute_spectrum,
     count_edges,
+    decide_k,
     enumerate_edges,
 )
+from sigma_spectra.oracle import SIZE_CAP
+from sigma_spectra.verification import nogap_grid
 
 
 def spec_of(n, q, parts, alpha, beta):
@@ -64,3 +70,27 @@ class TestBruteOracle:
     def test_edgeless_instances_accept_anything(self):
         spec = spec_of(2, 1, [2, 1], 2, 2)
         assert brute_spectrum(spec) == (1, 2)
+
+
+def test_witnesses_past_the_oracle_cap_pass_every_literal_edge():
+    """Every engine witness of the no-gap grid above the oracle's vertex cap
+    gives each enumerated edge between alpha and beta colours.  This checks
+    only feasible verdicts: an infeasible one above the cap still rests on
+    the theorem suites alone."""
+    golden = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+        .read_text(encoding="utf-8")
+    )["nogap-sweep"]
+    specs = [spec for spec in nogap_grid()
+             if SIZE_CAP < spec.num_vertices <= 24]
+    assert len(specs) == 36
+    for spec in specs:
+        edges = enumerate_edges(spec)
+        for k in golden[str(spec)]["feasible_k"]:
+            decision = decide_k(spec, k)
+            assert decision.verdict == "feasible", (spec, k)
+            colours = [c for cls in decision.witness.classes for c in cls]
+            assert len(set(colours)) == k
+            for edge in edges:
+                assert spec.alpha <= len({colours[v] for v in edge}) <= spec.beta, \
+                    (spec, k, edge)
