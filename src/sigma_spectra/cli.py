@@ -6,8 +6,9 @@ colouring file), ``construct`` (emit a constructive colouring), ``walk``
 
 Exit codes: 0 success / all pass; 1 invalid colouring, failed suite or
 infeasible construction; 2 malformed arguments or input files, or an
-``--output`` that cannot be written; 3 budget truncation in ``spectrum``,
-or a ``walk`` or ``construct`` cut short by ``--budget``.
+``--output`` that cannot be written (checked before any work); 3 budget
+truncation in ``spectrum``, or a ``walk`` or ``construct`` cut short by
+``--budget``.
 ``SIGMA_SPECTRA_THREADS`` is accepted and ignored, with a warning: the k
 of a spectrum are decided in one thread.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -39,7 +41,7 @@ from .core import (
 from .engine import k_colourable, spectrum
 from .errors import BudgetExceededError, SigmaSpectraError, TheoremViolationError
 from .validator import EdgeWitness, find_violation
-from .verification import SUITES, run_suite
+from .verification import SUITES
 
 __all__ = ["RunReport", "main", "build_parser"]
 
@@ -124,6 +126,24 @@ def _write(text: str, output: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write --output: {exc}") from exc
+
+
+def _check_output(output: str | None) -> None:
+    """Fail before any work when ``--output`` cannot be written.  A check,
+    not an early open, so a failed run leaves no empty file behind."""
+    if not output:
+        return
+    parent = os.path.dirname(output) or "."
+    if os.path.isdir(output):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(
+        f"cannot write --output: {OSError(code, os.strerror(code), output)}")
 
 
 def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
@@ -338,7 +358,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
         )
     t0 = time.perf_counter()
-    rows = run_suite(args.suite)
+    rows = SUITES[args.suite]()
     wall = time.perf_counter() - t0
     width = max(len(row.name) for row in rows)
     for row in rows:
@@ -423,6 +443,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("warning: ignoring SIGMA_SPECTRA_THREADS; "
               "k decisions run in one thread", file=sys.stderr)
     try:
+        _check_output(args.output)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

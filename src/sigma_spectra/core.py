@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Any, Iterator, Mapping, Sequence
@@ -235,113 +236,76 @@ def count_edges(spec: HypergraphSpec) -> int:
 # ---------------------------------------------------------------------------
 #
 # The symmetry group is: permute classes, permute colours, permute vertices
-# within a class.  The canonical representative renumbers colours by first
-# appearance scanning classes in order (vertices within a class sorted by
-# renumbered colour) and picks the class order making the resulting tuple of
-# class tuples lexicographically least.  Computed by a prefix search that
-# only ever extends lex-least prefixes, branching on genuine ties.
+# within a class.  The canonical representative is the lexicographically
+# least image: colours renamed by any bijection, each class written as its
+# sorted tuple, classes in any order, and the tuple of class tuples least.
+#
+# Classes are placed one at a time.  Lex order fixes each class tuple before
+# the next, so every colour map that gives the least prefix is kept, as an
+# ordered list of colour cells: cell i holds the colours that take the next
+# |cell i| identifiers, in an order not fixed yet.  Placing a class refines
+# the cells.  Inside each cell, and then among the colours in no cell, the
+# class's colours take the lowest identifiers, larger multiplicity first;
+# that makes its sorted tuple least, and colours tied on cell and
+# multiplicity stay together as one new cell.  Every map consistent with
+# the refined cells gives the same tuple, so no colour order is ever chosen.
+# The only branching is over which class comes next among those with the
+# least tuple; classes with equal content give equal branches.
 
 
-def _class_key_options(
-    content: tuple[int, ...],
-    mapping: dict[int, int],
-    relevant: frozenset[int],
-) -> tuple[tuple[int, ...], list[dict[int, int]]]:
-    """Canonical renumberings of one class under a partial colour map.
-
-    Colours already in ``mapping`` keep their image.  Unseen colours receive
-    consecutive fresh identifiers; to make the sorted class tuple least,
-    fresh identifiers go to higher-multiplicity colours first.  The tuple is
-    the same for every tie order, so it is returned once; the mappings
-    differ, but only assignments to colours in ``relevant`` (colours that
-    recur in classes still to be placed) can influence later choices, so tie
-    branching is confined to those.
-    """
-    counts: dict[int, int] = {}
-    for c in content:
-        counts[c] = counts.get(c, 0) + 1
-    by_mult: dict[int, list[int]] = {}
-    for c in counts:
-        if c not in mapping:
-            by_mult.setdefault(counts[c], []).append(c)
-
-    group_options: list[list[tuple[int, ...]]] = []
-    for mult in sorted(by_mult, reverse=True):
-        group = sorted(by_mult[mult])
-        rel = [c for c in group if c in relevant]
-        non = [c for c in group if c not in relevant]
-        size = len(group)
-        opts: list[tuple[int, ...]] = []
-        for positions in itertools.combinations(range(size), len(rel)):
-            for perm in itertools.permutations(rel):
-                slots: list[int | None] = [None] * size
-                for p, c in zip(positions, perm):
-                    slots[p] = c
-                fill = iter(non)
-                order = tuple(c if c is not None else next(fill) for c in slots)
-                opts.append(order)
-        group_options.append(opts)
-
-    mappings: list[dict[int, int]] = []
-    for combo in itertools.product(*group_options):
-        m = dict(mapping)
-        nxt = len(m)
-        for order in combo:
-            for c in order:
-                m[c] = nxt
-                nxt += 1
-        mappings.append(m)
-    key = tuple(sorted(mappings[0][c] for c in content))
-    return key, mappings
+def _place(
+    counts: Mapping[int, int], cells: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The least sorted tuple of a class with colour multiplicities
+    ``counts`` under the ordered colour ``cells``, and the refined cells."""
+    fresh = tuple(counts.keys() - set().union(*cells))
+    key: list[int] = []
+    refined: list[tuple[int, ...]] = []
+    ident = 0
+    for cell in (*cells, fresh) if fresh else cells:
+        if counts.keys().isdisjoint(cell):  # the class leaves it as it is
+            refined.append(cell)
+            ident += len(cell)
+            continue
+        by_mult: dict[int, list[int]] = {}
+        for c in cell:
+            by_mult.setdefault(counts.get(c, 0), []).append(c)
+        for mult in sorted(by_mult, reverse=True):
+            for _ in by_mult[mult]:
+                key += [ident] * mult
+                ident += 1
+            refined.append(tuple(by_mult[mult]))
+    return tuple(key), tuple(refined)
 
 
 def canonical_colouring(colouring: Colouring) -> Colouring:
-    """Canonical representative of ``colouring`` under all three symmetries.
+    """Canonical representative of ``colouring`` under all three symmetries:
+    its lexicographically least image, with colours renumbered 0..k-1.
 
     Idempotent, and equal for any two colourings that differ only by a
     colour permutation, a class permutation, or within-class reordering.
     """
-    contents = list(colouring.classes)
-    n = len(contents)
-    best: list[tuple[int, ...]] = []
+    counts = {cls: Counter(cls) for cls in colouring.classes}
+    best: tuple[tuple[int, ...], ...] = ()
 
-    def extend(remaining: tuple[int, ...], mapping: dict[int, int],
-               prefix: list[tuple[int, ...]]) -> None:
+    def extend(remaining: tuple[tuple[int, ...], ...],
+               cells: tuple[tuple[int, ...], ...],
+               prefix: tuple[tuple[int, ...], ...]) -> None:
         nonlocal best
         if not remaining:
             if not best or prefix < best:
-                best = list(prefix)
+                best = prefix
             return
-        candidates = []
-        for idx in remaining:
-            future: set[int] = set()
-            for j in remaining:
-                if j != idx:
-                    future.update(contents[j])
-            key, mappings = _class_key_options(
-                contents[idx], mapping, frozenset(future)
-            )
-            candidates.append((key, idx, mappings, future))
-        least = min(key for key, _, _, _ in candidates)
-        taken: set[tuple] = set()
-        for key, idx, mappings, future in candidates:
-            if key != least:
-                continue
-            for m in mappings:
-                sig = (
-                    contents[idx],
-                    tuple(sorted((c, v) for c, v in m.items() if c in future)),
-                )
-                if sig in taken:
-                    continue
-                taken.add(sig)
-                rest = tuple(j for j in remaining if j != idx)
-                prefix.append(key)
-                extend(rest, m, prefix)
-                prefix.pop()
+        options = {cls: _place(counts[cls], cells) for cls in set(remaining)}
+        least = min(key for key, _ in options.values())
+        for cls, (key, refined) in options.items():
+            if key == least:
+                i = remaining.index(cls)
+                extend(remaining[:i] + remaining[i + 1:], refined,
+                       prefix + (key,))
 
-    extend(tuple(range(n)), {}, [])
-    return Colouring(classes=tuple(best))
+    extend(colouring.classes, (), ())
+    return Colouring(classes=best)
 
 
 # ---------------------------------------------------------------------------

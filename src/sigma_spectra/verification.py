@@ -30,7 +30,6 @@ from .validator import is_valid
 __all__ = [
     "SuiteRow",
     "SUITES",
-    "run_suite",
     "exhaustive_max_sum",
     "exhaustive_min_parts",
     "exhaustive_mono_zone",
@@ -190,31 +189,19 @@ def zone_grid() -> list[HypergraphSpec]:
         sigma = build_sigma(parts)
         for n in range(sigma.s, 8):
             for q in (sigma.delta_max, min(4, sigma.delta_max + 1)):
-                if q > 4:
-                    continue
                 for alpha in range(2, sigma.s + 1):
                     for beta in range(sigma.s, sigma.s + 2):
                         out.append(HypergraphSpec(
                             n=n, q=q, sigma=sigma, alpha=alpha, beta=beta
                         ))
-    seen = set()
-    unique = []
-    for spec in out:
-        key = (spec.n, spec.q, spec.sigma.parts, spec.alpha, spec.beta)
-        if key not in seen:
-            seen.add(key)
-            unique.append(spec)
-    return unique
+    return out
 
 
-def suite_zone(limit: int | None = None) -> list[SuiteRow]:
+def suite_zone() -> list[SuiteRow]:
     """Monochromatic zone: formula equals exhaustive partition check and
     every zone point is realised by a validated solid colouring."""
     rows = []
-    specs = zone_grid()
-    if limit is not None:
-        specs = specs[:limit]
-    for spec in specs:
+    for spec in zone_grid():
         zone = mono_zone(spec)
         expect = exhaustive_mono_zone(spec)
         problems = []
@@ -318,14 +305,10 @@ def nogap_grid() -> list[HypergraphSpec]:
     return out
 
 
-def suite_nogaps(node_budget: int | None = 5_000_000,
-                 limit: int | None = None) -> list[SuiteRow]:
+def suite_nogaps(node_budget: int | None = 5_000_000) -> list[SuiteRow]:
     """No-gap law: the spectrum of each grid instance is one interval."""
     rows = []
-    specs = nogap_grid()
-    if limit is not None:
-        specs = specs[:limit]
-    for spec in specs:
+    for spec in nogap_grid():
         result = spectrum(spec, node_budget=node_budget)
         contiguous = (
             result.colourable
@@ -428,9 +411,3 @@ SUITES: dict[str, Callable[[], list[SuiteRow]]] = {
     "gaps": suite_gaps,
     "appendix": suite_appendix,
 }
-
-
-def run_suite(name: str) -> list[SuiteRow]:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name]()

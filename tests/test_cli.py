@@ -303,6 +303,10 @@ BAD_INPUTS = {
     "engine-k-zero": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0"], {},
     ),
+    "engine-k-zero-with-output": (
+        ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0",
+         "--output", "{dir}/report.json"], {},
+    ),
     "negative-budget": (["spectrum", *GAP_FLAGS, "--budget", "-5"], {}),
     "colouring-n-bool": (
         # one class, so n=true would pass as n=1
@@ -320,6 +324,13 @@ BAD_INPUTS = {
     "unknown-suite": (["verify", "--suite", "nonsense"], {}),
     "output-dir-missing-json": (
         ["spectrum", *GAP_FLAGS, "--output", "{dir}/missing/report.json"], {},
+    ),
+    "output-dir-missing-csv": (
+        ["spectrum", *GAP_FLAGS, "--format", "csv", "--output", "{dir}/missing/x"],
+        {},
+    ),
+    "output-dir-missing-verify": (
+        ["verify", "--suite", "gaps", "--output", "{dir}/missing/x"], {},
     ),
     "output-is-a-dir-json": (["spectrum", *GAP_FLAGS, "--output", "{dir}"], {}),
     "output-is-a-dir-csv": (
@@ -355,11 +366,14 @@ def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path):
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the argument
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == \
         err.splitlines()[-1:]
+    # a failed run leaves no output file behind
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
 
 
 APPENDIX_FLAGS = ["--n", "7", "--r", "12", "--q", "6", "--sigma", "6,6"]

@@ -166,12 +166,18 @@ class TestCanonicalForm:
         used = sorted({x for cls in can.classes for x in cls})
         assert used == list(range(len(used)))
 
-    @given(st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2),
-                    min_size=1, max_size=3))
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.integers(1, 3).flatmap(
+            lambda q: st.lists(
+                st.lists(st.integers(0, 4), min_size=q, max_size=q),
+                min_size=n, max_size=n,
+            )
+        )
+    ))
     @settings(max_examples=120, deadline=None)
     def test_canonical_form_stays_in_the_orbit(self, classes):
-        """The canonical form is a symmetry image of its input, so two
-        inputs sharing a canonical form are genuinely equivalent."""
+        """The canonical form is the least symmetry image of its input, so
+        two inputs share a canonical form exactly when they are equivalent."""
         c = Colouring(classes=tuple(tuple(cls) for cls in classes))
         can = canonical_colouring(c)
         colours = sorted({x for cls in c.classes for x in cls})
@@ -183,7 +189,42 @@ class TestCanonicalForm:
                     tuple(sorted(mapping[x] for x in c.classes[i]))
                     for i in class_order
                 ))
-        assert can.classes in orbit
+        assert can.classes == min(orbit)
+
+    # Tie patterns past brute force: disjoint palettes with interchangeable
+    # classes (n! class orders), palettes shared in pairs, and many
+    # identical solid classes.  The expected forms come from an earlier,
+    # independent implementation that enumerated every order of tied colours.
+    @pytest.mark.parametrize("classes,expected", [
+        (  # layered, disjoint 2-colour palettes, n = 7
+            ((0, 0, 0, 5, 5), (10, 10, 10, 15, 15), (3, 3, 3, 8, 8),
+             (13, 13, 13, 1, 1), (6, 6, 6, 11, 11), (16, 16, 16, 4, 4),
+             (9, 9, 9, 14, 14)),
+            ((0, 0, 0, 1, 1), (2, 2, 2, 3, 3), (4, 4, 4, 5, 5), (6, 6, 6, 7, 7),
+             (8, 8, 8, 9, 9), (10, 10, 10, 11, 11), (12, 12, 12, 13, 13)),
+        ),
+        (  # layered, two classes with a fresh singleton
+            ((0, 0, 0, 5, 5), (2, 10, 10, 15, 15), (3, 3, 3, 8, 8),
+             (13, 13, 13, 1, 1), (6, 6, 6, 11, 11), (7, 16, 16, 4, 4),
+             (9, 9, 9, 14, 14)),
+            ((0, 0, 0, 1, 1), (2, 2, 2, 3, 3), (4, 4, 4, 5, 5), (6, 6, 6, 7, 7),
+             (8, 8, 8, 9, 9), (10, 10, 11, 11, 12), (13, 13, 14, 14, 15)),
+        ),
+        (  # paired palettes
+            ((3, 3, 10, 6), (3, 10, 10, 6), (2, 2, 9, 5), (2, 2, 9, 5),
+             (1, 1, 8, 4), (1, 8, 8, 4)),
+            ((0, 0, 1, 2), (0, 0, 1, 2), (3, 3, 4, 5), (3, 4, 4, 5),
+             (6, 6, 7, 8), (6, 7, 7, 8)),
+        ),
+        (  # mono, many identical solid classes
+            ((5, 5, 5),) * 4 + ((2, 2, 2),) * 3 + ((9, 9, 9),) * 2
+            + ((8, 8, 2), (4, 4, 4)),
+            ((0, 0, 0),) * 4 + ((1, 1, 1),) * 3
+            + ((1, 2, 2), (3, 3, 3), (3, 3, 3), (4, 4, 4)),
+        ),
+    ], ids=["layered", "layered-singletons", "paired", "mono"])
+    def test_structured_canonical_forms(self, classes, expected):
+        assert canonical_colouring(Colouring(classes=classes)).classes == expected
 
 
 class TestColouringJson:
