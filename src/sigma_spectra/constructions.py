@@ -92,22 +92,28 @@ def mono_distribution(spec: HypergraphSpec, k: int) -> MonoDistribution:
 def mono_colouring(spec: HypergraphSpec, k: int) -> Colouring:
     """A valid colouring with exactly ``k`` colours, every class solid.
 
-    Colour i covers ``counts[i]`` consecutive classes, lowest indices first.
+    Colour i covers ``counts[i]`` consecutive classes, lowest indices first;
+    the counts never increase, so this layout is the canonical form.
     """
     dist = mono_distribution(spec, k)
     classes = []
     for colour, count in enumerate(dist.counts):
         classes.extend([(colour,) * spec.q] * count)
-    return canonical_colouring(Colouring(classes=tuple(classes)))
+    return Colouring(classes=tuple(classes))
 
 
 def layered_colouring(spec: HypergraphSpec, k_target: int) -> Colouring:
     """Distinct per-class palettes of ``floor(beta/s)`` colours, plus up to
-    ``beta mod s`` fresh singleton vertices, hitting ``k_target`` colours.
+    ``min(n, beta - s*floor(beta/s))`` fresh singleton vertices, one per
+    class, hitting ``k_target`` colours.
 
     Valid whenever ``alpha <= s <= beta``: an edge meets at least one colour
     per class (palettes are disjoint, so at least s >= alpha) and at most
     ``k`` per class plus every fresh singleton (at most k*s + (beta - k*s)).
+
+    Canonical as built: classes without a singleton first, each class
+    numbering its colours on from the last, larger multiplicity first; a
+    singleton takes one vertex from a most-repeated colour.
     """
     s = spec.sigma.s
     if not spec.alpha <= s <= spec.beta:
@@ -117,10 +123,11 @@ def layered_colouring(spec: HypergraphSpec, k_target: int) -> Colouring:
     k = spec.beta // s
     base_total = spec.n * k
     extras = k_target - base_total
-    if extras < 0 or extras > spec.beta - k * s:
+    max_extras = min(spec.n, spec.beta - k * s)
+    if extras < 0 or extras > max_extras:
         raise InfeasibleError(
             f"k_target={k_target} outside [{base_total}, "
-            f"{base_total + spec.beta - k * s}]"
+            f"{base_total + max_extras}]"
         )
     if spec.q < k:
         raise InfeasibleError(f"q={spec.q} cannot hold {k} distinct colours")
@@ -128,23 +135,14 @@ def layered_colouring(spec: HypergraphSpec, k_target: int) -> Colouring:
         raise InfeasibleError("no colour is repeated, cannot free a vertex")
 
     base, rem = divmod(spec.q, k)
-    classes = []
-    for i in range(spec.n):
-        palette = range(i * k, (i + 1) * k)
-        cls: list[int] = []
-        for j, colour in enumerate(palette):
-            cls.extend([colour] * (base + 1 if j < rem else base))
-        classes.append(cls)
-    for j in range(extras):
-        # replace one vertex of class j's most repeated colour
-        counts: dict[int, int] = {}
-        for c in classes[j]:
-            counts[c] = counts.get(c, 0) + 1
-        donor = max(counts, key=lambda c: (counts[c], -c))
-        classes[j][classes[j].index(donor)] = base_total + j
-    return canonical_colouring(
-        Colouring(classes=tuple(tuple(cls) for cls in classes))
-    )
+    plain = [base + 1] * rem + [base] * (k - rem)
+    single = sorted(plain[1:] + [plain[0] - 1, 1], reverse=True)
+    classes, colour = [], 0
+    for mults in [plain] * (spec.n - extras) + [single] * extras:
+        classes.append(tuple(colour + j for j, m in enumerate(mults)
+                             for _ in range(m)))
+        colour += len(mults)
+    return Colouring(classes=tuple(classes))
 
 
 def beta_colouring(spec: HypergraphSpec) -> Colouring:
@@ -156,6 +154,7 @@ def beta_colouring(spec: HypergraphSpec) -> Colouring:
     vertices and no edge can drop below ``alpha`` colours.  Needs
     ``Delta >= alpha`` and the recipe's exact class size
     ``q = (beta-alpha+1)*floor((Delta-1)/(alpha-1)) + Delta - 1``.
+    Canonical as built: every class reads ``0..beta-1``, heavy colours first.
     """
     delta = spec.sigma.delta_max
     if delta < spec.alpha:
@@ -172,8 +171,7 @@ def beta_colouring(spec: HypergraphSpec) -> Colouring:
     cls: list[int] = []
     for colour in range(spec.beta):
         cls.extend([colour] * (unit + 1 if colour < heavy else unit))
-    classes = tuple(tuple(cls) for _ in range(spec.n))
-    return canonical_colouring(Colouring(classes=classes))
+    return Colouring(classes=(tuple(cls),) * spec.n)
 
 
 # ---------------------------------------------------------------------------

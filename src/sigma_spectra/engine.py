@@ -283,12 +283,12 @@ class _Search:
 
 
 def _trivial_colouring(spec: HypergraphSpec, k: int) -> Colouring:
-    """Any k-colouring of an edgeless instance, in canonical form."""
-    flat = [min(t, k - 1) for t in range(spec.num_vertices)]
-    classes = tuple(
+    """A k-colouring of an edgeless instance, in canonical form: colour 0
+    on the first ``n*q - k + 1`` vertices, then one vertex per colour."""
+    flat = [max(0, t - (spec.num_vertices - k)) for t in range(spec.num_vertices)]
+    return Colouring(classes=tuple(
         tuple(flat[i * spec.q : (i + 1) * spec.q]) for i in range(spec.n)
-    )
-    return canonical_colouring(Colouring(classes=classes))
+    ))
 
 
 def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,

@@ -151,19 +151,19 @@ def exhaustive_mono_zone(spec: HypergraphSpec) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def suite_lemmas(a_max: int = 7, b_max: int = 8, n_max: int = 40) -> list[SuiteRow]:
+def suite_lemmas() -> list[SuiteRow]:
     """Closed-form partition bounds against exhaustive enumeration."""
     rows = []
-    for a in range(2, a_max + 1):
-        for d in range(a, a_max + 1):
+    for a in range(2, 8):
+        for d in range(a, 8):
             bad_f: list[str] = []
-            for b in range(a, b_max + 1):
+            for b in range(a, 9):
                 expect = exhaustive_max_sum(a, b, d)
                 got = max_sum_capped_head(a, b, d)
                 if got != expect:
                     bad_f.append(f"b={b}: {got}!={expect}")
             bad_b: list[str] = []
-            for n in range(1, n_max + 1):
+            for n in range(1, 41):
                 expect_b = exhaustive_min_parts(a, d, n)
                 if expect_b is None:
                     if min_parts_attainable(a, d, n):
@@ -174,7 +174,7 @@ def suite_lemmas(a_max: int = 7, b_max: int = 8, n_max: int = 40) -> list[SuiteR
                         bad_b.append(f"n={n}: {got_b}!={expect_b}")
             ok = not bad_f and not bad_b
             detail = "; ".join(bad_f + bad_b) if not ok else (
-                f"b in [{a},{b_max}], n in [1,{n_max}]"
+                f"b in [{a},8], n in [1,40]"
             )
             rows.append(SuiteRow(name=f"bounds a={a} d={d}", passed=ok,
                                  detail=detail))
@@ -219,7 +219,7 @@ def suite_zone() -> list[SuiteRow]:
     return rows
 
 
-def suite_zone_only(node_budget: int | None = 2_000_000) -> list[SuiteRow]:
+def suite_zone_only() -> list[SuiteRow]:
     """Instances past the zone-only threshold: spectrum == zone exactly."""
     instances = [
         HypergraphSpec(n=4, q=3, sigma=build_sigma([2, 1]), alpha=2, beta=2),
@@ -233,7 +233,7 @@ def suite_zone_only(node_budget: int | None = 2_000_000) -> list[SuiteRow]:
                                  detail="instance misses the threshold"))
             continue
         zone = mono_zone(spec)
-        result = spectrum(spec, node_budget=node_budget)
+        result = spectrum(spec, node_budget=2_000_000)
         ok = (
             result.complete
             and zone is not None
@@ -261,7 +261,7 @@ def uncolourable_grid() -> list[HypergraphSpec]:
     ]
 
 
-def suite_uncolourable(node_budget: int | None = 5_000_000) -> list[SuiteRow]:
+def suite_uncolourable() -> list[SuiteRow]:
     """Threshold instances: the engine finds no feasible k at all, and the
     literal oracle agrees wherever it fits."""
     rows = []
@@ -269,7 +269,7 @@ def suite_uncolourable(node_budget: int | None = 5_000_000) -> list[SuiteRow]:
         problems = []
         if not uncolourable_condition(spec):
             problems.append("threshold predicate is false")
-        result = spectrum(spec, node_budget=node_budget)
+        result = spectrum(spec, node_budget=5_000_000)
         if not result.complete:
             problems.append("budget tripped")
         if result.colourable:
@@ -305,11 +305,11 @@ def nogap_grid() -> list[HypergraphSpec]:
     return out
 
 
-def suite_nogaps(node_budget: int | None = 5_000_000) -> list[SuiteRow]:
+def suite_nogaps() -> list[SuiteRow]:
     """No-gap law: the spectrum of each grid instance is one interval."""
     rows = []
     for spec in nogap_grid():
-        result = spectrum(spec, node_budget=node_budget)
+        result = spectrum(spec, node_budget=5_000_000)
         contiguous = (
             result.colourable
             and list(result.feasible_k)
@@ -332,7 +332,7 @@ def gap_cells() -> list[tuple[int, int, tuple[int, ...]]]:
     ]
 
 
-def suite_gaps(node_budget: int | None = 20_000_000) -> list[SuiteRow]:
+def suite_gaps() -> list[SuiteRow]:
     """Gap construction: k <= beta-1 and beta+1 infeasible, beta feasible,
     the whole monochromatic zone feasible, and the zone starts past beta+1."""
     rows = []
@@ -345,11 +345,11 @@ def suite_gaps(node_budget: int | None = 20_000_000) -> list[SuiteRow]:
         if built.colour_count != beta or not is_valid(spec, built):
             problems.append("balanced beta-colouring failed validation")
         for k in range(1, beta):
-            if decide_k(spec, k, node_budget).verdict != "infeasible":
+            if decide_k(spec, k, 20_000_000).verdict != "infeasible":
                 problems.append(f"k={k} not infeasible")
-        if decide_k(spec, beta, node_budget).verdict != "feasible":
+        if decide_k(spec, beta, 20_000_000).verdict != "feasible":
             problems.append(f"k={beta} not feasible")
-        if decide_k(spec, beta + 1, node_budget).verdict != "infeasible":
+        if decide_k(spec, beta + 1, 20_000_000).verdict != "infeasible":
             problems.append(f"k={beta + 1} not infeasible")
         zone = mono_zone(spec)
         if zone is None or zone.is_empty or zone.lo <= beta + 1:
@@ -367,13 +367,13 @@ def suite_gaps(node_budget: int | None = 20_000_000) -> list[SuiteRow]:
     return rows
 
 
-def suite_appendix(node_budget: int | None = 50_000_000) -> list[SuiteRow]:
+def suite_appendix() -> list[SuiteRow]:
     """The two boundary fixtures: a gap without a monochromatic zone, and a
     one-point spectrum without one."""
     rows = []
 
     gap_spec = HypergraphSpec(n=7, q=6, sigma=build_sigma([6, 6]), alpha=3, beta=3)
-    verdicts = {k: decide_k(gap_spec, k, node_budget) for k in (3, 4, 8)}
+    verdicts = {k: decide_k(gap_spec, k, 50_000_000) for k in (3, 4, 8)}
     problems = []
     if any(v.verdict == "unknown" for v in verdicts.values()):
         problems.append("budget tripped")
@@ -393,7 +393,7 @@ def suite_appendix(node_budget: int | None = 50_000_000) -> list[SuiteRow]:
     ))
 
     point_spec = HypergraphSpec(n=5, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=3)
-    result = spectrum(point_spec, node_budget=node_budget)
+    result = spectrum(point_spec, node_budget=50_000_000)
     ok = result.complete and list(result.feasible_k) == [6] and not result.gaps
     rows.append(SuiteRow(
         name=str(point_spec), passed=ok,

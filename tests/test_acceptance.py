@@ -42,7 +42,7 @@ def spec_of(n, q, parts, alpha, beta):
 def test_criterion_1_partition_bound_oracle_grid():
     """Closed-form bounds match exhaustive enumeration on the full grid."""
     t0 = time.perf_counter()
-    rows = suite_lemmas(a_max=7, b_max=8, n_max=40)
+    rows = suite_lemmas()
     elapsed = time.perf_counter() - t0
     failures = [r for r in rows if not r.passed]
     report(

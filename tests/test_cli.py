@@ -173,6 +173,16 @@ class TestConstructCommand:
         assert code == 1
         assert "zone" in err
 
+    def test_layered_past_one_singleton_per_class_exits_1(self, capsys):
+        # edgeless (n < s): beta - k*s = 2 extras, but only one class
+        code, _, err = run(capsys, [
+            "construct", "--n", "1", "--r", "3", "--q", "2", "--sigma", "1,1,1",
+            "--alpha", "2", "--beta", "5", "--kind", "layered", "--k", "3"])
+        assert code == 1
+        assert err.startswith("construction failed:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_mono_without_k_exits_2(self, capsys):
         code, _, _ = run(capsys, ["construct", *GAP_FLAGS, "--kind", "mono"])
         assert code == 2

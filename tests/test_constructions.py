@@ -11,6 +11,7 @@ from sigma_spectra import (
     NotApplicableError,
     beta_colouring,
     build_sigma,
+    canonical_colouring,
     gap_instance_params,
     is_valid,
     layered_colouring,
@@ -24,6 +25,7 @@ from sigma_spectra import (
     spectrum_walk_steps,
     split_to_fixed,
 )
+from sigma_spectra.verification import gap_cells, zone_grid
 
 
 def spec_of(n, q, parts, alpha, beta):
@@ -77,10 +79,12 @@ class TestLayeredColouring:
         assert is_valid(self.SPEC, c)
 
     def test_above_range_rejected(self):
-        with pytest.raises(InfeasibleError):
-            layered_colouring(self.SPEC, 14)
-        with pytest.raises(InfeasibleError):
-            layered_colouring(self.SPEC, 11)
+        # the last spec is edgeless with n < beta - k*s: its one class
+        # cannot hold two singletons
+        for spec, k_target in ((self.SPEC, 14), (self.SPEC, 11),
+                               (spec_of(1, 2, [1, 1, 1], 2, 5), 3)):
+            with pytest.raises(InfeasibleError):
+                layered_colouring(spec, k_target)
 
     def test_requires_window_around_s(self):
         with pytest.raises(NotApplicableError):
@@ -102,6 +106,36 @@ class TestLayeredColouring:
         for kt in range(lo, hi + 1):
             c = layered_colouring(spec, kt)
             assert c.colour_count == kt and is_valid(spec, c)
+
+
+def test_builders_are_canonical_by_construction():
+    """The builders lay out their canonical form without canonicalising."""
+    built = []
+    for spec in zone_grid():
+        if spec.n > 5:
+            continue
+        built += [mono_colouring(spec, k) for k in mono_zone(spec)]
+        for k_target in range(1, spec.num_vertices + 1):
+            try:
+                built.append(layered_colouring(spec, k_target))
+            except InfeasibleError:
+                pass
+    for alpha, beta, parts in gap_cells():
+        sigma = build_sigma(parts)
+        q, n = gap_instance_params(alpha, beta, sigma)
+        built.append(beta_colouring(HypergraphSpec(
+            n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)))
+    assert any(len(set(cls)) > 2 for c in built for cls in c.classes)
+    for c in built:
+        assert canonical_colouring(c) == c
+    # n = 7 is past what canonicalising in a test affords; these are the
+    # layered forms pinned in test_core.py
+    assert layered_colouring(spec_of(7, 5, [1, 1], 2, 4), 14).classes == (
+        (0, 0, 0, 1, 1), (2, 2, 2, 3, 3), (4, 4, 4, 5, 5), (6, 6, 6, 7, 7),
+        (8, 8, 8, 9, 9), (10, 10, 10, 11, 11), (12, 12, 12, 13, 13))
+    assert layered_colouring(spec_of(7, 5, [1, 1, 1], 2, 8), 16).classes == (
+        (0, 0, 0, 1, 1), (2, 2, 2, 3, 3), (4, 4, 4, 5, 5), (6, 6, 6, 7, 7),
+        (8, 8, 8, 9, 9), (10, 10, 11, 11, 12), (13, 13, 14, 14, 15))
 
 
 class TestBetaColouring:

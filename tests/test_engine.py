@@ -80,6 +80,7 @@ class TestSpectrum:
         assert res.feasible_k == tuple(range(1, 4))
         for k, w in res.witnesses.items():
             assert w.colour_count == k
+            assert w.canonical() == w
 
     def test_k_max_caps_the_range(self):
         res = spectrum(GAP22, k_max=3)
