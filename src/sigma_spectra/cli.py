@@ -9,8 +9,6 @@ infeasible construction; 2 malformed arguments or input files, or an
 ``--output`` that cannot be written (checked before any work); 3 budget
 truncation in ``spectrum``, or a ``walk`` or ``construct`` cut short by
 ``--budget``.
-``SIGMA_SPECTRA_THREADS`` is accepted and ignored, with a warning: the k
-of a spectrum are decided in one thread.
 """
 
 from __future__ import annotations
@@ -259,21 +257,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    if args.k is None and args.kind != "beta":
+        raise UsageError(f"--kind {args.kind} needs --k")
     t0 = time.perf_counter()
     try:
         if args.kind == "mono":
-            if args.k is None:
-                raise UsageError("--kind mono needs --k")
             colouring = mono_colouring(spec, args.k)
         elif args.kind == "layered":
-            if args.k is None:
-                raise UsageError("--kind layered needs --k")
             colouring = layered_colouring(spec, args.k)
         elif args.kind == "beta":
             colouring = beta_colouring(spec)
         else:  # engine
-            if args.k is None:
-                raise UsageError("--kind engine needs --k")
             found = _engine_colouring(spec, args.k, args.budget)
             if found is None:
                 print(f"no colouring with exactly {args.k} colours",
@@ -439,9 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "SIGMA_SPECTRA_THREADS" in os.environ:
-        print("warning: ignoring SIGMA_SPECTRA_THREADS; "
-              "k decisions run in one thread", file=sys.stderr)
     try:
         _check_output(args.output)
         return args.func(args)

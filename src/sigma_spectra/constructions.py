@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Colouring, HypergraphSpec, canonical_colouring
+# canonical_colouring is unused here; bench/tracing.py wraps it by this name
+from .core import Colouring, HypergraphSpec, canonical_colouring  # noqa: F401
 from .engine import k_colourable
 from .errors import InfeasibleError, NotApplicableError, TheoremViolationError
 from .formulas import MonoDistribution, mono_zone, mono_zone_lower_bound
@@ -42,14 +43,16 @@ class RecolourStep:
 
     class_index: int | None
     kind: str  # whole-class-to-new | merge-two-unique-to-new | split-to-fixed | engine-fallback
-    colours_before: tuple[int, ...]
-    colours_after: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class WalkStep:
+    """One walk step and the in-place snapshot it produced: the previous
+    snapshot with only class ``step.class_index`` replaced, or the engine's
+    witness for an ``engine-fallback`` step."""
+
     step: RecolourStep
-    colouring: Colouring  # canonical snapshot after the step
+    colouring: Colouring
     colour_count: int
     valid: bool
 
@@ -306,7 +309,9 @@ def spectrum_walk_steps(
     Walking ``down`` reaches n+1 colours; walking ``up`` reaches one colour
     below the monochromatic zone.  Greedy local moves are tried first; when
     none applies the engine supplies the adjacent colouring and the step is
-    recorded as ``engine-fallback``.
+    recorded as ``engine-fallback``.  Each step keeps the in-place snapshot
+    its move produced (see :class:`WalkStep`); ``Colouring.canonical()``
+    gives its canonical form on request.
     """
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
@@ -322,25 +327,15 @@ def spectrum_walk_steps(
     current = start
     steps: list[WalkStep] = []
 
-    def record(kind: str, class_index: int | None, before: tuple[int, ...],
-               after_raw: Colouring) -> None:
+    def record(kind: str, class_index: int | None, after: Colouring) -> None:
         nonlocal current
-        _validated(spec, after_raw, f"{kind} on class {class_index}")
-        after_cls = (
-            after_raw.classes[class_index] if class_index is not None else ()
-        )
-        step = RecolourStep(
-            class_index=class_index,
-            kind=kind,
-            colours_before=before,
-            colours_after=tuple(sorted(set(after_cls))),
-        )
-        current = after_raw
+        _validated(spec, after, f"{kind} on class {class_index}")
+        current = after
         steps.append(
             WalkStep(
-                step=step,
-                colouring=canonical_colouring(after_raw),
-                colour_count=after_raw.colour_count,
+                step=RecolourStep(class_index=class_index, kind=kind),
+                colouring=after,
+                colour_count=after.colour_count,
                 valid=True,
             )
         )
@@ -372,7 +367,7 @@ def spectrum_walk_steps(
                     f"walk stuck at {current.colour_count} colours and "
                     f"k={step_to} is infeasible; contradicts the no-gap law"
                 )
-            record("engine-fallback", None, (), fallback)
+            record("engine-fallback", None, fallback)
             continue
         palette = sorted(set(current.classes[i]))
         mine = privates[i]
@@ -384,7 +379,7 @@ def spectrum_walk_steps(
         else:
             kind, after = "merge-two-unique-to-new", recolour_merge_two_unique(
                 current, i, mine[0], mine[1])
-        record(kind, i, tuple(palette), after)
+        record(kind, i, after)
     return steps
 
 
@@ -394,12 +389,13 @@ def spectrum_walk(
     direction: str,
     node_budget: int | None = None,
 ) -> list[Colouring]:
-    """Snapshots of a walk at each new colour count, start included.
+    """In-place snapshots of a walk at each new colour count, ``start``
+    included as given.
 
     Consecutive entries differ by exactly one in colour count.
     """
     steps = spectrum_walk_steps(spec, start, direction, node_budget)
-    out = [canonical_colouring(start)]
+    out = [start]
     count = start.colour_count
     for ws in steps:
         if ws.colour_count != count:

@@ -80,19 +80,6 @@ class TestSpectrumCommand:
         assert report["complete"] is False
         assert 4 in report["result"]["unknown_k"]
 
-    def test_threads_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGMA_SPECTRA_THREADS", "2")
-        code, out, err = run(capsys, ["spectrum", *GAP_FLAGS])
-        assert code == 0
-        assert json.loads(out)["result"]["feasible_k"] == [2, 5]
-        assert err.count("SIGMA_SPECTRA_THREADS") == 1
-
-    def test_bad_threads_env_warns_not_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGMA_SPECTRA_THREADS", "lots")
-        code, _, err = run(capsys, ["spectrum", *GAP_FLAGS])
-        assert code == 0
-        assert "SIGMA_SPECTRA_THREADS" in err
-
 
 class TestCheckCommand:
     def test_valid_colouring(self, capsys, tmp_path):
@@ -310,6 +297,8 @@ BAD_INPUTS = {
     "walk-start-k-out-of-range": (
         ["walk", *GAP_FLAGS, "--direction", "down", "--start-k", "99"], {},
     ),
+    "layered-without-k": (["construct", *GAP_FLAGS, "--kind", "layered"], {}),
+    "engine-without-k": (["construct", *GAP_FLAGS, "--kind", "engine"], {}),
     "engine-k-zero": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0"], {},
     ),

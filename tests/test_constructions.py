@@ -1,5 +1,6 @@
 """Constructive colourings and recolouring walks."""
 
+import json
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from sigma_spectra import (
     mono_colouring,
     mono_distribution,
     mono_zone,
+    mono_zone_lower_bound,
     recolour_merge_two_unique,
     recolour_whole_class,
     spectrum,
@@ -25,6 +27,7 @@ from sigma_spectra import (
     spectrum_walk_steps,
     split_to_fixed,
 )
+from sigma_spectra.cli import main
 from sigma_spectra.verification import gap_cells, zone_grid
 
 
@@ -298,14 +301,14 @@ class TestWalks:
         assert [c.colour_count for c in walk] == [7, 6]
 
     def test_up_walk_reaches_zone_edge(self):
-        spec = spec_of(6, 2, [1, 1, 1], 2, 3)
+        spec = spec_of(6, 3, [2, 2], 2, 3)
         res = spectrum(spec)
         start = res.witnesses[res.chi]
-        target = [c for c in res.feasible_k]  # chi .. zone
         walk = spectrum_walk(spec, start, "up")
         counts = [c.colour_count for c in walk]
         assert counts[0] == res.chi
-        assert counts[-1] >= res.chi
+        assert all(b - a == 1 for a, b in zip(counts, counts[1:]))
+        assert counts[-1] == mono_zone_lower_bound(spec) - 1
         for c in walk:
             assert is_valid(spec, c)
 
@@ -370,3 +373,63 @@ class TestWalks:
         assert [ws.step.kind for ws in steps] == ["engine-fallback"]
         assert steps[-1].colour_count == 5
         assert steps[-1].step.class_index is None
+
+
+def _paired_start(n, q):
+    """Classes 2i and 2i+1 share the palette 3i, 3i+1, 3i+2."""
+    return Colouring(classes=tuple(
+        tuple((i // 2) * 3 + j % 3 for j in range(q)) for i in range(n)))
+
+
+def _library_walk(spec, start, direction):
+    steps = spectrum_walk_steps(spec, start, direction)
+    return start.classes, [(ws.step.kind, ws.step.class_index,
+                            ws.colouring.classes) for ws in steps]
+
+
+def _cli_walk(capsys):
+    """The report of ``TestWalkCommand.test_down_walk_steps``."""
+    assert main(["walk", "--n", "4", "--r", "4", "--q", "3", "--sigma", "2,2",
+                 "--alpha", "2", "--beta", "3",
+                 "--direction", "down", "--start-k", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)["result"]
+
+    def classes(colouring):
+        return tuple(map(tuple, colouring["classes"]))
+    return classes(report["start"]), [
+        (s["kind"], s["class_index"], classes(s["colouring"]))
+        for s in report["steps"]]
+
+
+IN_PLACE_WALKS = {
+    "layered-down": lambda _: _library_walk(
+        spec_of(5, 4, [1, 1], 2, 4),
+        layered_colouring(spec_of(5, 4, [1, 1], 2, 4), 10), "down"),
+    # no private colour: the first step is an engine fallback
+    "paired-4x4-down": lambda _: _library_walk(
+        spec_of(4, 4, [3, 3], 2, 6), _paired_start(4, 4), "down"),
+    # a local step after the fallback starts from the engine's witness
+    "paired-6x4-down": lambda _: _library_walk(
+        spec_of(6, 4, [3, 3], 2, 6), _paired_start(6, 4), "down"),
+    "chi-witness-up": lambda _: _library_walk(
+        spec_of(6, 2, [2, 2], 2, 3),
+        valid_witness(spec_of(6, 2, [2, 2], 2, 3), 2), "up"),
+    "cli-report-down": _cli_walk,
+}
+
+
+@pytest.mark.parametrize("case", sorted(IN_PLACE_WALKS))
+def test_walk_snapshots_change_only_the_recoloured_class(case, capsys):
+    """A local step's snapshot is the previous one with class
+    ``class_index`` replaced; an engine fallback's is the engine witness."""
+    before, steps = IN_PLACE_WALKS[case](capsys)
+    assert steps
+    for kind, index, after in steps:
+        if kind == "engine-fallback":
+            assert index is None
+        else:
+            assert len(after) == len(before)
+            changed = [i for i, (a, b) in enumerate(zip(before, after))
+                       if a != b]
+            assert changed == [index], (kind, before, after)
+        before = after
