@@ -25,8 +25,7 @@ print(f"\nwalking down from {res.chi_bar} colours to n+1 = {spec.n + 1}:")
 for ws in spectrum_walk_steps(spec, start, "down"):
     where = f"class {ws.step.class_index}" if ws.step.class_index is not None \
         else "engine"
-    print(f"  {ws.step.kind:<28} {where:<9} -> {ws.colour_count} colours "
-          f"(valid: {ws.valid})")
+    print(f"  {ws.step.kind:<28} {where:<9} -> {ws.colour_count} colours")
 
 snapshots = spectrum_walk(spec, start, "down")
 print("snapshot colour counts:", [c.colour_count for c in snapshots])

@@ -2,13 +2,15 @@
 
 Subcommands: ``spectrum`` (feasible k, gaps), ``check`` (validate a
 colouring file), ``construct`` (emit a constructive colouring), ``walk``
-(recolouring walk with per-step verdicts) and ``verify`` (theorem grids).
+(recolouring walk; every step is validated as it is made) and ``verify``
+(theorem grids).
 
-Exit codes: 0 success / all pass; 1 invalid colouring, failed suite or
-infeasible construction; 2 malformed arguments or input files, or an
-``--output`` that cannot be written (checked before any work); 3 budget
-truncation in ``spectrum``, or a ``walk`` or ``construct`` cut short by
-``--budget``.
+Exit codes: 0 success / all pass; 1 invalid colouring, failed suite,
+infeasible construction, or a ``walk`` step that breaks validity (one
+``walk diagnostic:`` line on stderr); 2 malformed arguments or input
+files, or an ``--output`` that cannot be written (checked before any
+work); 3 budget truncation in ``spectrum``, or a ``walk`` or
+``construct`` cut short by ``--budget``.
 """
 
 from __future__ import annotations
@@ -333,7 +335,6 @@ def _cmd_walk(args: argparse.Namespace) -> int:
                     "kind": ws.step.kind,
                     "class_index": ws.step.class_index,
                     "colour_count": ws.colour_count,
-                    "valid": ws.valid,
                     "colouring": colouring_to_dict(ws.colouring),
                 }
                 for ws in steps
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--output", default=None)
     p_construct.set_defaults(func=_cmd_construct)
 
-    p_walk = subs.add_parser("walk", help="recolouring walk with verdicts")
+    p_walk = subs.add_parser("walk", help="recolouring walk, each step validated")
     _add_spec_flags(p_walk)
     p_walk.add_argument("--direction", choices=("up", "down"), required=True)
     p_walk.add_argument("--start-file", default=None)

@@ -54,7 +54,6 @@ class WalkStep:
     step: RecolourStep
     colouring: Colouring
     colour_count: int
-    valid: bool
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,6 @@ def spectrum_walk_steps(
                 step=RecolourStep(class_index=class_index, kind=kind),
                 colouring=after,
                 colour_count=after.colour_count,
-                valid=True,
             )
         )
 

@@ -139,10 +139,6 @@ class ClassProfile:
         """Hashable form: (colour, multiplicity) pairs sorted by colour."""
         return tuple(sorted(self.counts.items()))
 
-    @property
-    def num_colours(self) -> int:
-        return len(self.counts)
-
 
 @dataclass(frozen=True)
 class Colouring:

@@ -6,14 +6,16 @@ from each.  Within one class, picking ``a`` vertices can touch a colour set
 touched matters, never how the count splits beyond feasibility.  The solver
 walks the classes once, tracking only the part of the running colour union
 that future classes can still see, so results memoise well across the many
-shapes sharing profile data.
+shapes sharing profile data.  One pass gives both range ends, and
+``selection_achieving`` reads its pick off the same solver.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Callable
 
 from .core import ClassProfile, Colouring, HypergraphSpec, edge_shapes, profile_of
 from .errors import DimensionMismatchError, InfeasibleShapeError
@@ -94,36 +96,37 @@ def _feasible_new_subsets(
     return out
 
 
+def _solver(
+    counts_per_class: list[dict[int, int]],
+    parts: tuple[int, ...],
+) -> tuple[Callable[[int, frozenset[int]], tuple[int, int]], list[frozenset[int]]]:
+    """One DP for both range ends: ``solve(j, seen)`` is the (fewest, most)
+    colours classes ``j..`` add beyond ``seen``.  ``future[j]`` holds the
+    colours of classes ``j..``; ``seen`` keeps only those a later class sees.
+    """
+    s = len(parts)
+    future = [frozenset().union(*counts_per_class[j:]) for j in range(s + 1)]
+
+    @cache
+    def solve(j: int, seen: frozenset[int]) -> tuple[int, int]:
+        if j == s:
+            return 0, 0
+        lows, highs = [], []
+        for new, added in _feasible_new_subsets(counts_per_class[j], parts[j], seen):
+            lo, hi = solve(j + 1, (seen | new) & future[j + 1])
+            lows.append(added + lo)
+            highs.append(added + hi)
+        return min(lows), max(highs)
+
+    return solve, future
+
+
 @lru_cache(maxsize=None)
 def _range_of(
     norm_profiles: tuple[tuple[tuple[int, int], ...], ...],
     parts: tuple[int, ...],
 ) -> tuple[int, int]:
-    s = len(parts)
-    counts_per_class = [dict(p) for p in norm_profiles]
-    future_colours: list[frozenset[int]] = [frozenset()] * (s + 1)
-    for j in range(s - 1, -1, -1):
-        future_colours[j] = future_colours[j + 1] | frozenset(counts_per_class[j])
-
-    cache: dict[tuple[int, frozenset[int], bool], int] = {}
-
-    def solve(j: int, seen: frozenset[int], want_max: bool) -> int:
-        if j == s:
-            return 0
-        key = (j, seen, want_max)
-        if key in cache:
-            return cache[key]
-        best: int | None = None
-        for new, added in _feasible_new_subsets(counts_per_class[j], parts[j], seen):
-            rest = solve(j + 1, (seen | new) & future_colours[j + 1], want_max)
-            value = added + rest
-            if best is None or (value > best if want_max else value < best):
-                best = value
-        assert best is not None, "profiles admit at least one selection"
-        cache[key] = best
-        return best
-
-    return solve(0, frozenset(), False), solve(0, frozenset(), True)
+    return _solver([dict(p) for p in norm_profiles], parts)[0](0, frozenset())
 
 
 def range_of_keys(
@@ -132,9 +135,24 @@ def range_of_keys(
 ) -> tuple[int, int]:
     """Range over raw profile keys ((colour, mult) tuples); no validation.
 
-    Shared fast path for the validator and the search engine.
+    Shared fast path for the validator and the engine; one pass, both ends.
     """
     return _range_of(*_normalise(profile_keys, parts))
+
+
+def _check_shape(
+    profiles: list[ClassProfile] | tuple[ClassProfile, ...],
+    parts: list[int] | tuple[int, ...],
+) -> None:
+    if len(profiles) != len(parts) or not parts:
+        raise ValueError("profiles and parts must align and be non-empty")
+    for prof, a in zip(profiles, parts):
+        if a < 1:
+            raise ValueError(f"part sizes must be >= 1, got {a}")
+        if a > prof.total:
+            raise InfeasibleShapeError(
+                f"part {a} exceeds class size {prof.total}"
+            )
 
 
 def edge_colour_range(
@@ -146,16 +164,28 @@ def edge_colour_range(
     ``parts[j]`` vertices are drawn from the class described by
     ``profiles[j]``; the range covers every simultaneous choice.
     """
-    if len(profiles) != len(parts) or not parts:
-        raise ValueError("profiles and parts must align and be non-empty")
-    for prof, a in zip(profiles, parts):
-        if a < 1:
-            raise ValueError(f"part sizes must be >= 1, got {a}")
-        if a > prof.total:
-            raise InfeasibleShapeError(
-                f"part {a} exceeds class size {prof.total}"
-            )
+    _check_shape(profiles, parts)
     return range_of_keys(tuple(p.key() for p in profiles), tuple(parts))
+
+
+def _pick(counts: dict[int, int], new: frozenset[int], part: int,
+          seen: frozenset[int]) -> dict[int, int]:
+    """A ``part``-vertex pick touching ``new`` plus enough seen colours:
+    one vertex per chosen colour, then padding within the chosen colours."""
+    base = set(new)
+    need = part - sum(counts[c] for c in base)
+    for c in sorted((c for c in counts if c in seen), key=lambda c: -counts[c]):
+        if (need > 0 or not base) and len(base) < part:
+            base.add(c)
+            need -= counts[c]
+    chosen = frozenset(base)
+    pick = {c: 1 for c in chosen}
+    short = part - len(chosen)
+    for c in sorted(chosen):
+        extra = min(counts[c] - 1, short)
+        pick[c] += extra
+        short -= extra
+    return pick
 
 
 def selection_achieving(
@@ -166,55 +196,29 @@ def selection_achieving(
     """A concrete per-class pick whose colour union has exactly ``target``
     distinct colours, or raise ``ValueError`` when none exists.
 
-    Direct search on the real colour identifiers (no normalisation), used
-    to materialise witnesses once a violating range is known.
+    Read off the range solver run on the real colour identifiers; used to
+    materialise witnesses once a violating range is known.
     """
-    s = len(parts)
+    _check_shape(profiles, parts)
     counts_per_class = [dict(p.counts) for p in profiles]
-
-    def build_choice(counts: dict[int, int], chosen: frozenset[int], part: int
-                     ) -> dict[int, int]:
-        # one vertex per chosen colour, then pad within the chosen colours
-        pick = {c: 1 for c in chosen}
-        short = part - len(chosen)
-        for c in sorted(chosen):
-            if short == 0:
+    solve, future = _solver(counts_per_class, tuple(parts))
+    # Swapping one picked vertex moves the union by at most one colour, so
+    # every count between a state's two ends is reachable: each class takes
+    # the first new-colour set after which the rest can still reach target.
+    picks = []
+    seen: frozenset[int] = frozenset()
+    left = target
+    for j, (counts, part) in enumerate(zip(counts_per_class, parts)):
+        for new, added in _feasible_new_subsets(counts, part, seen):
+            after = (seen | new) & future[j + 1]
+            lo, hi = solve(j + 1, after)
+            if lo <= left - added <= hi:
                 break
-            extra = min(counts[c] - 1, short)
-            pick[c] += extra
-            short -= extra
-        return pick
-
-    def search(j: int, union: frozenset[int], picks: list[frozenset[int]]
-               ) -> tuple[dict[int, int], ...] | None:
-        if j == s:
-            if len(union) != target:
-                return None
-            return tuple(
-                build_choice(counts_per_class[i], picks[i], parts[i])
-                for i in range(s)
-            )
-        counts = counts_per_class[j]
-        olds = [c for c in counts if c in union]
-        for new, _added in _feasible_new_subsets(counts, parts[j], union):
-            base = set(new)
-            need = parts[j] - sum(counts[c] for c in base)
-            room = parts[j] - len(base)
-            for c in sorted(olds, key=lambda c: -counts[c]):
-                if (need > 0 or len(base) == 0) and room > 0:
-                    base.add(c)
-                    need -= counts[c]
-                    room -= 1
-            chosen = frozenset(base)
-            result = search(j + 1, union | chosen, picks + [chosen])
-            if result is not None:
-                return result
-        return None
-
-    result = search(0, frozenset(), [])
-    if result is None:
-        raise ValueError(f"no selection reaches exactly {target} distinct colours")
-    return result
+        else:
+            raise ValueError(f"no selection reaches exactly {target} distinct colours")
+        picks.append(_pick(counts, new, part, seen))
+        seen, left = after, left - added
+    return tuple(picks)
 
 
 def _check_dimensions(spec: HypergraphSpec, colouring: Colouring) -> None:

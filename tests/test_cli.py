@@ -9,6 +9,12 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sigma_spectra import (
+    HypergraphSpec,
+    build_sigma,
+    colouring_from_json,
+    is_valid,
+)
 from sigma_spectra.cli import RunReport, main
 
 
@@ -215,7 +221,10 @@ class TestWalkCommand:
         assert code == 0
         steps = json.loads(out)["result"]["steps"]
         assert steps
-        assert all(s["valid"] for s in steps)
+        spec = HypergraphSpec(n=4, q=3, sigma=build_sigma([2, 2]),
+                              alpha=2, beta=3)
+        assert all(is_valid(spec, colouring_from_json(json.dumps(s["colouring"])))
+                   for s in steps)
         assert steps[-1]["colour_count"] == 5  # n + 1
 
     def test_start_file(self, capsys, tmp_path):

@@ -353,7 +353,7 @@ class TestWalks:
         allowed = {"whole-class-to-new", "merge-two-unique-to-new",
                    "split-to-fixed", "engine-fallback"}
         assert kinds <= allowed
-        assert all(ws.valid for ws in steps)
+        assert all(is_valid(WALK_SPEC, ws.colouring) for ws in steps)
 
     def test_direction_validated(self):
         res = spectrum(WALK_SPEC)

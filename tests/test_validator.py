@@ -40,6 +40,14 @@ def literal_range(profiles, parts):
     return min(unions), max(unions)
 
 
+# both shape-taking entry points share one argument check
+SHAPE_FUNCTIONS = [
+    pytest.param(edge_colour_range, id="edge_colour_range"),
+    pytest.param(lambda profiles, parts: selection_achieving(profiles, parts, 1),
+                 id="selection_achieving"),
+]
+
+
 class TestEdgeColourRange:
     def test_both_classes_monochromatic(self):
         assert edge_colour_range([prof({1: 6}), prof({1: 6})], [6, 6]) == (1, 1)
@@ -58,17 +66,19 @@ class TestEdgeColourRange:
         assert edge_colour_range([a, b], [2, 2]) == (2, 3)
         assert literal_range([a, b], [2, 2]) == (2, 3)
 
-    def test_part_exceeding_class_size(self):
+    @pytest.mark.parametrize("solve", SHAPE_FUNCTIONS)
+    def test_part_exceeding_class_size(self, solve):
         with pytest.raises(InfeasibleShapeError):
-            edge_colour_range([prof({0: 2})], [3])
+            solve([prof({0: 2})], [3])
 
-    def test_misaligned_or_empty_arguments(self):
+    @pytest.mark.parametrize("solve", SHAPE_FUNCTIONS)
+    def test_misaligned_or_empty_arguments(self, solve):
         with pytest.raises(ValueError):
-            edge_colour_range([prof({0: 2})], [1, 1])
+            solve([prof({0: 2})], [1, 1])
         with pytest.raises(ValueError):
-            edge_colour_range([], [])
+            solve([], [])
         with pytest.raises(ValueError):
-            edge_colour_range([prof({0: 2})], [0])
+            solve([prof({0: 2})], [0])
 
     def test_single_class_shape(self):
         assert edge_colour_range([prof({0: 2, 1: 1, 2: 1})], [3]) == (2, 3)
@@ -90,7 +100,19 @@ class TestEdgeColourRange:
             p = prof(dict(zip(colours, mults)))
             profiles.append(p)
             parts.append(data.draw(st.integers(1, p.total)))
-        assert edge_colour_range(profiles, parts) == literal_range(profiles, parts)
+        lo, hi = edge_colour_range(profiles, parts)
+        assert (lo, hi) == literal_range(profiles, parts)
+        # selection_achieving descends on every count in between being reachable
+        for target in range(lo - 1, hi + 2):
+            if not lo <= target <= hi:
+                with pytest.raises(ValueError):
+                    selection_achieving(profiles, parts, target)
+                continue
+            choice = selection_achieving(profiles, parts, target)
+            for c_map, p, a in zip(choice, profiles, parts):
+                assert sum(c_map.values()) == a
+                assert all(1 <= m <= p.counts[c] for c, m in c_map.items())
+            assert len(set().union(*choice)) == target
 
     def test_permutation_invariance(self):
         profiles = [prof({0: 2, 1: 1}), prof({1: 2}), prof({2: 1, 3: 2})]
