@@ -21,12 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import (
-    Colouring,
-    HypergraphSpec,
-    canonical_colouring,
-    part_arrangements,
-)
+from .core import Colouring, HypergraphSpec, part_arrangements
+# canonical_colouring is unused here; bench/tracing.py wraps it by this name
+from .core import canonical_colouring  # noqa: F401
 from .errors import BudgetExceededError
 from .formulas import IntInterval
 from .validator import range_of_keys
@@ -58,7 +55,8 @@ def _partitions(total: int, max_parts: int, max_value: int) -> tuple[tuple[int, 
 
 @dataclass(frozen=True)
 class KDecision:
-    """Outcome of one exact-k decision."""
+    """Outcome of one exact-k decision.  ``witness`` is in the layout the
+    search placed it, not canonical; ``witness.canonical()`` gives that."""
 
     k: int
     verdict: str  # "feasible" | "infeasible" | "unknown"
@@ -73,7 +71,8 @@ class SpectrumResult:
     ``gaps`` are the maximal runs of decided-infeasible k strictly between
     the spectrum endpoints.  ``complete`` is False when any k hit the node
     budget; such k are listed in ``unknown_k`` and excluded from
-    ``feasible_k``.
+    ``feasible_k``.  ``witnesses`` maps each feasible k to the search's
+    witness, as in :class:`KDecision`.
     """
 
     feasible_k: tuple[int, ...]
@@ -168,19 +167,15 @@ class _Search:
             )
 
     def _check_new_class(self, i: int) -> bool:
-        """All edge shapes whose last class is ``i``; duplicate profile
-        combinations are checked once, with verdicts cached per spec."""
+        """All edge shapes whose last class is ``i``, with verdicts cached
+        per spec."""
         spec = self.spec
         s = spec.sigma.s
         if i + 1 < s:
             return True
         new_key = self.keys[i]
-        seen: set[tuple[ProfileKey, ...]] = set()
         for others in itertools.combinations(range(i), s - 1):
             group = tuple(sorted(self.keys[j] for j in others))
-            if group in seen:
-                continue
-            seen.add(group)
             verdict = self._shape_cache.get((group, new_key))
             if verdict is None:
                 verdict = True
@@ -247,11 +242,9 @@ class _Search:
         if i == spec.n:
             if used != self.k:
                 return False
-            classes = tuple(
-                tuple(sorted(c for c, m in key for _ in range(m)))
-                for key in self.keys
-            )
-            self.witness = canonical_colouring(Colouring(classes=classes))
+            self.witness = Colouring(classes=tuple(
+                tuple(c for c, m in key for _ in range(m)) for key in self.keys
+            ))
             return True
         state = self._state(i, prev, used)
         if state in self.failed:
@@ -312,7 +305,8 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
 def k_colourable(
     spec: HypergraphSpec, k: int, node_budget: int | None = None
 ) -> Colouring | None:
-    """The canonical witness of a k-colouring, or None when none exists.
+    """The search's witness of a k-colouring, or None when none exists;
+    ``.canonical()`` on it gives the canonical form.
 
     Raises :class:`BudgetExceededError` when the budget trips, keeping
     "cannot decide" distinct from "infeasible".

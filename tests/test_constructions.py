@@ -433,3 +433,26 @@ def test_walk_snapshots_change_only_the_recoloured_class(case, capsys):
                        if a != b]
             assert changed == [index], (kind, before, after)
         before = after
+
+
+def test_no_library_path_canonicalises(monkeypatch, capsys):
+    """Engine witnesses, walks and the CLI keep the layout they were built
+    in; only a direct ``canonical_colouring`` call canonicalises."""
+    from sigma_spectra import constructions, core, engine
+
+    def refuse(colouring):
+        raise AssertionError(f"canonicalised {colouring}")
+    for module in (core, engine, constructions):
+        monkeypatch.setattr(module, "canonical_colouring", refuse)
+
+    spec = spec_of(3, 2, [2, 2], 2, 3)
+    res = spectrum(spec)
+    assert res.feasible_k == (2, 3, 4)
+    _, steps = _library_walk(spec_of(4, 4, [3, 3], 2, 6),
+                             _paired_start(4, 4), "down")
+    assert [kind for kind, _, _ in steps] == ["engine-fallback"]
+    assert main(["construct", "--n", "3", "--r", "4", "--q", "2",
+                 "--sigma", "2,2", "--alpha", "2", "--beta", "3",
+                 "--kind", "engine", "--k", "2", "--raw"]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"] == [
+        [0, 0], [1, 1], [0, 1]]

@@ -1,6 +1,7 @@
 """Search engine: exact k decisions, spectra, gaps, budgets, determinism."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,16 +32,24 @@ A2 = spec_of(5, 2, [2, 2], 3, 3)
 GAP22 = spec_of(5, 2, [2, 2], 2, 2)
 
 
+def assert_search_layout(w):
+    """The search places class partitions (sorted colour multiplicities)
+    lexicographically non-increasing in class order."""
+    partitions = [sorted(Counter(cls).values(), reverse=True)
+                  for cls in w.classes]
+    assert partitions == sorted(partitions, reverse=True), w
+
+
 class TestKColourable:
     def test_a2_feasible_only_at_six(self):
         assert k_colourable(A2, 6) is not None
         assert k_colourable(A2, 5) is None
 
-    def test_witness_is_valid_canonical_exact(self):
+    def test_witness_is_valid_exact_in_search_layout(self):
         w = k_colourable(A2, 6)
         assert is_valid(A2, w)
         assert w.colour_count == 6
-        assert w.canonical() == w
+        assert_search_layout(w)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -212,6 +221,8 @@ class TestGoldenNodeCounts:
                 "gaps": [[g.lo, g.hi] for g in res.gaps],
                 "nodes": {str(k): n for k, n in sorted(res.nodes_explored.items())},
             } == golden[str(spec)], spec
+            for w in res.witnesses.values():
+                assert_search_layout(w)
 
     def test_gap_recipe_decisions(self):
         golden = {key: record for key, record in self.GOLDEN["gap-proof"].items()
