@@ -8,9 +8,10 @@ colouring file), ``construct`` (emit a constructive colouring), ``walk``
 Exit codes: 0 success / all pass; 1 invalid colouring, failed suite,
 infeasible construction, or a ``walk`` step that breaks validity (one
 ``walk diagnostic:`` line on stderr); 2 malformed arguments or input
-files, or an ``--output`` that cannot be written (checked before any
-work); 3 budget truncation in ``spectrum``, or a ``walk`` or
-``construct`` cut short by ``--budget``.
+files, an ``--output`` that cannot be written (checked before any
+work), or an instance with more classes than the engine search's
+recursion depth allows; 3 budget truncation in ``spectrum``, or a
+``walk`` or ``construct`` cut short by ``--budget``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from functools import lru_cache
 from .core import Colouring, HypergraphSpec, part_arrangements
 # canonical_colouring is unused here; bench/tracing.py wraps it by this name
 from .core import canonical_colouring  # noqa: F401
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InstanceTooLargeError
 from .formulas import IntInterval
 from .validator import range_of_keys
 
@@ -108,20 +108,21 @@ class _Search:
     State lives as long as it stays true.  Per spec, for every k up to
     ``k_max``: the part arrangements, the memo state cap, the shape
     verdicts and the colour bindings.  A shape verdict says whether every
-    edge over a tuple of class profiles sees between alpha and beta
-    colours; those profiles fix the colours an edge sees, whatever k the
-    whole colouring uses, so the verdict holds for every k.  Bindings are
-    generated with at most ``k_max`` colours and filtered to the current k
-    where they are used.  Per k, reset by :meth:`decide`: the node count,
-    the failure memo, the placed profiles, the witness and the per-class
-    colour cap with its partitions.
+    edge over a group of class profiles plus one new profile sees between
+    alpha and beta colours; those profiles fix the colours an edge sees,
+    whatever k the whole colouring uses, so the verdict holds for every k.
+    Bindings are generated with at most ``k_max`` colours and filtered to
+    the current k where they are used.  Per k, reset by :meth:`decide`: the
+    node count, the failure memo, the placed-profile counts and the
+    per-class colour cap with its partitions.
 
-    Beyond the canonical-prefix reductions, failing search states are
-    memoised: whether a prefix can complete depends only on how many classes
-    remain, the last partition (the non-increase rule), the used-colour
-    count, and the distinct bound profiles (with multiplicity capped at
-    ``s - 1``, the most classes an edge shape can share with the future).
-    Prefixes differing elsewhere collapse onto one verdict.
+    Each node records the placed profiles once, each count capped at
+    ``s - 1`` (the most classes an edge shape can share with the future).
+    Sorted, this multiset is the failure memo's profile part: whether a
+    prefix can complete depends only on it, how many classes remain, the
+    last partition (the non-increase rule) and the used-colour count.  Its
+    distinct ``s - 1``-element groups, each sorted, are the shapes every
+    child must pass with its new profile.
     """
 
     def __init__(self, spec: HypergraphSpec, k_max: int):
@@ -148,16 +149,21 @@ class _Search:
         if spec.sigma.delta_max > spec.beta:
             self.max_new = min(self.max_new, spec.beta)
         self.partitions = _partitions(spec.q, self.max_new, spec.q)
-        self.keys: list[ProfileKey] = []
         self.key_counts: dict[ProfileKey, int] = {}
         self.failed: set = set()
-        self.witness: Colouring | None = None
         try:
-            found = self._place(0, (spec.q + 1,), 0)
+            keys = self._place(0, (spec.q + 1,), 0)
         except BudgetExceededError:
             return KDecision(k=k, verdict="unknown", witness=None, nodes=self.nodes)
-        return KDecision(k=k, verdict="feasible" if found else "infeasible",
-                         witness=self.witness, nodes=self.nodes)
+        except RecursionError as exc:  # the search recurses once per class
+            raise InstanceTooLargeError(
+                f"n={spec.n} classes exceed the engine search's recursion depth"
+            ) from exc
+        witness = None if keys is None else Colouring(classes=tuple(
+            tuple(c for c, m in key for _ in range(m)) for key in keys
+        ))
+        return KDecision(k=k, verdict="infeasible" if keys is None else "feasible",
+                         witness=witness, nodes=self.nodes)
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -166,29 +172,22 @@ class _Search:
                 f"exceeded {self.node_budget} nodes deciding k={self.k}"
             )
 
-    def _check_new_class(self, i: int) -> bool:
-        """All edge shapes whose last class is ``i``, with verdicts cached
-        per spec."""
-        spec = self.spec
-        s = spec.sigma.s
-        if i + 1 < s:
-            return True
-        new_key = self.keys[i]
-        for others in itertools.combinations(range(i), s - 1):
-            group = tuple(sorted(self.keys[j] for j in others))
-            verdict = self._shape_cache.get((group, new_key))
-            if verdict is None:
-                verdict = True
-                shape_keys = group + (new_key,)
-                for parts in self.arrangements:
-                    lo, hi = range_of_keys(shape_keys, parts)
-                    if lo < spec.alpha or hi > spec.beta:
-                        verdict = False
-                        break
-                self._shape_cache[(group, new_key)] = verdict
-            if not verdict:
-                return False
-        return True
+    def _shape_ok(self, group: tuple[ProfileKey, ...], key: ProfileKey) -> bool:
+        """Whether every edge over classes with the profiles of ``group``
+        (sorted) and one of ``key`` sees alpha..beta colours; cached per
+        spec."""
+        verdict = self._shape_cache.get((group, key))
+        if verdict is None:
+            spec = self.spec
+            verdict = True
+            shape_keys = group + (key,)
+            for parts in self.arrangements:
+                lo, hi = range_of_keys(shape_keys, parts)
+                if lo < spec.alpha or hi > spec.beta:
+                    verdict = False
+                    break
+            self._shape_cache[(group, key)] = verdict
+        return verdict
 
     def _bindings(self, partition: tuple[int, ...], used: int
                   ) -> tuple[tuple[ProfileKey, int], ...]:
@@ -228,27 +227,24 @@ class _Search:
         cached = self._bindings_cache[(partition, used)] = tuple(out)
         return cached
 
-    def _state(self, i: int, prev: tuple[int, ...], used: int):
-        if self.state_cap == 0:
-            return (i, prev, used)
-        profile_part = frozenset(
-            (key, min(count, self.state_cap))
-            for key, count in self.key_counts.items()
-        )
-        return (i, prev, used, profile_part)
-
-    def _place(self, i: int, prev: tuple[int, ...], used: int) -> bool:
+    def _place(self, i: int, prev: tuple[int, ...], used: int
+               ) -> tuple[ProfileKey, ...] | None:
+        """Profile keys of classes ``i..`` that complete the placed prefix
+        with exactly k colours, or None when no completion exists."""
         spec = self.spec
         if i == spec.n:
-            if used != self.k:
-                return False
-            self.witness = Colouring(classes=tuple(
-                tuple(c for c, m in key for _ in range(m)) for key in self.keys
-            ))
-            return True
-        state = self._state(i, prev, used)
+            return () if used == self.k else None
+        cap = self.state_cap
+        # first-placement order: the order the groups below are checked in
+        placed = [(key, min(count, cap)) for key, count in
+                  self.key_counts.items()] if cap else []
+        state = (i, prev, used, tuple(sorted(placed)))
         if state in self.failed:
-            return False
+            return None
+        groups = tuple(dict.fromkeys(
+            tuple(sorted(group)) for group in itertools.combinations(
+                [key for key, count in placed for _ in range(count)], cap)
+        ))
         # fresh counts only grow down a binding's branch, so testing k here
         # keeps the bindings of at most k colours in their generation order
         least = self.k - (spec.n - i - 1) * self.max_new
@@ -259,20 +255,18 @@ class _Search:
                 if not least <= new_used <= self.k:
                     continue
                 self._tick()
-                self.keys.append(key)
+                if not all(self._shape_ok(group, key) for group in groups):
+                    continue
                 self.key_counts[key] = self.key_counts.get(key, 0) + 1
-                ok = self._check_new_class(i) and self._place(
-                    i + 1, partition, new_used
-                )
+                rest = self._place(i + 1, partition, new_used)
                 if self.key_counts[key] == 1:
                     del self.key_counts[key]
                 else:
                     self.key_counts[key] -= 1
-                self.keys.pop()
-                if ok:
-                    return True
+                if rest is not None:
+                    return (key,) + rest
         self.failed.add(state)
-        return False
+        return None
 
 
 def _trivial_colouring(spec: HypergraphSpec, k: int) -> Colouring:
@@ -289,8 +283,10 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
     """Decide whether a valid colouring with exactly ``k`` colours exists.
 
     Returns verdict "unknown" instead of raising when the node budget runs
-    out.  Raises ``ValueError`` for k outside [1, n*q].  ``_search`` is the
-    search context of ``spec`` shared by the k of one spectrum.
+    out.  Raises ``ValueError`` for k outside [1, n*q], and its subclass
+    :class:`InstanceTooLargeError` when the search, one frame per class,
+    outgrows Python's recursion limit (n = 900 fits the default one).
+    ``_search`` is the search context of ``spec`` shared by one spectrum.
     """
     if not 1 <= k <= spec.num_vertices:
         raise ValueError(f"k={k} outside [1, {spec.num_vertices}]")
@@ -309,7 +305,8 @@ def k_colourable(
     ``.canonical()`` on it gives the canonical form.
 
     Raises :class:`BudgetExceededError` when the budget trips, keeping
-    "cannot decide" distinct from "infeasible".
+    "cannot decide" distinct from "infeasible"; and, as :func:`decide_k`,
+    :class:`InstanceTooLargeError`.
     """
     decision = decide_k(spec, k, node_budget)
     if decision.verdict == "unknown":

@@ -30,7 +30,8 @@ class InfeasibleError(SigmaSpectraError, ValueError):
 
 
 class InstanceTooLargeError(SigmaSpectraError, ValueError):
-    """The literal oracle was asked to process an instance beyond its size cap."""
+    """An instance is beyond the literal oracle's size cap, or has more
+    classes than the engine search's recursion depth allows."""
 
 
 class BudgetExceededError(SigmaSpectraError):

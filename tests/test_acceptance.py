@@ -6,8 +6,10 @@ comparison here is exact.  Budgets are generous but finite: a budget trip
 is a hard failure, never a silent pass.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 from sigma_spectra import (
     HypergraphSpec,
@@ -57,25 +59,36 @@ def test_criterion_2_gap_fixture_reproduction():
     """H(7,12,6|(6,6)) window (3,3): 3 and 8 feasible, 4 not; a gap.
 
     3 and 8 feasible with 4 infeasible already exhibits a gap between 3
-    and 8; a budget trip on any of the three decisions is a failure.
+    and 8; a budget trip on any of the three decisions is a failure.  Each
+    decision also visits exactly the nodes the benchmark's golden file pins
+    (read here, never written).
     """
     spec = spec_of(7, 6, [6, 6], 3, 3)
     budget = 50_000_000
+    golden = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+        .read_text(encoding="utf-8")
+    )["gap-proof"]
     t0 = time.perf_counter()
-    verdicts = {k: decide_k(spec, k, budget).verdict for k in (3, 4, 8)}
+    decisions = {k: decide_k(spec, k, budget) for k in (3, 4, 8)}
     elapsed = time.perf_counter() - t0
+    verdicts = {k: d.verdict for k, d in decisions.items()}
+    nodes = {k: d.nodes for k, d in decisions.items()}
+    golden_nodes = {k: golden[f"{spec}|k={k}"]["nodes"] for k in decisions}
     tripped = [k for k, v in verdicts.items() if v == "unknown"]
     gap_shown = (
         verdicts[3] == "feasible"
         and verdicts[8] == "feasible"
         and verdicts[4] == "infeasible"
     )
-    ok = not tripped and gap_shown and elapsed < 300.0
+    ok = (not tripped and gap_shown and nodes == golden_nodes
+          and elapsed < 300.0)
     report(
         2,
         ok,
         f"verdicts={verdicts}, gap between 3 and 8 shown={gap_shown}, "
-        f"budget tripped={tripped}, {elapsed:.1f}s (limit 300s)",
+        f"budget tripped={tripped}, nodes={nodes} (golden {golden_nodes}), "
+        f"{elapsed:.1f}s (limit 300s)",
     )
 
 

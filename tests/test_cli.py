@@ -311,6 +311,12 @@ BAD_INPUTS = {
     "engine-k-zero": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0"], {},
     ),
+    # the engine search recurses once per class, too deep for n=1000
+    "engine-too-many-classes": (
+        ["construct", "--n", "1000", "--r", "2", "--q", "2", "--sigma", "2",
+         "--alpha", "2", "--beta", "2", "--kind", "engine", "--k", "2", "--raw"],
+        {},
+    ),
     "engine-k-zero-with-output": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0",
          "--output", "{dir}/report.json"], {},
@@ -382,6 +388,19 @@ def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path):
         err.splitlines()[-1:]
     # a failed run leaves no output file behind
     assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+
+def test_unwritable_output_exits_2_before_work(capsys, tmp_path, monkeypatch):
+    # the tests may run as root, which may write anywhere, so the denial
+    # is simulated
+    monkeypatch.setattr("os.access", lambda path, mode: False)
+    target = tmp_path / "x"
+    code, out, err = run(capsys, ["spectrum", *GAP_FLAGS, "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: cannot write --output: [Errno 13] Permission denied: '{target}'"]
+    assert not target.exists()
 
 
 APPENDIX_FLAGS = ["--n", "7", "--r", "12", "--q", "6", "--sigma", "6,6"]

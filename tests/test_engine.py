@@ -9,6 +9,7 @@ import pytest
 from sigma_spectra import (
     BudgetExceededError,
     HypergraphSpec,
+    InstanceTooLargeError,
     IntInterval,
     build_sigma,
     brute_oracle,
@@ -20,6 +21,7 @@ from sigma_spectra import (
     spectrum,
     verify_interval,
 )
+from sigma_spectra.engine import _Search
 from sigma_spectra.formulas import gap_instance_params
 from sigma_spectra.verification import gap_cells, nogap_grid
 
@@ -67,6 +69,21 @@ class TestKColourable:
         d = decide_k(big, 4, node_budget=50)
         assert d.verdict == "unknown"
         assert d.witness is None
+
+    def test_classes_past_the_search_depth_too_large(self):
+        # the search recurses once per class; past Python's recursion
+        # limit that is a too-large instance, not a RecursionError
+        deep = spec_of(1000, 2, [2], 2, 2)
+        with pytest.raises(InstanceTooLargeError, match="n=1000"):
+            k_colourable(deep, 2)
+        with pytest.raises(InstanceTooLargeError, match="n=1000"):
+            spectrum(deep, k_max=2)
+
+    def test_900_classes_still_decided(self):
+        spec = spec_of(900, 2, [2], 2, 2)
+        w = k_colourable(spec, 2)
+        assert w is not None and len(w.classes) == 900
+        assert w.colour_count == 2 and is_valid(spec, w)
 
 
 class TestSpectrum:
@@ -132,6 +149,17 @@ class TestSpectrum:
                 assert (k in res.unknown_k) == (d.verdict == "unknown"), (spec, k)
                 assert res.witnesses.get(k) == d.witness, (spec, k)
                 assert res.nodes_explored[k] == d.nodes, (spec, k)
+
+    def test_shape_groups_stored_sorted(self):
+        # a group kept in placement order gives the same verdicts and
+        # nodes, but solves one shape again under each of its orders
+        spec = spec_of(4, 3, [2, 2, 2], 2, 5)
+        search = _Search(spec, spec.num_vertices)
+        for k in range(1, spec.num_vertices + 1):
+            decide_k(spec, k, _search=search)
+        groups = [group for group, _ in search._shape_cache]
+        assert groups
+        assert all(list(group) == sorted(group) for group in groups)
 
     def test_nodes_recorded_per_k(self):
         res = spectrum(GAP22)
