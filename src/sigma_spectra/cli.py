@@ -7,11 +7,11 @@ colouring file), ``construct`` (emit a constructive colouring), ``walk``
 
 Exit codes: 0 success / all pass; 1 invalid colouring, failed suite,
 infeasible construction, or a ``walk`` step that breaks validity (one
-``walk diagnostic:`` line on stderr); 2 malformed arguments or input
-files, an ``--output`` that cannot be written (checked before any
-work), or an instance with more classes than the engine search's
-recursion depth allows; 3 budget truncation in ``spectrum``, or a
-``walk`` or ``construct`` cut short by ``--budget``.
+``walk diagnostic:`` line on stderr); 2 malformed or conflicting
+arguments or input files, an ``--output`` that cannot be written
+(checked before any work), or an instance with more classes than the
+engine search's recursion depth allows; 3 budget truncation in
+``spectrum``, or a ``walk`` or ``construct`` cut short by ``--budget``.
 """
 
 from __future__ import annotations
@@ -149,14 +149,17 @@ def _check_output(output: str | None) -> None:
 
 def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
     """Check the spec fields, from ``--spec-file`` or from the flags."""
-    if args.spec_file:
+    data = {f: getattr(args, f) for f in _SPEC_FIELDS
+            if getattr(args, f) is not None}
+    if args.spec_file is not None:
+        if data:
+            raise UsageError("--spec-file conflicts with "
+                             + ", ".join("--" + f for f in data))
         data = _read(args.spec_file, "spec file", json.loads)
         if not isinstance(data, dict):
             raise UsageError("spec file must hold a JSON object")
         prefix = ""
     else:
-        data = {f: getattr(args, f) for f in _SPEC_FIELDS
-                if getattr(args, f) is not None}
         if args.sigma is not None:
             try:
                 data["sigma"] = [int(p) for p in args.sigma.split(",") if p != ""]
@@ -303,17 +306,17 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_walk(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    if args.start_file:
+    if (args.start_file is None) == (args.start_k is None):
+        raise UsageError("walk needs exactly one of --start-file and --start-k")
+    if args.start_file is not None:
         start = _read(args.start_file, "start colouring", colouring_from_json)
-    elif args.start_k is not None:
+    else:
         found = _engine_colouring(spec, args.start_k, args.budget)
         if found is None:
             print(f"no colouring with exactly {args.start_k} colours",
                   file=sys.stderr)
             return EXIT_FAIL
         start = found
-    else:
-        raise UsageError("walk needs --start-file or --start-k")
     t0 = time.perf_counter()
     try:
         steps = spectrum_walk_steps(spec, start, args.direction, args.budget)

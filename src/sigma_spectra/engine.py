@@ -13,6 +13,10 @@ the search only visits canonical prefixes:
 Every edge shape whose classes are all bound is checked as soon as its last
 class is bound, through the exact range solver, failing partial colourings
 as early as possible.
+
+A search context keeps, per spec, only what holds for every k (shape
+verdicts, colour bindings per window of final colour counts); what belongs
+to one k (budget, node count, failure memo) is local to one decision.
 """
 
 from __future__ import annotations
@@ -105,72 +109,101 @@ ProfileKey = tuple[tuple[int, int], ...]
 class _Search:
     """Exact-k feasibility searches over class profiles, one context per spec.
 
-    State lives as long as it stays true.  Per spec, for every k up to
-    ``k_max``: the part arrangements, the memo state cap, the shape
-    verdicts and the colour bindings.  A shape verdict says whether every
-    edge over a group of class profiles plus one new profile sees between
-    alpha and beta colours; those profiles fix the colours an edge sees,
-    whatever k the whole colouring uses, so the verdict holds for every k.
-    Bindings are generated with at most ``k_max`` colours and filtered to
-    the current k where they are used.  Per k, reset by :meth:`decide`: the
-    node count, the failure memo, the placed-profile counts and the
-    per-class colour cap with its partitions.
+    State lives as long as it stays true.  Per spec, across every k: the
+    part arrangements, the shape verdicts and the colour bindings.  A shape
+    verdict says whether every edge over a group of class profiles plus one
+    new profile sees between alpha and beta colours; those profiles fix the
+    colours an edge sees, whatever k the whole colouring uses, so the
+    verdict holds for every k.  A binding list is cached under the window
+    of final colour counts it was built for, so it too holds for every k.
+    Per :meth:`decide`, as its locals: k, the node budget and count, the
+    failure memo and the per-class colour cap with its partitions.
 
-    Each node records the placed profiles once, each count capped at
-    ``s - 1`` (the most classes an edge shape can share with the future).
-    Sorted, this multiset is the failure memo's profile part: whether a
-    prefix can complete depends only on it, how many classes remain, the
-    last partition (the non-increase rule) and the used-colour count.  Its
-    distinct ``s - 1``-element groups, each sorted, are the shapes every
-    child must pass with its new profile.
+    Each node receives the placed profiles as a tuple of keys, at most
+    ``s - 1`` copies of each (the most classes an edge shape can share with
+    the future), copies together, keys in first-placement order.  Sorted,
+    it is the failure memo's profile part: whether a prefix can complete
+    depends only on it, how many classes remain, the last partition (the
+    non-increase rule) and the used-colour count.  Its distinct
+    ``s - 1``-element groups, each sorted, are the shapes every child must
+    pass with its new profile.
     """
 
-    def __init__(self, spec: HypergraphSpec, k_max: int):
+    def __init__(self, spec: HypergraphSpec):
         self.spec = spec
-        self.k_max = k_max
         self.arrangements = part_arrangements(spec.sigma)
-        self.state_cap = spec.sigma.s - 1
         self._shape_cache: dict[tuple, bool] = {}
         self._bindings_cache: dict[tuple, tuple] = {}
 
     def decide(self, k: int, node_budget: int | None) -> KDecision:
         """Decide exactly ``k`` colours; "unknown" when the budget trips."""
-        assert k <= self.k_max, f"k={k} above the context's k_max={self.k_max}"
         spec = self.spec
-        self.k = k
-        self.node_budget = node_budget
-        self.nodes = 0
+        n = spec.n
+        cap = spec.sigma.s - 1
         # An edge may put its largest part, delta_max vertices, on any class,
         # so when delta_max > beta no class may carry more than beta colours.
         # This clamp is the whole largest-part condition: a class of at most
         # beta parts (each part >= 1 vertex) needs at most beta colours to
         # cover delta_max vertices and can never be forced past beta.
-        self.max_new = min(spec.q, k)
+        max_new = min(spec.q, k)
         if spec.sigma.delta_max > spec.beta:
-            self.max_new = min(self.max_new, spec.beta)
-        self.partitions = _partitions(spec.q, self.max_new, spec.q)
-        self.key_counts: dict[ProfileKey, int] = {}
-        self.failed: set = set()
+            max_new = min(max_new, spec.beta)
+        partitions = _partitions(spec.q, max_new, spec.q)
+        failed: set[tuple] = set()
+        nodes = 0
+
+        def place(i: int, prev: tuple[int, ...], used: int,
+                  placed: tuple[ProfileKey, ...]
+                  ) -> tuple[ProfileKey, ...] | None:
+            """Profile keys of classes ``i..`` that complete the prefix
+            with exactly k colours, or None when no completion exists."""
+            nonlocal nodes
+            if i == n:
+                return () if used == k else None
+            state = (i, prev, used, tuple(sorted(placed)))
+            if state in failed:
+                return None
+            # first-placement order: the order the groups below are checked in
+            groups = tuple(dict.fromkeys(
+                tuple(sorted(group))
+                for group in itertools.combinations(placed, cap)
+            ))
+            # the classes after this one add at most max_new colours each
+            least = k - (n - i - 1) * max_new
+            for partition in partitions:
+                if partition > prev:
+                    continue
+                for key, new_used in self._bindings(partition, used, least, k):
+                    nodes += 1
+                    if node_budget is not None and nodes > node_budget:
+                        raise BudgetExceededError(
+                            f"exceeded {node_budget} nodes deciding k={k}")
+                    if not all(self._shape_ok(group, key) for group in groups):
+                        continue
+                    # a copy joins its key's copies, a new key goes last
+                    after = placed
+                    if placed.count(key) < cap:
+                        at = placed.index(key) if key in placed else len(placed)
+                        after = placed[:at] + (key,) + placed[at:]
+                    rest = place(i + 1, partition, new_used, after)
+                    if rest is not None:
+                        return (key,) + rest
+            failed.add(state)
+            return None
+
         try:
-            keys = self._place(0, (spec.q + 1,), 0)
+            keys = place(0, (spec.q + 1,), 0, ())
         except BudgetExceededError:
-            return KDecision(k=k, verdict="unknown", witness=None, nodes=self.nodes)
+            return KDecision(k=k, verdict="unknown", witness=None, nodes=nodes)
         except RecursionError as exc:  # the search recurses once per class
             raise InstanceTooLargeError(
-                f"n={spec.n} classes exceed the engine search's recursion depth"
+                f"n={n} classes exceed the engine search's recursion depth"
             ) from exc
         witness = None if keys is None else Colouring(classes=tuple(
             tuple(c for c, m in key for _ in range(m)) for key in keys
         ))
         return KDecision(k=k, verdict="infeasible" if keys is None else "feasible",
-                         witness=witness, nodes=self.nodes)
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExceededError(
-                f"exceeded {self.node_budget} nodes deciding k={self.k}"
-            )
+                         witness=witness, nodes=nodes)
 
     def _shape_ok(self, group: tuple[ProfileKey, ...], key: ProfileKey) -> bool:
         """Whether every edge over classes with the profiles of ``group``
@@ -189,17 +222,19 @@ class _Search:
             self._shape_cache[(group, key)] = verdict
         return verdict
 
-    def _bindings(self, partition: tuple[int, ...], used: int
+    def _bindings(self, partition: tuple[int, ...], used: int, lo: int, hi: int
                   ) -> tuple[tuple[ProfileKey, int], ...]:
-        """All canonical colour bindings of ``partition`` after ``used``
-        colours, as (profile key, new used count), with at most ``k_max``
-        colours; cached, since they depend on nothing else.
+        """The canonical colour bindings of ``partition`` after ``used``
+        colours that end with ``lo..hi`` colours, as (profile key, new used
+        count); cached per window, since they depend on nothing else.
 
         Parts with equal size form groups; each group takes a set of old
         colours plus fresh ones, fresh identifiers running consecutively,
         larger sizes first.
         """
-        cached = self._bindings_cache.get((partition, used))
+        # a binding ends with between used and used + len(partition) colours
+        window = (partition, used, max(lo, used), min(hi, used + len(partition)))
+        cached = self._bindings_cache.get(window)
         if cached is not None:
             return cached
         groups = [(size, len(list(grp)))
@@ -212,9 +247,12 @@ class _Search:
                 out.append((tuple(sorted(pairs)), used + fresh))
                 return
             size, count = groups[gi]
-            for t in range(min(count, len(available)), -1, -1):
+            # t old colours here leave at most used + fresh + (parts left) - t
+            # colours at the end, every later part taking a fresh one
+            most_old = used + fresh + len(partition) - len(pairs) - lo
+            for t in range(min(count, len(available), most_old), -1, -1):
                 new_here = count - t
-                if used + fresh + new_here > self.k_max:
+                if used + fresh + new_here > hi:
                     break
                 first_new = used + fresh
                 new_pairs = tuple((first_new + j, size) for j in range(new_here))
@@ -224,49 +262,8 @@ class _Search:
                            pairs + tuple((c, size) for c in olds) + new_pairs)
 
         assign(0, tuple(range(used)), 0, ())
-        cached = self._bindings_cache[(partition, used)] = tuple(out)
+        cached = self._bindings_cache[window] = tuple(out)
         return cached
-
-    def _place(self, i: int, prev: tuple[int, ...], used: int
-               ) -> tuple[ProfileKey, ...] | None:
-        """Profile keys of classes ``i..`` that complete the placed prefix
-        with exactly k colours, or None when no completion exists."""
-        spec = self.spec
-        if i == spec.n:
-            return () if used == self.k else None
-        cap = self.state_cap
-        # first-placement order: the order the groups below are checked in
-        placed = [(key, min(count, cap)) for key, count in
-                  self.key_counts.items()] if cap else []
-        state = (i, prev, used, tuple(sorted(placed)))
-        if state in self.failed:
-            return None
-        groups = tuple(dict.fromkeys(
-            tuple(sorted(group)) for group in itertools.combinations(
-                [key for key, count in placed for _ in range(count)], cap)
-        ))
-        # fresh counts only grow down a binding's branch, so testing k here
-        # keeps the bindings of at most k colours in their generation order
-        least = self.k - (spec.n - i - 1) * self.max_new
-        for partition in self.partitions:
-            if partition > prev:
-                continue
-            for key, new_used in self._bindings(partition, used):
-                if not least <= new_used <= self.k:
-                    continue
-                self._tick()
-                if not all(self._shape_ok(group, key) for group in groups):
-                    continue
-                self.key_counts[key] = self.key_counts.get(key, 0) + 1
-                rest = self._place(i + 1, partition, new_used)
-                if self.key_counts[key] == 1:
-                    del self.key_counts[key]
-                else:
-                    self.key_counts[key] -= 1
-                if rest is not None:
-                    return (key,) + rest
-        self.failed.add(state)
-        return None
 
 
 def _trivial_colouring(spec: HypergraphSpec, k: int) -> Colouring:
@@ -294,7 +291,7 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
         return KDecision(k=k, verdict="feasible",
                          witness=_trivial_colouring(spec, k), nodes=0)
     if _search is None:
-        _search = _Search(spec, k)
+        _search = _Search(spec)
     return _search.decide(k, node_budget)
 
 
@@ -353,7 +350,7 @@ def spectrum(
     cap = spec.num_vertices if k_max is None else min(k_max, spec.num_vertices)
     if cap < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    search = _Search(spec, cap)
+    search = _Search(spec)
     decisions = [decide_k(spec, k, node_budget, _search=search)
                  for k in range(1, cap + 1)]
     feasible = [d.k for d in decisions if d.verdict == "feasible"]

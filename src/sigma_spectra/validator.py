@@ -6,7 +6,8 @@ from each.  Within one class, picking ``a`` vertices can touch a colour set
 touched matters, never how the count splits beyond feasibility.  The solver
 walks the classes once, tracking only the part of the running colour union
 that future classes can still see, so results memoise well across the many
-shapes sharing profile data.  One pass gives both range ends, and
+shapes sharing profile data.  Colours are renamed densely and kept as bits
+of an integer mask.  One pass gives both range ends, and
 ``selection_achieving`` reads its pick off the same solver.
 """
 
@@ -67,55 +68,49 @@ def _normalise(
     return tuple(norm_profiles), tuple(p for p, _ in slots)
 
 
-def _feasible_new_subsets(
-    counts: dict[int, int],
-    part: int,
-    union: frozenset[int],
-) -> list[tuple[frozenset[int], int]]:
-    """All sets of not-yet-seen colours a ``part``-vertex pick can introduce.
-
-    Returns (new colours, how many) pairs; a candidate is kept when some
-    completion with already-seen colours reaches ``part`` vertices without
-    exceeding ``part`` distinct colours.
-    """
-    news = sorted(c for c in counts if c not in union)
-    old_mults = sorted((counts[c] for c in counts if c in union), reverse=True)
-    old_prefix = [0]
-    for m in old_mults:
-        old_prefix.append(old_prefix[-1] + m)
-
-    out = []
-    for size in range(0, min(part, len(news)) + 1):
-        for combo in itertools.combinations(news, size):
-            have = sum(counts[c] for c in combo)
-            room = min(len(old_mults), part - size)
-            if size == 0 and room == 0:
-                continue
-            if have + old_prefix[room] >= part:
-                out.append((frozenset(combo), size))
-    return out
+@cache
+def _touch_sets(key: tuple[tuple[int, int], ...], part: int) -> tuple[int, ...]:
+    """The colour sets, as bit masks, that a ``part``-vertex pick from a
+    class with profile ``key`` can touch: at most ``part`` colours holding
+    at least ``part`` vertices.  Cached: keys of dense colours repeat."""
+    return tuple(
+        sum(1 << c for c, _ in combo)
+        for size in range(1, min(part, len(key)) + 1)
+        for combo in itertools.combinations(key, size)
+        if sum(m for _, m in combo) >= part
+    )
 
 
 def _solver(
-    counts_per_class: list[dict[int, int]],
+    keys: tuple[tuple[tuple[int, int], ...], ...],
     parts: tuple[int, ...],
-) -> tuple[Callable[[int, frozenset[int]], tuple[int, int]], list[frozenset[int]]]:
-    """One DP for both range ends: ``solve(j, seen)`` is the (fewest, most)
-    colours classes ``j..`` add beyond ``seen``.  ``future[j]`` holds the
-    colours of classes ``j..``; ``seen`` keeps only those a later class sees.
+) -> tuple[Callable[[int, int], tuple[int, int]], list[int]]:
+    """One DP for both range ends over profile keys with dense colours
+    0, 1, ..., each colour a bit of a mask.  ``solve(j, seen)`` is the
+    (fewest, most) colours classes ``j..`` add beyond ``seen``.
+    ``future[j]`` holds the colours of classes ``j..``; ``seen`` keeps only
+    those a later class sees.
     """
     s = len(parts)
-    future = [frozenset().union(*counts_per_class[j:]) for j in range(s + 1)]
+    future = [0] * (s + 1)
+    for j in range(s - 1, -1, -1):
+        future[j] = future[j + 1] | sum(1 << c for c, _ in keys[j])
+    touch = [_touch_sets(key, part) for key, part in zip(keys, parts)]
 
     @cache
-    def solve(j: int, seen: frozenset[int]) -> tuple[int, int]:
+    def solve(j: int, seen: int) -> tuple[int, int]:
         if j == s:
             return 0, 0
+        # picks that leave the same colours to later classes share a descent
+        added: dict[int, list[int]] = {}
+        later = future[j + 1]
+        for pick in touch[j]:
+            added.setdefault((seen | pick) & later, []).append((pick & ~seen).bit_count())
         lows, highs = [], []
-        for new, added in _feasible_new_subsets(counts_per_class[j], parts[j], seen):
-            lo, hi = solve(j + 1, (seen | new) & future[j + 1])
-            lows.append(added + lo)
-            highs.append(added + hi)
+        for after, news in added.items():
+            lo, hi = solve(j + 1, after)
+            lows.append(min(news) + lo)
+            highs.append(max(news) + hi)
         return min(lows), max(highs)
 
     return solve, future
@@ -126,7 +121,7 @@ def _range_of(
     norm_profiles: tuple[tuple[tuple[int, int], ...], ...],
     parts: tuple[int, ...],
 ) -> tuple[int, int]:
-    return _solver([dict(p) for p in norm_profiles], parts)[0](0, frozenset())
+    return _solver(norm_profiles, parts)[0](0, 0)
 
 
 def range_of_keys(
@@ -168,22 +163,17 @@ def edge_colour_range(
     return range_of_keys(tuple(p.key() for p in profiles), tuple(parts))
 
 
-def _pick(counts: dict[int, int], new: frozenset[int], part: int,
-          seen: frozenset[int]) -> dict[int, int]:
-    """A ``part``-vertex pick touching ``new`` plus enough seen colours:
-    one vertex per chosen colour, then padding within the chosen colours."""
-    base = set(new)
-    need = part - sum(counts[c] for c in base)
-    for c in sorted((c for c in counts if c in seen), key=lambda c: -counts[c]):
-        if (need > 0 or not base) and len(base) < part:
-            base.add(c)
-            need -= counts[c]
-    chosen = frozenset(base)
-    pick = {c: 1 for c in chosen}
+def _pick(key: tuple[tuple[int, int], ...], touched: int, part: int,
+          colours: list[int]) -> dict[int, int]:
+    """A ``part``-vertex pick touching exactly the colours of mask
+    ``touched``: one vertex per colour, then padding in colour order.
+    Colour ``c`` of ``key`` is named ``colours[c]``."""
+    chosen = [(c, m) for c, m in key if touched >> c & 1]
+    pick = {}
     short = part - len(chosen)
-    for c in sorted(chosen):
-        extra = min(counts[c] - 1, short)
-        pick[c] += extra
+    for c, m in chosen:
+        extra = min(m - 1, short)
+        pick[colours[c]] = 1 + extra
         short -= extra
     return pick
 
@@ -196,27 +186,32 @@ def selection_achieving(
     """A concrete per-class pick whose colour union has exactly ``target``
     distinct colours, or raise ``ValueError`` when none exists.
 
-    Read off the range solver run on the real colour identifiers; used to
+    Read off the range solver run on the colours renamed densely; used to
     materialise witnesses once a violating range is known.
     """
     _check_shape(profiles, parts)
-    counts_per_class = [dict(p.counts) for p in profiles]
-    solve, future = _solver(counts_per_class, tuple(parts))
+    # the solver wants dense colours; the picks name the real ones
+    colours = sorted({c for p in profiles for c in p.counts})
+    dense = {c: i for i, c in enumerate(colours)}
+    keys = tuple(tuple(sorted((dense[c], m) for c, m in p.counts.items()))
+                 for p in profiles)
+    solve, future = _solver(keys, tuple(parts))
     # Swapping one picked vertex moves the union by at most one colour, so
     # every count between a state's two ends is reachable: each class takes
-    # the first new-colour set after which the rest can still reach target.
+    # the first colour set after which the rest can still reach target.
     picks = []
-    seen: frozenset[int] = frozenset()
+    seen = 0
     left = target
-    for j, (counts, part) in enumerate(zip(counts_per_class, parts)):
-        for new, added in _feasible_new_subsets(counts, part, seen):
-            after = (seen | new) & future[j + 1]
+    for j, (key, part) in enumerate(zip(keys, parts)):
+        for touched in _touch_sets(key, part):
+            added = (touched & ~seen).bit_count()
+            after = (seen | touched) & future[j + 1]
             lo, hi = solve(j + 1, after)
             if lo <= left - added <= hi:
                 break
         else:
             raise ValueError(f"no selection reaches exactly {target} distinct colours")
-        picks.append(_pick(counts, new, part, seen))
+        picks.append(_pick(key, touched, part, colours))
         seen, left = after, left - added
     return tuple(picks)
 

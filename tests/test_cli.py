@@ -303,6 +303,19 @@ BAD_INPUTS = {
     "spec-file-not-utf8": (
         ["spectrum", "--spec-file", "{spec}"], {"spec": b"\xff\xfe{}"},
     ),
+    # the file's spec would be decided and the flag silently ignored
+    "spec-file-and-flag": (
+        ["spectrum", "--spec-file", "{spec}", "--n", "5"],
+        {"spec": {"n": 3, "r": 4, "q": 2, "sigma": [2, 2],
+                  "alpha": 2, "beta": 2}},
+    ),
+    # the walk would start from the file and ignore --start-k
+    "walk-start-file-and-start-k": (
+        ["walk", *TestWalkCommand.FLAGS, "--direction", "down", "--start-file",
+         "{colouring}", "--start-k", "5"],
+        {"colouring": {"n": 4, "q": 3, "classes": [[0, 0, 0], [1, 1, 1],
+                                                   [2, 2, 2], [3, 4, 5]]}},
+    ),
     "walk-start-k-out-of-range": (
         ["walk", *GAP_FLAGS, "--direction", "down", "--start-k", "99"], {},
     ),

@@ -1,6 +1,8 @@
 """Search engine: exact k decisions, spectra, gaps, budgets, determinism."""
 
+import itertools
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from sigma_spectra import (
     spectrum,
     verify_interval,
 )
-from sigma_spectra.engine import _Search
+from sigma_spectra.engine import _Search, _partitions
 from sigma_spectra.formulas import gap_instance_params
 from sigma_spectra.verification import gap_cells, nogap_grid
 
@@ -154,7 +156,7 @@ class TestSpectrum:
         # a group kept in placement order gives the same verdicts and
         # nodes, but solves one shape again under each of its orders
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
-        search = _Search(spec, spec.num_vertices)
+        search = _Search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         groups = [group for group, _ in search._shape_cache]
@@ -168,6 +170,65 @@ class TestSpectrum:
     def test_k_max_below_one_rejected(self):
         with pytest.raises(ValueError):
             spectrum(GAP22, k_max=0)
+
+
+def all_bindings(partition, used):
+    """Every canonical binding of ``partition`` after ``used`` colours, as
+    (profile key, new used count), in the search's generation order: old
+    colours before fresh ones, larger part sizes first."""
+    groups = [(size, len(list(grp))) for size, grp in itertools.groupby(partition)]
+    out = []
+
+    def assign(gi, available, fresh, pairs):
+        if gi == len(groups):
+            out.append((tuple(sorted(pairs)), used + fresh))
+            return
+        size, count = groups[gi]
+        for t in range(min(count, len(available)), -1, -1):
+            new = tuple((used + fresh + j, size) for j in range(count - t))
+            for olds in itertools.combinations(available, t):
+                rest = tuple(c for c in available if c not in olds)
+                assign(gi + 1, rest, fresh + count - t,
+                       pairs + tuple((c, size) for c in olds) + new)
+
+    assign(0, tuple(range(used)), 0, ())
+    return out
+
+
+class TestBindingWindow:
+    """A node builds only the bindings that end inside the colour counts it
+    can still complete to, never all of them."""
+
+    def test_window_filters_the_full_list_in_order(self):
+        search = _Search(A2)
+        for q in range(1, 7):
+            for partition in _partitions(q, q, q):
+                for used in range(5):
+                    full = all_bindings(partition, used)
+                    top = used + len(partition)
+                    for lo in range(-1, top + 2):
+                        for hi in range(lo - 1, top + 2):
+                            assert search._bindings(partition, used, lo, hi) == tuple(
+                                b for b in full if lo <= b[1] <= hi
+                            ), (partition, used, lo, hi)
+
+    def test_cached_bindings_stay_below_the_nodes(self):
+        # a class of 10 singleton parts has tens of thousands of bindings
+        # after up to 10 used colours, and the search ticks 40 of them
+        spec = spec_of(2, 10, [1, 1], 2, 2)
+        search = _Search(spec)
+        nodes = sum(search.decide(k, 100).nodes
+                    for k in range(1, spec.num_vertices + 1))
+        assert sum(map(len, search._bindings_cache.values())) <= nodes
+
+    def test_wide_classes_spectrum_is_quick(self):
+        # 48 nodes; the count above cannot see bindings built and then
+        # dropped below the window's low end, which cost seconds here
+        spec = spec_of(2, 12, [1, 1], 2, 2)
+        t0 = time.perf_counter()
+        res = spectrum(spec, node_budget=100)
+        assert time.perf_counter() - t0 < 0.5
+        assert res.feasible_k == tuple(range(2, 25)) and res.complete
 
 
 class TestVerifyInterval:

@@ -154,6 +154,19 @@ class TestSelectionAchieving:
         with pytest.raises(ValueError):
             selection_achieving([prof({0: 2})], (2,), 5)
 
+    def test_sparse_and_negative_colours(self):
+        # the solver packs colours into bit masks, renamed densely first
+        profiles = [prof({-3: 2, 10**9: 1}), prof({10**9: 2, 7: 1})]
+        parts = (2, 2)
+        lo, hi = edge_colour_range(profiles, parts)
+        assert (lo, hi) == literal_range(profiles, parts) == (2, 3)
+        for target in range(lo, hi + 1):
+            choice = selection_achieving(profiles, parts, target)
+            for c_map, p, a in zip(choice, profiles, parts):
+                assert sum(c_map.values()) == a
+                assert all(1 <= m <= p.counts[c] for c, m in c_map.items())
+            assert len(set().union(*choice)) == target
+
 
 def a2_colouring(n):
     """Every class gets a shared colour 0 plus its own colour."""
