@@ -5,13 +5,21 @@ colouring file), ``construct`` (emit a constructive colouring), ``walk``
 (recolouring walk; every step is validated as it is made) and ``verify``
 (theorem grids).
 
+Each ``_cmd_*`` returns its ``result`` payload (or the text to write in
+place of a report, or None) with its exit code; ``main`` alone checks
+``--output``, builds the spec, times the command, wraps the payload in the
+``RunReport`` and maps errors to exit codes.  ``wall_time_s`` covers the
+whole command after the spec check, reading input files and a ``walk
+--start-k`` search included.
+
 Exit codes: 0 success / all pass; 1 invalid colouring, failed suite,
 infeasible construction, or a ``walk`` step that breaks validity (one
 ``walk diagnostic:`` line on stderr); 2 malformed or conflicting
-arguments or input files, an ``--output`` that cannot be written
-(checked before any work), or an instance with more classes than the
-engine search's recursion depth allows; 3 budget truncation in
-``spectrum``, or a ``walk`` or ``construct`` cut short by ``--budget``.
+arguments or input files (``construct`` takes ``--k`` exactly when its
+kind is not ``beta``), an ``--output`` that cannot be written (checked
+before any work), or an instance with more classes than the engine
+search's recursion depth allows; 3 budget truncation in ``spectrum``, or
+a ``walk`` or ``construct`` cut short by ``--budget``.
 """
 
 from __future__ import annotations
@@ -66,15 +74,12 @@ class RunReport:
         return dataclasses.asdict(self)
 
 
+_SPEC_FIELDS = ("n", "r", "q", "sigma", "alpha", "beta")
+
+
 def _spec_to_dict(spec: HypergraphSpec) -> dict[str, Any]:
-    return {
-        "n": spec.n,
-        "r": spec.r,
-        "q": spec.q,
-        "sigma": list(spec.sigma.parts),
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-    }
+    return ({f: getattr(spec, f) for f in _SPEC_FIELDS}
+            | {"sigma": list(spec.sigma.parts)})
 
 
 def _witness_to_dict(witness: EdgeWitness) -> dict[str, Any]:
@@ -93,7 +98,8 @@ class UsageError(Exception):
     pass
 
 
-_SPEC_FIELDS = ("n", "r", "q", "sigma", "alpha", "beta")
+class CommandFailure(Exception):
+    """The command ran and failed: exit 1, the message its one stderr line."""
 
 
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
@@ -188,11 +194,14 @@ def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
 
 
 def _engine_colouring(spec: HypergraphSpec, k: int,
-                      budget: int | None) -> Colouring | None:
+                      budget: int | None) -> Colouring:
     try:
-        return k_colourable(spec, k, budget)
-    except ValueError as exc:  # k outside [1, n*q]
+        found = k_colourable(spec, k, budget)
+    except ValueError as exc:  # k outside [1, n*q], or too many classes
         raise UsageError(str(exc)) from exc
+    if found is None:
+        raise CommandFailure(f"no colouring with exactly {k} colours")
+    return found
 
 
 def _non_negative_int(text: str) -> int:
@@ -201,161 +210,97 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _emit(report: RunReport, output: str | None) -> None:
-    _write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", output)
+# A command returns (result, exit code); the result is the report's payload,
+# the text to write in place of a report, or None to write nothing.
+Outcome = tuple[Any, int]
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    t0 = time.perf_counter()
+def _cmd_spectrum(args: argparse.Namespace, spec: HypergraphSpec) -> Outcome:
     try:
         result = spectrum(spec, k_max=args.k_max, node_budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    wall = time.perf_counter() - t0
-    if args.format == "csv":
-        lines = ["k,feasible,nodes_explored"]
-        feasible = set(result.feasible_k)
-        unknown = set(result.unknown_k)
-        for k in range(1, result.k_max + 1):
-            verdict = (
-                "true" if k in feasible
-                else "unknown" if k in unknown
-                else "false"
-            )
-            lines.append(f"{k},{verdict},{result.nodes_explored.get(k, 0)}")
-        _write("\n".join(lines) + "\n", args.output)
-    else:
-        report = RunReport(
-            command="spectrum",
-            spec=_spec_to_dict(spec),
-            result=result.to_json_dict(),
-            complete=result.complete,
-            wall_time_s=wall,
-        )
-        _emit(report, args.output)
-    return EXIT_OK if result.complete else EXIT_TRUNCATED
+    code = EXIT_OK if result.complete else EXIT_TRUNCATED
+    if args.format == "json":
+        return result.to_json_dict(), code
+    verdicts = (dict.fromkeys(result.unknown_k, "unknown")
+                | dict.fromkeys(result.feasible_k, "true"))
+    lines = ["k,feasible,nodes_explored"] + [
+        f"{k},{verdicts.get(k, 'false')},{result.nodes_explored.get(k, 0)}"
+        for k in range(1, result.k_max + 1)
+    ]
+    return "\n".join(lines) + "\n", code
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+def _cmd_check(args: argparse.Namespace, spec: HypergraphSpec) -> Outcome:
     colouring = _read(args.colouring_file, "colouring file", colouring_from_json)
-    t0 = time.perf_counter()
     try:
         witness = find_violation(spec, colouring)
     except SigmaSpectraError as exc:
         raise UsageError(str(exc)) from exc
-    wall = time.perf_counter() - t0
-    report = RunReport(
-        command="check",
-        spec=_spec_to_dict(spec),
-        result={
-            "valid": witness is None,
-            "colour_count": colouring.colour_count,
-            "witness": None if witness is None else _witness_to_dict(witness),
-        },
-        complete=True,
-        wall_time_s=wall,
-    )
-    _emit(report, args.output)
-    return EXIT_OK if witness is None else EXIT_FAIL
+    return {
+        "valid": witness is None,
+        "colour_count": colouring.colour_count,
+        "witness": None if witness is None else _witness_to_dict(witness),
+    }, EXIT_OK if witness is None else EXIT_FAIL
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    if args.k is None and args.kind != "beta":
-        raise UsageError(f"--kind {args.kind} needs --k")
-    t0 = time.perf_counter()
-    try:
-        if args.kind == "mono":
-            colouring = mono_colouring(spec, args.k)
-        elif args.kind == "layered":
-            colouring = layered_colouring(spec, args.k)
-        elif args.kind == "beta":
-            colouring = beta_colouring(spec)
-        else:  # engine
-            found = _engine_colouring(spec, args.k, args.budget)
-            if found is None:
-                print(f"no colouring with exactly {args.k} colours",
-                      file=sys.stderr)
-                return EXIT_FAIL
-            colouring = found
-    except BudgetExceededError:
-        raise
-    except SigmaSpectraError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    wall = time.perf_counter() - t0
+# the constructive kinds, each called with the spec and --k; ``engine``
+# runs the search instead
+_BUILDERS: dict[str, Callable[[HypergraphSpec, Any], Colouring]] = {
+    "mono": mono_colouring,
+    "layered": layered_colouring,
+    "beta": lambda spec, _k: beta_colouring(spec),
+}
+
+
+def _cmd_construct(args: argparse.Namespace, spec: HypergraphSpec) -> Outcome:
+    if (args.k is None) != (args.kind == "beta"):
+        raise UsageError(f"--kind {args.kind} needs --k" if args.k is None
+                         else "--kind beta takes no --k")
+    if args.kind == "engine":
+        colouring = _engine_colouring(spec, args.k, args.budget)
+    else:
+        try:
+            colouring = _BUILDERS[args.kind](spec, args.k)
+        except SigmaSpectraError as exc:
+            raise CommandFailure(f"construction failed: {exc}") from exc
     if args.raw:
-        _write(colouring_to_json(colouring) + "\n", args.output)
-        return EXIT_OK
-    report = RunReport(
-        command="construct",
-        spec=_spec_to_dict(spec),
-        result={
-            "kind": args.kind,
-            "colouring": colouring_to_dict(colouring),
-            "colour_count": colouring.colour_count,
-        },
-        complete=True,
-        wall_time_s=wall,
-    )
-    _emit(report, args.output)
-    return EXIT_OK
+        return colouring_to_json(colouring) + "\n", EXIT_OK
+    return {
+        "kind": args.kind,
+        "colouring": colouring_to_dict(colouring),
+        "colour_count": colouring.colour_count,
+    }, EXIT_OK
 
 
-def _cmd_walk(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+def _cmd_walk(args: argparse.Namespace, spec: HypergraphSpec) -> Outcome:
     if (args.start_file is None) == (args.start_k is None):
         raise UsageError("walk needs exactly one of --start-file and --start-k")
     if args.start_file is not None:
         start = _read(args.start_file, "start colouring", colouring_from_json)
     else:
-        found = _engine_colouring(spec, args.start_k, args.budget)
-        if found is None:
-            print(f"no colouring with exactly {args.start_k} colours",
-                  file=sys.stderr)
-            return EXIT_FAIL
-        start = found
-    t0 = time.perf_counter()
+        start = _engine_colouring(spec, args.start_k, args.budget)
     try:
         steps = spectrum_walk_steps(spec, start, args.direction, args.budget)
     except TheoremViolationError as exc:
-        print(f"walk diagnostic: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except BudgetExceededError:
-        raise
-    except SigmaSpectraError as exc:
+        raise CommandFailure(f"walk diagnostic: {exc}") from exc
+    except ValueError as exc:  # a start the walk's preconditions reject
         raise UsageError(str(exc)) from exc
-    wall = time.perf_counter() - t0
-    report = RunReport(
-        command="walk",
-        spec=_spec_to_dict(spec),
-        result={
-            "direction": args.direction,
-            "start": colouring_to_dict(start),
-            "steps": [
-                {
-                    "kind": ws.step.kind,
-                    "class_index": ws.step.class_index,
-                    "colour_count": ws.colour_count,
-                    "colouring": colouring_to_dict(ws.colouring),
-                }
-                for ws in steps
-            ],
-        },
-        complete=True,
-        wall_time_s=wall,
-    )
-    _emit(report, args.output)
-    return EXIT_OK
+    return {
+        "direction": args.direction,
+        "start": colouring_to_dict(start),
+        "steps": [{"kind": ws.step.kind, "class_index": ws.step.class_index,
+                   "colour_count": ws.colour_count,
+                   "colouring": colouring_to_dict(ws.colouring)} for ws in steps],
+    }, EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, spec: None) -> Outcome:
     if args.suite not in SUITES:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
-        )
+        raise UsageError(f"unknown suite {args.suite!r}; "
+                         f"choose from {', '.join(sorted(SUITES))}")
+    # the summary line is printed before main has the run's time
     t0 = time.perf_counter()
     rows = SUITES[args.suite]()
     wall = time.perf_counter() - t0
@@ -366,20 +311,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     all_passed = all(row.passed for row in rows)
     print(f"{'OK' if all_passed else 'FAILED'}: {sum(r.passed for r in rows)}/"
           f"{len(rows)} rows passed in {wall:.1f}s")
-    if args.output:
-        report = RunReport(
-            command="verify",
-            spec=None,
-            result={
-                "suite": args.suite,
-                "all_passed": all_passed,
-                "rows": [dataclasses.asdict(row) for row in rows],
-            },
-            complete=True,
-            wall_time_s=wall,
-        )
-        _emit(report, args.output)
-    return EXIT_OK if all_passed else EXIT_FAIL
+    result = None if not args.output else {
+        "suite": args.suite,
+        "all_passed": all_passed,
+        "rows": [dataclasses.asdict(row) for row in rows],
+    }
+    return result, EXIT_OK if all_passed else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,17 +373,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_output(args.output)
-        return args.func(args)
+        spec = None if args.command == "verify" else _spec_from_args(args)
+        t0 = time.perf_counter()
+        result, code = args.func(args, spec)
+        wall = time.perf_counter() - t0
+        if isinstance(result, str):
+            _write(result, args.output)
+        elif result is not None:
+            report = RunReport(
+                command=args.command,
+                spec=None if spec is None else _spec_to_dict(spec),
+                result=result,
+                complete=code != EXIT_TRUNCATED,
+                wall_time_s=wall,
+            )
+            _write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+                   args.output)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"truncated: {exc}", file=sys.stderr)
         return EXIT_TRUNCATED
+    except CommandFailure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -171,7 +171,8 @@ class _Search:
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             for partition in partitions:
-                if partition > prev:
+                # a binding ends with at most used + len(partition) colours
+                if partition > prev or len(partition) < least - used:
                     continue
                 for key, new_used in self._bindings(partition, used, least, k):
                     nodes += 1

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -15,7 +17,7 @@ from sigma_spectra import (
     colouring_from_json,
     is_valid,
 )
-from sigma_spectra.cli import RunReport, main
+from sigma_spectra.cli import RunReport, build_parser, main
 
 
 def run(capsys, argv):
@@ -85,6 +87,16 @@ class TestSpectrumCommand:
         report = json.loads(out)
         assert report["complete"] is False
         assert 4 in report["result"]["unknown_k"]
+        code, out, _ = run(capsys, [
+            "spectrum", "--n", "7", "--r", "12", "--q", "6",
+            "--sigma", "6,6", "--alpha", "3", "--beta", "3",
+            "--k-max", "5", "--budget", "100", "--format", "csv",
+        ])
+        assert code == 3
+        assert out.splitlines() == [
+            "k,feasible,nodes_explored", "1,false,2", "2,false,20",
+            "3,true,23", "4,unknown,101", "5,unknown,101",
+        ]
 
 
 class TestCheckCommand:
@@ -272,6 +284,27 @@ class TestVerifyCommand:
         jsonschema.validate(report, load_schema("run_report.schema.json"))
 
 
+def readme_commands():
+    """Every ``sigma-spectra ...`` command in README.md, continuations
+    joined, as argv lists without the program name."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("sigma-spectra ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "spectrum", "check", "construct", "walk", "verify"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
 class TestRunReport:
     def test_to_dict_matches_schema(self):
         spec = {"n": 2, "r": 2, "q": 1, "sigma": [1, 1], "alpha": 2, "beta": 2}
@@ -321,6 +354,8 @@ BAD_INPUTS = {
     ),
     "layered-without-k": (["construct", *GAP_FLAGS, "--kind", "layered"], {}),
     "engine-without-k": (["construct", *GAP_FLAGS, "--kind", "engine"], {}),
+    # the beta construction takes no k and would ignore it
+    "beta-with-k": (["construct", *GAP_FLAGS, "--kind", "beta", "--k", "4"], {}),
     "engine-k-zero": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0"], {},
     ),

@@ -220,6 +220,9 @@ class TestBindingWindow:
         nodes = sum(search.decide(k, 100).nodes
                     for k in range(1, spec.num_vertices + 1))
         assert sum(map(len, search._bindings_cache.values())) <= nodes
+        # a partition too short to reach the window is skipped before it
+        # gets a bindings call
+        assert all(search._bindings_cache.values())
 
     def test_wide_classes_spectrum_is_quick(self):
         # 48 nodes; the count above cannot see bindings built and then
