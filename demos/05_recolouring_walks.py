@@ -2,8 +2,9 @@
 
 When the smallest part of sigma is at least r - beta + 1 and alpha = 2,
 local moves connect the whole spectrum: repainting a class with a fresh
-colour, merging two colours private to one class, or folding a private
-colour into a class's fixed colour.  Each step is validated as it is made.
+colour, or folding one colour private to a class into another (merging the
+two into a fresh colour gives the same colouring up to renaming).  Each
+step is validated as it is made.
 """
 
 from sigma_spectra import (

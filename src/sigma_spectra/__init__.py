@@ -10,138 +10,24 @@ and threshold formulas, and realises the constructive colourings behind
 them, cross-checked by literal brute-force oracles on small instances.
 """
 
-from .core import (
-    ClassProfile,
-    Colouring,
-    HypergraphSpec,
-    Sigma,
-    build_sigma,
-    canonical_colouring,
-    colouring_from_json,
-    colouring_to_json,
-    count_edges,
-    edge_shapes,
-    part_arrangements,
-    profile_of,
-)
-from .constructions import (
-    RecolourStep,
-    WalkStep,
-    beta_colouring,
-    layered_colouring,
-    mono_colouring,
-    mono_distribution,
-    recolour_merge_two_unique,
-    recolour_whole_class,
-    spectrum_walk,
-    spectrum_walk_steps,
-    split_to_fixed,
-)
-from .engine import (
-    KDecision,
-    SpectrumResult,
-    decide_k,
-    k_colourable,
-    spectrum,
-    verify_interval,
-)
-from .errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    DomainError,
-    InfeasibleError,
-    InfeasibleShapeError,
-    InstanceTooLargeError,
-    InvalidPartitionError,
-    NotApplicableError,
-    SigmaSpectraError,
-    TheoremViolationError,
-)
-from .formulas import (
-    IntInterval,
-    MonoDistribution,
-    extended_interval,
-    gap_instance_params,
-    max_sum_capped_head,
-    min_parts_attainable,
-    min_parts_capped_head,
-    min_parts_formula,
-    mono_zone,
-    mono_zone_lower_bound,
-    no_mono_zone_above,
-    uncolourable_condition,
-    zone_only_condition,
-)
-from .oracle import brute_oracle, brute_spectrum, enumerate_edges
-from .validator import (
-    EdgeWitness,
-    edge_colour_range,
-    find_violation,
-    is_valid,
-    selection_achieving,
-)
+from . import constructions, core, engine, errors, formulas, oracle, validator
+from .core import *  # noqa: F401,F403
+from .formulas import *  # noqa: F401,F403
+from .validator import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .constructions import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in the __all__ of the module defining it
 __all__ = [
-    "Sigma",
-    "HypergraphSpec",
-    "ClassProfile",
-    "Colouring",
-    "build_sigma",
-    "profile_of",
-    "edge_shapes",
-    "part_arrangements",
-    "count_edges",
-    "canonical_colouring",
-    "colouring_to_json",
-    "colouring_from_json",
-    "IntInterval",
-    "MonoDistribution",
-    "max_sum_capped_head",
-    "min_parts_capped_head",
-    "min_parts_formula",
-    "min_parts_attainable",
-    "mono_zone",
-    "mono_zone_lower_bound",
-    "extended_interval",
-    "zone_only_condition",
-    "no_mono_zone_above",
-    "uncolourable_condition",
-    "gap_instance_params",
-    "EdgeWitness",
-    "edge_colour_range",
-    "is_valid",
-    "find_violation",
-    "selection_achieving",
-    "KDecision",
-    "SpectrumResult",
-    "decide_k",
-    "k_colourable",
-    "spectrum",
-    "verify_interval",
-    "brute_oracle",
-    "brute_spectrum",
-    "enumerate_edges",
-    "RecolourStep",
-    "WalkStep",
-    "mono_distribution",
-    "mono_colouring",
-    "layered_colouring",
-    "beta_colouring",
-    "recolour_whole_class",
-    "recolour_merge_two_unique",
-    "split_to_fixed",
-    "spectrum_walk",
-    "spectrum_walk_steps",
-    "SigmaSpectraError",
-    "InvalidPartitionError",
-    "DomainError",
-    "NotApplicableError",
-    "DimensionMismatchError",
-    "InfeasibleShapeError",
-    "InfeasibleError",
-    "InstanceTooLargeError",
-    "BudgetExceededError",
-    "TheoremViolationError",
+    *core.__all__,
+    *formulas.__all__,
+    *validator.__all__,
+    *engine.__all__,
+    *oracle.__all__,
+    *constructions.__all__,
+    *errors.__all__,
 ]

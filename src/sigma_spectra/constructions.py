@@ -42,7 +42,7 @@ class RecolourStep:
     """
 
     class_index: int | None
-    kind: str  # whole-class-to-new | merge-two-unique-to-new | split-to-fixed | engine-fallback
+    kind: str  # whole-class-to-new | split-to-fixed | engine-fallback
 
 
 @dataclass(frozen=True)
@@ -367,17 +367,11 @@ def spectrum_walk_steps(
                 )
             record("engine-fallback", None, fallback)
             continue
-        palette = sorted(set(current.classes[i]))
         mine = privates[i]
         if len(mine) < 2:
-            kind, after = "whole-class-to-new", recolour_whole_class(current, i)
-        elif len(mine) == len(palette):
-            kind, after = "split-to-fixed", split_to_fixed(
-                current, i, palette[-1], palette[0])
+            record("whole-class-to-new", i, recolour_whole_class(current, i))
         else:
-            kind, after = "merge-two-unique-to-new", recolour_merge_two_unique(
-                current, i, mine[0], mine[1])
-        record(kind, i, after)
+            record("split-to-fixed", i, split_to_fixed(current, i, mine[-1], mine[0]))
     return steps
 
 

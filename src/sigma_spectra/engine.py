@@ -312,30 +312,6 @@ def k_colourable(
     return decision.witness
 
 
-def _gaps_between(
-    feasible: list[int], unknown: list[int], chi: int, chi_bar: int
-) -> tuple[IntInterval, ...]:
-    """Maximal runs of decided-infeasible k in (chi, chi_bar).
-
-    An undecided k interrupts a run: a gap is only reported where every
-    member was proven infeasible.
-    """
-    feasible_set = set(feasible)
-    unknown_set = set(unknown)
-    gaps = []
-    run_start = None
-    for k in range(chi + 1, chi_bar):
-        if k not in feasible_set and k not in unknown_set:
-            if run_start is None:
-                run_start = k
-        elif run_start is not None:
-            gaps.append(IntInterval(run_start, k - 1))
-            run_start = None
-    if run_start is not None:
-        gaps.append(IntInterval(run_start, chi_bar - 1))
-    return tuple(gaps)
-
-
 def spectrum(
     spec: HypergraphSpec,
     k_max: int | None = None,
@@ -358,9 +334,12 @@ def spectrum(
     unknown = [d.k for d in decisions if d.verdict == "unknown"]
     chi = feasible[0] if feasible else None
     chi_bar = feasible[-1] if feasible else None
-    gaps: tuple[IntInterval, ...] = ()
-    if chi is not None and chi_bar is not None and chi_bar - chi > 1:
-        gaps = _gaps_between(feasible, unknown, chi, chi_bar)
+    # maximal runs of decided-infeasible k in (chi, chi_bar); an undecided
+    # k interrupts a run
+    runs = itertools.groupby(range(chi + 1, chi_bar) if feasible else (),
+                             key=lambda k: decisions[k - 1].verdict == "infeasible")
+    gaps = tuple(IntInterval(run[0], run[-1])
+                 for run in (list(ks) for infeasible, ks in runs if infeasible))
     return SpectrumResult(
         feasible_k=tuple(feasible),
         unknown_k=tuple(unknown),

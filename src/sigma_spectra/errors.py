@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SigmaSpectraError",
+    "InvalidPartitionError",
+    "DomainError",
+    "NotApplicableError",
+    "DimensionMismatchError",
+    "InfeasibleShapeError",
+    "InfeasibleError",
+    "InstanceTooLargeError",
+    "BudgetExceededError",
+    "TheoremViolationError",
+]
+
 
 class SigmaSpectraError(Exception):
     """Base class for all errors raised by this package."""

@@ -333,6 +333,7 @@ BAD_INPUTS = {
         {"spec": {"n": "5", "r": 4, "q": 2, "sigma": [2, 2],
                   "alpha": 3, "beta": 3}},
     ),
+    "spec-file-not-an-object": (["spectrum", "--spec-file", "{spec}"], {"spec": [1, 2]}),
     "spec-file-not-utf8": (
         ["spectrum", "--spec-file", "{spec}"], {"spec": b"\xff\xfe{}"},
     ),
@@ -348,6 +349,16 @@ BAD_INPUTS = {
          "{colouring}", "--start-k", "5"],
         {"colouring": {"n": 4, "q": 3, "classes": [[0, 0, 0], [1, 1, 1],
                                                    [2, 2, 2], [3, 4, 5]]}},
+    ),
+    "walk-start-file-invalid": (
+        ["walk", *TestWalkCommand.FLAGS, "--direction", "down", "--start-file",
+         "{colouring}"],
+        {"colouring": {"n": 4, "q": 3, "classes": [[0, 0, 0]] * 4}},
+    ),
+    "walk-alpha-not-two": (
+        ["walk", *TestWalkCommand.FLAGS, "--alpha", "3", "--direction", "down",
+         "--start-file", "{colouring}"],
+        {"colouring": {"n": 4, "q": 3, "classes": [[0, 0, 0]] * 4}},
     ),
     "walk-start-k-out-of-range": (
         ["walk", *GAP_FLAGS, "--direction", "down", "--start-k", "99"], {},
@@ -375,6 +386,10 @@ BAD_INPUTS = {
         ["check", "--n", "1", "--r", "4", "--q", "2", "--sigma", "2,2",
          "--alpha", "2", "--beta", "2", "--colouring-file", "{colouring}"],
         {"colouring": {"n": True, "q": 2, "classes": [[0, 1]]}},
+    ),
+    "colouring-shape-mismatch": (
+        ["check", *A2_FLAGS, "--colouring-file", "{colouring}"],
+        {"colouring": {"n": 3, "q": 2, "classes": [[0, 1], [0, 2], [0, 3]]}},
     ),
     "spec-file-deeply-nested": (
         ["spectrum", "--spec-file", "{spec}"], {"spec": b"[" * 20_000},

@@ -350,10 +350,20 @@ class TestWalks:
         steps = spectrum_walk_steps(WALK_SPEC, start, "down")
         assert steps, "expected at least one step"
         kinds = {ws.step.kind for ws in steps}
-        allowed = {"whole-class-to-new", "merge-two-unique-to-new",
-                   "split-to-fixed", "engine-fallback"}
+        allowed = {"whole-class-to-new", "split-to-fixed", "engine-fallback"}
         assert kinds <= allowed
         assert all(is_valid(WALK_SPEC, ws.colouring) for ws in steps)
+
+    def test_down_walk_folds_private_colours_beside_a_shared_one(self):
+        # class 0 holds shared colour 0 and private colours 1 and 2; the
+        # walk folds 2 into 1 in place (merging both into a fresh colour
+        # gives the same colouring up to renaming)
+        spec = spec_of(2, 3, [2, 2], 2, 4)
+        start = Colouring(classes=((0, 1, 2), (0, 3, 3)))
+        steps = spectrum_walk_steps(spec, start, "down")
+        assert [(ws.step.kind, ws.step.class_index) for ws in steps] == [
+            ("split-to-fixed", 0)]
+        assert steps[0].colouring.classes == ((0, 1, 1), (0, 3, 3))
 
     def test_direction_validated(self):
         res = spectrum(WALK_SPEC)

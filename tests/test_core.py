@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigma_spectra import (
+    ClassProfile,
     Colouring,
     HypergraphSpec,
     InvalidPartitionError,
@@ -64,6 +65,14 @@ class TestProfiles:
         c = Colouring(classes=((0, 0),))
         with pytest.raises(IndexError):
             profile_of(c, 1)
+
+    @pytest.mark.parametrize("counts, total, message", [
+        ({0: 2, 1: 0}, 2, "must be >= 1"),
+        ({0: 2, 1: 1}, 4, "must sum to the class size"),
+    ])
+    def test_rejects_bad_multiplicities(self, counts, total, message):
+        with pytest.raises(ValueError, match=message):
+            ClassProfile(counts=counts, total=total)
 
 
 class TestEdgeShapes:

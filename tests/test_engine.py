@@ -132,6 +132,18 @@ class TestSpectrum:
             for k in gap:
                 assert k not in res.unknown_k
 
+    def test_gaps_from_scripted_verdicts(self, monkeypatch):
+        # runs close at a feasible k, at an unknown k and just below chi_bar
+        from sigma_spectra import KDecision, engine
+        script = ("infeasible", "feasible", "infeasible", "unknown", "infeasible",
+                  "infeasible", "feasible", "infeasible", "feasible", "infeasible")
+        monkeypatch.setattr(engine, "decide_k", lambda spec, k, *a, **kw: KDecision(
+            k=k, verdict=script[k - 1], witness=None, nodes=0))
+        res = spectrum(GAP22)  # 10 vertices, so k runs over 1..10
+        assert res.chi == 2 and res.chi_bar == 9
+        assert res.unknown_k == (4,)
+        assert res.gaps == (IntInterval(3, 3), IntInterval(5, 6), IntInterval(8, 8))
+
     def test_deterministic_across_runs(self):
         a = spectrum(GAP22)
         b = spectrum(GAP22)

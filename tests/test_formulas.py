@@ -6,6 +6,7 @@ from sigma_spectra import (
     DomainError,
     HypergraphSpec,
     IntInterval,
+    MonoDistribution,
     NotApplicableError,
     build_sigma,
     extended_interval,
@@ -127,6 +128,18 @@ class TestMonoZone:
 
     def test_s_below_alpha_is_empty(self):
         assert mono_zone(spec_of(7, 6, [6, 6], 3, 3)) == IntInterval.empty()
+
+    def test_lower_bound_needs_s_at_least_alpha(self):
+        with pytest.raises(NotApplicableError):
+            mono_zone_lower_bound(spec_of(7, 6, [6, 6], 3, 3))
+
+    @pytest.mark.parametrize("counts, message", [
+        ((), "must be positive"),
+        ((2, 3), "must be non-increasing"),
+    ])
+    def test_distribution_rejects_empty_or_increasing_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            MonoDistribution(counts=counts)
 
     def test_tight_zone(self):
         assert mono_zone(spec_of(5, 2, [2, 2], 2, 2)) == IntInterval(5, 5)
