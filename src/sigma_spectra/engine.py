@@ -14,16 +14,18 @@ Every edge shape whose classes are all bound is checked as soon as its last
 class is bound, through the exact range solver, failing partial colourings
 as early as possible.
 
-A search context keeps, per spec, only what holds for every k (shape
-verdicts, colour bindings per window of final colour counts); what belongs
-to one k (budget, node count, failure memo) is local to one decision.
+A search context keeps, per spec, only what holds for every k (profile
+ids, shape verdicts, colour bindings per window of final colour counts, the
+class partitions); what belongs to one k (budget, node count, failure memo)
+is local to one decision.  The search runs on profile ids, small ints
+interned per spec: the placed profiles, the shape groups and the failure
+memo hold ids, and only the witness maps them back to profile keys.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .core import Colouring, HypergraphSpec, part_arrangements
 # canonical_colouring is unused here; bench/tracing.py wraps it by this name
@@ -42,19 +44,28 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _partitions(total: int, max_parts: int, max_value: int) -> tuple[tuple[int, ...], ...]:
-    """Non-increasing partitions of ``total``, at most ``max_parts`` parts,
-    entries <= ``max_value``, in lexicographically decreasing order."""
-    if total == 0:
-        return ((),)
-    if max_parts == 0 or max_value == 0:
-        return ()
+def _partitions(q: int, most: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition of ``q`` into at most ``most`` parts, parts
+    non-increasing, in lexicographically decreasing order."""
     out = []
-    for first in range(min(total, max_value), 0, -1):
-        for rest in _partitions(total - first, max_parts - 1, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    parts = [q]
+    while True:
+        out.append(tuple(parts))
+        # the next partition down: lower the last part that can go down by
+        # one while what it and the parts after it held still fits, in parts
+        # of its new size, into the parts left; then refill them greedily
+        rest = 0
+        while True:
+            if not parts:
+                return tuple(out)
+            size = parts[-1] - 1
+            rest += parts.pop()
+            if size and rest <= size * (most - len(parts)):
+                break
+        while rest > size:
+            parts.append(size)
+            rest -= size
+        parts.append(rest)
 
 
 @dataclass(frozen=True)
@@ -110,18 +121,23 @@ class _Search:
     """Exact-k feasibility searches over class profiles, one context per spec.
 
     State lives as long as it stays true.  Per spec, across every k: the
-    part arrangements, the shape verdicts and the colour bindings.  A shape
-    verdict says whether every edge over a group of class profiles plus one
-    new profile sees between alpha and beta colours; those profiles fix the
-    colours an edge sees, whatever k the whole colouring uses, so the
-    verdict holds for every k.  A binding list is cached under the window
-    of final colour counts it was built for, so it too holds for every k.
-    Per :meth:`decide`, as its locals: k, the node budget and count, the
-    failure memo and the per-class colour cap with its partitions.
+    part arrangements, the profile id table, the shape verdicts, the colour
+    bindings and the partitions of q into as many parts as any decision so
+    far allowed a class.  Each profile key is interned to a small int when a
+    binding list first yields it (``_ids`` maps key to id, ``_keys`` id to
+    key), so the search compares and hashes ints, never nested tuples.  A
+    shape verdict says whether every edge over a group of class profiles
+    plus one new profile sees between alpha and beta colours; those
+    profiles fix the colours an edge sees, whatever k the whole colouring
+    uses, so the verdict holds for every k.  A binding list is cached under
+    the window of final colour counts it was built for, so it too holds for
+    every k.  Per :meth:`decide`, as its locals: k, the node budget and
+    count, the failure memo and the per-class colour cap with the partitions
+    it allows.
 
-    Each node receives the placed profiles as a tuple of keys, at most
+    Each node receives the placed profiles as a tuple of ids, at most
     ``s - 1`` copies of each (the most classes an edge shape can share with
-    the future), copies together, keys in first-placement order.  Sorted,
+    the future), copies together, ids in first-placement order.  Sorted,
     it is the failure memo's profile part: whether a prefix can complete
     depends only on it, how many classes remain, the last partition (the
     non-increase rule) and the used-colour count.  Its distinct
@@ -132,8 +148,12 @@ class _Search:
     def __init__(self, spec: HypergraphSpec):
         self.spec = spec
         self.arrangements = part_arrangements(spec.sigma)
-        self._shape_cache: dict[tuple, bool] = {}
+        self._ids: dict[ProfileKey, int] = {}
+        self._keys: list[ProfileKey] = []
+        self._shape_cache: dict[tuple[tuple[int, ...], int], bool] = {}
         self._bindings_cache: dict[tuple, tuple] = {}
+        self._class_partitions: tuple[tuple[int, ...], ...] = ()
+        self._class_partitions_most = 0
 
     def decide(self, k: int, node_budget: int | None) -> KDecision:
         """Decide exactly ``k`` colours; "unknown" when the budget trips."""
@@ -148,15 +168,21 @@ class _Search:
         max_new = min(spec.q, k)
         if spec.sigma.delta_max > spec.beta:
             max_new = min(max_new, spec.beta)
-        partitions = _partitions(spec.q, max_new, spec.q)
+        if max_new > self._class_partitions_most:
+            # widen at least twofold, so the rising caps of a spectrum
+            # rebuild the list about log2(q) times, not once per k
+            most = min(spec.q, max(max_new, 2 * self._class_partitions_most))
+            self._class_partitions = _partitions(spec.q, most)
+            self._class_partitions_most = most
+        partitions = [p for p in self._class_partitions if len(p) <= max_new]
+        shapes = self._shape_cache
         failed: set[tuple] = set()
         nodes = 0
 
         def place(i: int, prev: tuple[int, ...], used: int,
-                  placed: tuple[ProfileKey, ...]
-                  ) -> tuple[ProfileKey, ...] | None:
-            """Profile keys of classes ``i..`` that complete the prefix
-            with exactly k colours, or None when no completion exists."""
+                  placed: tuple[int, ...]) -> tuple[int, ...] | None:
+            """Profile ids of classes ``i..`` that complete the prefix with
+            exactly k colours, or None when no completion exists."""
             nonlocal nodes
             if i == n:
                 return () if used == k else None
@@ -179,54 +205,60 @@ class _Search:
                     if node_budget is not None and nodes > node_budget:
                         raise BudgetExceededError(
                             f"exceeded {node_budget} nodes deciding k={k}")
-                    if not all(self._shape_ok(group, key) for group in groups):
-                        continue
-                    # a copy joins its key's copies, a new key goes last
-                    after = placed
-                    if placed.count(key) < cap:
-                        at = placed.index(key) if key in placed else len(placed)
-                        after = placed[:at] + (key,) + placed[at:]
-                    rest = place(i + 1, partition, new_used, after)
-                    if rest is not None:
-                        return (key,) + rest
+                    for group in groups:
+                        ok = shapes.get((group, key))
+                        if ok is None:
+                            ok = self._solve_shape(group, key)
+                        if not ok:
+                            break
+                    else:
+                        # a copy joins its id's copies, a new id goes last
+                        after = placed
+                        if placed.count(key) < cap:
+                            at = placed.index(key) if key in placed else len(placed)
+                            after = placed[:at] + (key,) + placed[at:]
+                        rest = place(i + 1, partition, new_used, after)
+                        if rest is not None:
+                            return (key,) + rest
             failed.add(state)
             return None
 
         try:
-            keys = place(0, (spec.q + 1,), 0, ())
+            found = place(0, (spec.q + 1,), 0, ())
         except BudgetExceededError:
             return KDecision(k=k, verdict="unknown", witness=None, nodes=nodes)
         except RecursionError as exc:  # the search recurses once per class
             raise InstanceTooLargeError(
                 f"n={n} classes exceed the engine search's recursion depth"
             ) from exc
-        witness = None if keys is None else Colouring(classes=tuple(
-            tuple(c for c, m in key for _ in range(m)) for key in keys
+        witness = None if found is None else Colouring(classes=tuple(
+            tuple(c for c, m in self._keys[i] for _ in range(m)) for i in found
         ))
-        return KDecision(k=k, verdict="infeasible" if keys is None else "feasible",
+        return KDecision(k=k, verdict="infeasible" if found is None else "feasible",
                          witness=witness, nodes=nodes)
 
-    def _shape_ok(self, group: tuple[ProfileKey, ...], key: ProfileKey) -> bool:
+    def _solve_shape(self, group: tuple[int, ...], key: int) -> bool:
         """Whether every edge over classes with the profiles of ``group``
-        (sorted) and one of ``key`` sees alpha..beta colours; cached per
-        spec."""
-        verdict = self._shape_cache.get((group, key))
-        if verdict is None:
-            spec = self.spec
-            verdict = True
-            shape_keys = group + (key,)
-            for parts in self.arrangements:
-                lo, hi = range_of_keys(shape_keys, parts)
-                if lo < spec.alpha or hi > spec.beta:
-                    verdict = False
-                    break
-            self._shape_cache[(group, key)] = verdict
+        (sorted ids) and one of ``key`` sees alpha..beta colours; solved
+        once per spec and cached."""
+        spec = self.spec
+        keys = self._keys
+        # the group's profile keys in key order, so the range solver sees
+        # one form of a shape whatever order its ids were interned in
+        shape_keys = tuple(sorted(keys[g] for g in group)) + (keys[key],)
+        verdict = True
+        for parts in self.arrangements:
+            lo, hi = range_of_keys(shape_keys, parts)
+            if lo < spec.alpha or hi > spec.beta:
+                verdict = False
+                break
+        self._shape_cache[(group, key)] = verdict
         return verdict
 
     def _bindings(self, partition: tuple[int, ...], used: int, lo: int, hi: int
-                  ) -> tuple[tuple[ProfileKey, int], ...]:
+                  ) -> tuple[tuple[int, int], ...]:
         """The canonical colour bindings of ``partition`` after ``used``
-        colours that end with ``lo..hi`` colours, as (profile key, new used
+        colours that end with ``lo..hi`` colours, as (profile id, new used
         count); cached per window, since they depend on nothing else.
 
         Parts with equal size form groups; each group takes a set of old
@@ -240,12 +272,17 @@ class _Search:
             return cached
         groups = [(size, len(list(grp)))
                   for size, grp in itertools.groupby(partition)]
-        out: list[tuple[ProfileKey, int]] = []
+        ids, keys = self._ids, self._keys
+        out: list[tuple[int, int]] = []
 
         def assign(gi: int, available: tuple[int, ...], fresh: int,
                    pairs: tuple[tuple[int, int], ...]) -> None:
             if gi == len(groups):
-                out.append((tuple(sorted(pairs)), used + fresh))
+                key = tuple(sorted(pairs))
+                if key not in ids:
+                    ids[key] = len(keys)
+                    keys.append(key)
+                out.append((ids[key], used + fresh))
                 return
             size, count = groups[gi]
             # t old colours here leave at most used + fresh + (parts left) - t

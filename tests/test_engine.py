@@ -175,6 +175,20 @@ class TestSpectrum:
         assert groups
         assert all(list(group) == sorted(group) for group in groups)
 
+    def test_search_state_is_keyed_on_profile_ids(self):
+        # each profile key is interned once per spec; the shape verdicts,
+        # like the placed profiles, are keyed on its id, never the key
+        spec = spec_of(4, 3, [2, 2, 2], 2, 5)
+        search = _Search(spec)
+        for k in range(1, spec.num_vertices + 1):
+            decide_k(spec, k, _search=search)
+        assert search._shape_cache
+        for group, key in search._shape_cache:
+            assert type(group) is tuple and type(key) is int
+            assert all(type(i) is int for i in group)
+        assert len(set(search._keys)) == len(search._keys)
+        assert search._ids == {key: i for i, key in enumerate(search._keys)}
+
     def test_nodes_recorded_per_k(self):
         res = spectrum(GAP22)
         assert set(res.nodes_explored) == set(range(1, 11))
@@ -207,6 +221,44 @@ def all_bindings(partition, used):
     return out
 
 
+def reference_partitions(q, cap):
+    """The partitions of ``q`` into at most ``cap`` parts, found by brute
+    force over non-increasing tuples and sorted lexicographically
+    decreasing."""
+    found = [c for parts in range(1, cap + 1)
+             for c in itertools.combinations_with_replacement(range(q, 0, -1), parts)
+             if sum(c) == q]
+    return sorted(found, reverse=True)
+
+
+class TestPartitions:
+    def test_capped_partitions_match_reference_in_order(self):
+        for q in range(1, 11):
+            for cap in range(1, q + 2):
+                assert list(_partitions(q, cap)) == reference_partitions(q, cap), (q, cap)
+
+    def test_rising_caps_widen_to_every_partition(self):
+        # each k caps the parts per class at min(q, k); by the last k the
+        # list a spectrum's search keeps holds every partition of q
+        spec = spec_of(2, 8, [1, 1], 2, 2)
+        search = _Search(spec)
+        for k in range(1, spec.num_vertices + 1):
+            search.decide(k, 100)
+        assert search._class_partitions == _partitions(8, 8)
+
+    def test_wide_classes_list_only_the_partitions_they_can_use(self):
+        # with at most two colours per class, 31 of the 966,467 partitions
+        # of 60 can occur: in a lone decision at k=2, and at every k when
+        # delta_max > beta clamps each class to beta = 2 colours
+        lone = _Search(spec_of(2, 60, [1, 1], 2, 2))
+        assert lone.decide(2, 100).verdict == "feasible"
+        clamped = _Search(spec_of(2, 60, [3, 3], 2, 2))
+        for k in range(1, 121):
+            clamped.decide(k, 100)
+        for search in (lone, clamped):
+            assert len(search._class_partitions) == 31
+
+
 class TestBindingWindow:
     """A node builds only the bindings that end inside the colour counts it
     can still complete to, never all of them."""
@@ -214,13 +266,16 @@ class TestBindingWindow:
     def test_window_filters_the_full_list_in_order(self):
         search = _Search(A2)
         for q in range(1, 7):
-            for partition in _partitions(q, q, q):
+            for partition in _partitions(q, q):
                 for used in range(5):
                     full = all_bindings(partition, used)
                     top = used + len(partition)
                     for lo in range(-1, top + 2):
                         for hi in range(lo - 1, top + 2):
-                            assert search._bindings(partition, used, lo, hi) == tuple(
+                            window = search._bindings(partition, used, lo, hi)
+                            assert tuple(
+                                (search._keys[i], new_used) for i, new_used in window
+                            ) == tuple(
                                 b for b in full if lo <= b[1] <= hi
                             ), (partition, used, lo, hi)
 
