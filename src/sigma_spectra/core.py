@@ -194,8 +194,20 @@ def profile_of(colouring: Colouring, class_index: int) -> ClassProfile:
 
 
 def part_arrangements(sigma: Sigma) -> tuple[tuple[int, ...], ...]:
-    """Distinct orderings of sigma's parts (equal parts collapse to one)."""
-    return tuple(sorted(set(itertools.permutations(sigma.parts)), reverse=True))
+    """Distinct orderings of sigma's parts (equal parts collapse to one), in
+    lexicographically decreasing order.
+
+    Each position takes every distinct value still left, largest first, so
+    the cost follows the distinct orderings, not the s! permutations.
+    """
+    def orders(left: Counter[int]) -> Iterator[tuple[int, ...]]:
+        if not left:
+            yield ()
+        for value in sorted(left, reverse=True):
+            for rest in orders(left - Counter([value])):
+                yield (value, *rest)
+
+    return tuple(orders(Counter(sigma.parts)))
 
 
 def edge_shapes(

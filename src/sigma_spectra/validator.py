@@ -6,8 +6,11 @@ from each.  Within one class, picking ``a`` vertices can touch a colour set
 touched matters, never how the count splits beyond feasibility.  The solver
 walks the classes once, tracking only the part of the running colour union
 that future classes can still see, so results memoise well across the many
-shapes sharing profile data.  Colours are renamed densely and kept as bits
-of an integer mask.  One pass gives both range ends, and
+shapes sharing profile data.  A range never depends on what the colours are
+called, so the cache keys a shape by its colour columns (which slots hold
+each colour, how often), not by the names; shapes equal up to a colour
+renaming share one solve.  The solver numbers the columns densely and keeps
+colours as bits of an integer mask.  One pass gives both range ends, and
 ``selection_achieving`` reads its pick off the same solver.
 """
 
@@ -49,23 +52,23 @@ def _normalise(
     profiles: tuple[tuple[tuple[int, int], ...], ...],
     parts: tuple[int, ...],
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Cache key: order shape slots deterministically, rename colours densely.
+    """Cache key: the shape's colour columns and its parts, slot by slot.
 
-    The answer is invariant under permuting (profile, part) slots together
-    and under any global colour renaming, so both are quotiented away before
-    the cache lookup.
+    Slots are ordered by (part, number of colours, profile).  Each colour
+    becomes one column, the flat tuple ``(slot, mult, slot, mult, ...)`` of
+    the slots holding it; the columns are sorted and the names dropped.  A
+    colour renaming keeps every column, so shapes that differ only by one
+    get the same key unless it reorders slots tied on part and colour count.
+    The range is the same either way: it is invariant under any renaming and
+    under permuting (profile, part) slots together.
     """
-    slots = sorted(zip(parts, profiles))
-    rename: dict[int, int] = {}
-    norm_profiles = []
-    for _part, prof in slots:
-        row = []
+    slots = sorted(zip(parts, map(len, profiles), profiles))
+    columns: dict[int, tuple[int, ...]] = {}
+    get = columns.get
+    for j, (_part, _width, prof) in enumerate(slots):
         for colour, mult in prof:
-            if colour not in rename:
-                rename[colour] = len(rename)
-            row.append((rename[colour], mult))
-        norm_profiles.append(tuple(sorted(row)))
-    return tuple(norm_profiles), tuple(p for p, _ in slots)
+            columns[colour] = get(colour, ()) + (j, mult)
+    return tuple(sorted(columns.values())), tuple([slot[0] for slot in slots])
 
 
 @cache
@@ -118,10 +121,17 @@ def _solver(
 
 @lru_cache(maxsize=None)
 def _range_of(
-    norm_profiles: tuple[tuple[tuple[int, int], ...], ...],
+    columns: tuple[tuple[int, ...], ...],
     parts: tuple[int, ...],
 ) -> tuple[int, int]:
-    return _solver(norm_profiles, parts)[0](0, 0)
+    """The range of the shape keyed by :func:`_normalise`; colour ``c`` is
+    the ``c``-th column."""
+    keys: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for c, column in enumerate(columns):
+        pairs = iter(column)
+        for j, mult in zip(pairs, pairs):
+            keys[j].append((c, mult))
+    return _solver(tuple(map(tuple, keys)), parts)[0](0, 0)
 
 
 def range_of_keys(

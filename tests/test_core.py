@@ -17,6 +17,7 @@ from sigma_spectra import (
     colouring_to_json,
     count_edges,
     edge_shapes,
+    part_arrangements,
     profile_of,
 )
 
@@ -95,6 +96,24 @@ class TestEdgeShapes:
         # 4 class triples, 3 inequivalent placements of the 2-part
         assert len(shapes) == 12
         assert len(set(shapes)) == 12
+
+    def test_arrangements_are_the_distinct_permutations_in_decreasing_order(self):
+        # every pattern of equal and unequal parts up to seven parts: a cut
+        # between neighbours raises the value
+        for s in range(1, 8):
+            for cuts in range(1 << (s - 1)):
+                parts = [1 + (cuts & ((1 << i) - 1)).bit_count() for i in range(s)]
+                sigma = build_sigma(parts)
+                expected = tuple(sorted(set(itertools.permutations(sigma.parts)),
+                                        reverse=True))
+                assert part_arrangements(sigma) == expected
+
+    def test_many_equal_parts_arrange_in_few_ways(self):
+        # 14! permutations, 14 distinct orderings
+        arrangements = part_arrangements(build_sigma([2] + [1] * 13))
+        assert len(arrangements) == 14
+        assert arrangements[0] == (2,) + (1,) * 13
+        assert arrangements[-1] == (1,) * 13 + (2,)
 
 
 def literal_edge_count(spec):

@@ -110,6 +110,13 @@ class TestSpectrum:
             assert w.colour_count == k
             assert w.canonical() == w
 
+    def test_many_parts_without_edges_return_at_once(self):
+        # 14 parts, one class: no edges, and no pass over 14! permutations
+        start = time.perf_counter()
+        res = spectrum(spec_of(1, 1, [1] * 14, 2, 2))
+        assert time.perf_counter() - start < 1.0
+        assert res.feasible_k == (1,)
+
     def test_k_max_caps_the_range(self):
         res = spectrum(GAP22, k_max=3)
         assert res.k_max == 3

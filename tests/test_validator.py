@@ -17,6 +17,7 @@ from sigma_spectra import (
     is_valid,
     selection_achieving,
 )
+from sigma_spectra.validator import _range_of, range_of_keys
 
 
 def prof(counts):
@@ -134,6 +135,59 @@ class TestEdgeColourRange:
         a, b = prof({0: 3, 1: 1}), prof({0: 1, 2: 2, 3: 1})
         lo, hi = edge_colour_range([a, b], [2, 3])
         assert 1 <= lo <= hi <= 5
+
+
+@st.composite
+def raw_shapes(draw):
+    """A shape as ``range_of_keys`` takes it: up to three profile keys over
+    colours 0..5 with their parts."""
+    keys, parts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        counts = draw(st.dictionaries(st.integers(0, 5), st.integers(1, 3),
+                                      min_size=1, max_size=4))
+        keys.append(tuple(sorted(counts.items())))
+        parts.append(draw(st.integers(1, sum(counts.values()))))
+    return tuple(keys), tuple(parts)
+
+
+def renamed(keys, names):
+    return tuple(tuple(sorted((names[c], m) for c, m in key)) for key in keys)
+
+
+class TestRangeCacheKey:
+    """The range cache keys a shape by its colour columns, not its names."""
+
+    def test_colour_swap_shares_one_solve(self):
+        _range_of.cache_clear()
+        one = range_of_keys((((0, 3),), ((1, 2), (2, 1))), (1, 1))
+        other = range_of_keys((((0, 3),), ((1, 1), (2, 2))), (1, 1))
+        assert one == other
+        assert _range_of.cache_info().misses == 1
+
+    @given(raw_shapes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_renaming_and_slot_order_keep_the_range(self, shape, data):
+        keys, parts = shape
+        _range_of.cache_clear()  # replays must see the same misses
+        base = range_of_keys(keys, parts)
+        colours = sorted({c for key in keys for c, _ in key})
+        names = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(colours),
+                                   max_size=len(colours), unique=True))
+        misses = _range_of.cache_info().misses
+        # keeping the names' order keeps the slot order: the very same key
+        monotone = renamed(keys, dict(zip(colours, sorted(names))))
+        assert range_of_keys(monotone, parts) == base
+        assert _range_of.cache_info().misses == misses
+        # any renaming keeps every column; only slots tied on part and
+        # colour count may trade places
+        any_names = renamed(keys, dict(zip(colours, names)))
+        assert range_of_keys(any_names, parts) == base
+        slots = [(a, len(key)) for key, a in zip(keys, parts)]
+        if len(set(slots)) == len(slots):
+            assert _range_of.cache_info().misses == misses
+        order = data.draw(st.permutations(range(len(parts))))
+        assert range_of_keys(tuple(any_names[i] for i in order),
+                             tuple(parts[i] for i in order)) == base
 
 
 class TestSelectionAchieving:
