@@ -12,14 +12,18 @@ the search only visits canonical prefixes:
 
 Every edge shape whose classes are all bound is checked as soon as its last
 class is bound, through the exact range solver, failing partial colourings
-as early as possible.
+as early as possible.  A node checks a whole window of bindings against one
+shape group at a time, and keeps the verdicts as the group's pass masks on
+that window: a binding is checked against a group at most once per spec,
+and a node steps only to the bindings that pass every group it has.
 
 A search context keeps, per spec, only what holds for every k (profile
-ids, shape verdicts, colour bindings per window of final colour counts, the
-class partitions); what belongs to one k (budget, node count, failure memo)
-is local to one decision.  The search runs on profile ids, small ints
-interned per spec: the placed profiles, the shape groups and the failure
-memo hold ids, and only the witness maps them back to profile keys.
+ids, shape verdicts, colour bindings per window of final colour counts with
+their pass masks, the class partitions); what belongs to one k (budget,
+node count, failure memo) is local to one decision.  The search runs on
+profile ids, small ints interned per spec: the placed profiles, the shape
+groups and the failure memo hold ids, and only the witness maps them back
+to profile keys.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "decide_k",
     "k_colourable",
     "spectrum",
-    "verify_interval",
 ]
 
 
@@ -71,7 +74,12 @@ def _partitions(q: int, most: int) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class KDecision:
     """Outcome of one exact-k decision.  ``witness`` is in the layout the
-    search placed it, not canonical; ``witness.canonical()`` gives that."""
+    search placed it, not canonical; ``witness.canonical()`` gives that.
+
+    ``nodes`` counts the colour bindings the search tried, in search order,
+    whether or not they passed the shape checks; when the budget trips it
+    is ``node_budget + 1``, the binding that tripped it.
+    """
 
     k: int
     verdict: str  # "feasible" | "infeasible" | "unknown"
@@ -131,9 +139,13 @@ class _Search:
     profiles fix the colours an edge sees, whatever k the whole colouring
     uses, so the verdict holds for every k.  A binding list is cached under
     the window of final colour counts it was built for, so it too holds for
-    every k.  Per :meth:`decide`, as its locals: k, the node budget and
-    count, the failure memo and the per-class colour cap with the partitions
-    it allows.
+    every k.  So do its pass masks: for each shape group checked against a
+    window, ``(known, ok)``, where bit p of ``known`` says binding p was
+    checked against the group and bit p of ``ok`` that it passed.  A node
+    ANDs the masks of its groups, checking only the bindings still in the
+    running that a group has not seen, so a window's bits fill lazily.  Per
+    :meth:`decide`, as its locals: k, the node budget and count, the failure
+    memo and the per-class colour cap with the partitions it allows.
 
     Each node receives the placed profiles as a tuple of ids, at most
     ``s - 1`` copies of each (the most classes an edge shape can share with
@@ -152,6 +164,9 @@ class _Search:
         self._keys: list[ProfileKey] = []
         self._shape_cache: dict[tuple[tuple[int, ...], int], bool] = {}
         self._bindings_cache: dict[tuple, tuple] = {}
+        # window -> (the list _bindings gives for it, a mask with a bit for
+        # each of its bindings, shape group -> (known, ok) pass masks)
+        self._windows: dict[tuple, tuple[tuple, int, dict]] = {}
         self._class_partitions: tuple[tuple[int, ...], ...] = ()
         self._class_partitions_most = 0
 
@@ -176,6 +191,7 @@ class _Search:
             self._class_partitions_most = most
         partitions = [p for p in self._class_partitions if len(p) <= max_new]
         shapes = self._shape_cache
+        windows = self._windows
         failed: set[tuple] = set()
         nodes = 0
 
@@ -190,43 +206,77 @@ class _Search:
             if state in failed:
                 return None
             # first-placement order: the order the groups below are checked in
-            groups = tuple(dict.fromkeys(
-                tuple(sorted(group))
-                for group in itertools.combinations(placed, cap)
-            ))
+            groups = tuple(dict.fromkeys(map(
+                tuple, map(sorted, itertools.combinations(placed, cap)))))
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
+            lo = least if least > used else used
             for partition in partitions:
                 # a binding ends with at most used + len(partition) colours
-                if partition > prev or len(partition) < least - used:
+                top = used + len(partition)
+                if partition > prev or top < least:
                     continue
-                for key, new_used in self._bindings(partition, used, least, k):
-                    nodes += 1
+                # least..k clamped to this partition, as _bindings keys it
+                window = (partition, used, lo, k if k < top else top)
+                entry = windows.get(window)
+                if entry is None:
+                    bindings = self._bindings(partition, used, least, k)
+                    entry = windows[window] = (bindings, (1 << len(bindings)) - 1, {})
+                bindings, live, masks = entry
+                # AND the groups' masks, checking only the bindings still
+                # live that a group has not seen
+                for group in groups:
+                    known, ok = masks.get(group, (0, 0))
+                    fresh = live & ~known
+                    if fresh:
+                        known |= fresh
+                        while fresh:
+                            low = fresh & -fresh
+                            key = bindings[low.bit_length() - 1][0]
+                            verdict = shapes.get((group, key))
+                            if verdict is None:
+                                verdict = self._solve_shape(group, key)
+                            if verdict:
+                                ok |= low
+                            fresh ^= low
+                        masks[group] = (known, ok)
+                    live &= ok
+                    if not live:
+                        break
+                # every binding is a node, passing or not: a step to the
+                # next passing one counts the failing ones it skips
+                last = -1
+                while live:
+                    low = live & -live
+                    pos = low.bit_length() - 1
+                    nodes += pos - last
+                    last = pos
                     if node_budget is not None and nodes > node_budget:
                         raise BudgetExceededError(
                             f"exceeded {node_budget} nodes deciding k={k}")
-                    for group in groups:
-                        ok = shapes.get((group, key))
-                        if ok is None:
-                            ok = self._solve_shape(group, key)
-                        if not ok:
-                            break
-                    else:
-                        # a copy joins its id's copies, a new id goes last
-                        after = placed
-                        if placed.count(key) < cap:
-                            at = placed.index(key) if key in placed else len(placed)
-                            after = placed[:at] + (key,) + placed[at:]
-                        rest = place(i + 1, partition, new_used, after)
-                        if rest is not None:
-                            return (key,) + rest
+                    key, new_used = bindings[pos]
+                    # a copy joins its id's copies, a new id goes last
+                    after = placed
+                    if placed.count(key) < cap:
+                        at = placed.index(key) if key in placed else len(placed)
+                        after = placed[:at] + (key,) + placed[at:]
+                    rest = place(i + 1, partition, new_used, after)
+                    if rest is not None:
+                        return (key,) + rest
+                    live ^= low
+                nodes += len(bindings) - 1 - last
+                if node_budget is not None and nodes > node_budget:
+                    raise BudgetExceededError(
+                        f"exceeded {node_budget} nodes deciding k={k}")
             failed.add(state)
             return None
 
         try:
             found = place(0, (spec.q + 1,), 0, ())
         except BudgetExceededError:
-            return KDecision(k=k, verdict="unknown", witness=None, nodes=nodes)
+            # the count may have stepped past the binding that tripped it
+            return KDecision(k=k, verdict="unknown", witness=None,
+                             nodes=node_budget + 1)
         except RecursionError as exc:  # the search recurses once per class
             raise InstanceTooLargeError(
                 f"n={n} classes exceed the engine search's recursion depth"
@@ -245,7 +295,7 @@ class _Search:
         keys = self._keys
         # the group's profile keys in key order, so the range solver sees
         # one form of a shape whatever order its ids were interned in
-        shape_keys = tuple(sorted(keys[g] for g in group)) + (keys[key],)
+        shape_keys = tuple(sorted(map(keys.__getitem__, group))) + (keys[key],)
         verdict = True
         for parts in self.arrangements:
             lo, hi = range_of_keys(shape_keys, parts)
@@ -277,27 +327,29 @@ class _Search:
 
         def assign(gi: int, available: tuple[int, ...], fresh: int,
                    pairs: tuple[tuple[int, int], ...]) -> None:
-            if gi == len(groups):
-                key = tuple(sorted(pairs))
-                if key not in ids:
-                    ids[key] = len(keys)
-                    keys.append(key)
-                out.append((ids[key], used + fresh))
-                return
             size, count = groups[gi]
+            final = gi == len(groups) - 1
             # t old colours here leave at most used + fresh + (parts left) - t
             # colours at the end, every later part taking a fresh one
             most_old = used + fresh + len(partition) - len(pairs) - lo
             for t in range(min(count, len(available), most_old), -1, -1):
-                new_here = count - t
-                if used + fresh + new_here > hi:
+                ends = used + fresh + count - t
+                if ends > hi:
                     break
-                first_new = used + fresh
-                new_pairs = tuple((first_new + j, size) for j in range(new_here))
+                new_pairs = tuple(zip(range(used + fresh, ends),
+                                      itertools.repeat(size)))
                 for olds in itertools.combinations(available, t):
-                    rest = tuple(c for c in available if c not in olds)
-                    assign(gi + 1, rest, fresh + new_here,
-                           pairs + tuple((c, size) for c in olds) + new_pairs)
+                    here = pairs + tuple(zip(olds, itertools.repeat(size))) + new_pairs
+                    if not final:
+                        assign(gi + 1, tuple(c for c in available if c not in olds),
+                               ends - used, here)
+                        continue
+                    key = tuple(sorted(here))
+                    pid = ids.get(key)
+                    if pid is None:
+                        pid = ids[key] = len(keys)
+                        keys.append(key)
+                    out.append((pid, ends))
 
         assign(0, tuple(range(used)), 0, ())
         cached = self._bindings_cache[window] = tuple(out)
@@ -390,16 +442,3 @@ def spectrum(
         nodes_explored={d.k: d.nodes for d in decisions},
     )
 
-
-def verify_interval(
-    spec: HypergraphSpec,
-    interval: IntInterval,
-    node_budget: int | None = None,
-) -> bool:
-    """True iff every k in ``interval`` admits a valid k-colouring.
-
-    Vacuously true for an empty interval.
-    """
-    return all(
-        k_colourable(spec, k, node_budget) is not None for k in interval
-    )

@@ -21,7 +21,6 @@ from sigma_spectra import (
     k_colourable,
     mono_zone,
     spectrum,
-    verify_interval,
 )
 from sigma_spectra.engine import _Search, _partitions
 from sigma_spectra.formulas import gap_instance_params
@@ -308,19 +307,58 @@ class TestBindingWindow:
         assert res.feasible_k == tuple(range(2, 25)) and res.complete
 
 
-class TestVerifyInterval:
-    def test_empty_interval_vacuous(self):
-        assert verify_interval(A2, IntInterval.empty())
+class TestBudgetAccounting:
+    """A node steps over the bindings that fail its shape groups in one go,
+    yet counts each of them: a budget trips on exactly the binding it would
+    trip on one by one, and the count stops there."""
 
-    def test_full_spectrum_interval(self):
-        spec = spec_of(4, 3, [2, 2], 2, 3)
-        res = spectrum(spec)
-        assert verify_interval(
-            spec, IntInterval(res.chi, res.chi_bar)
-        )
+    def assert_budgets(self, spec, k, budgets):
+        """``budgets`` maps the unbudgeted node count to the budgets tried."""
+        whole = decide_k(spec, k)
+        for budget in budgets(whole.nodes):
+            d = decide_k(spec, k, budget)
+            assert d.nodes == min(whole.nodes, budget + 1), (k, budget)
+            assert (d.verdict == "unknown") == (whole.nodes > budget), (k, budget)
+            if d.verdict != "unknown":
+                assert (d.verdict, d.witness) == (whole.verdict, whole.witness)
 
-    def test_interval_with_gap_fails(self):
-        assert not verify_interval(GAP22, IntInterval(2, 5))
+    def test_gap22_every_budget_at_every_k(self):
+        for k in range(1, GAP22.num_vertices + 1):
+            self.assert_budgets(GAP22, k, lambda total: range(total + 2))
+
+    def test_appendix_k4_budgets(self):
+        spec = spec_of(7, 6, [6, 6], 3, 3)
+        self.assert_budgets(spec, 4, lambda total: [
+            0, 1, 2, 5, 17, 123, 1_001, 9_999, 77_777, total - 1, total])
+
+
+class TestPassMasks:
+    """The pass masks a search keeps hold only verdicts it checked, each one
+    the shape verdict of its binding, and grow with the instance only."""
+
+    @pytest.mark.parametrize("spec,node_budget", [
+        (GAP22, None), (A2, None), (spec_of(4, 3, [2, 2, 2], 2, 5), None),
+        (spec_of(4, 3, [2, 2, 2], 2, 5), 40),
+    ])
+    def test_masks_agree_with_the_shape_verdicts(self, spec, node_budget):
+        search = _Search(spec)
+        for k in range(1, spec.num_vertices + 1):
+            decide_k(spec, k, node_budget, _search=search)
+        assert search._windows
+        groups = set()
+        rows = 0
+        for window, (bindings, full, masks) in search._windows.items():
+            assert bindings is search._bindings_cache[window]
+            assert full == (1 << len(bindings)) - 1
+            for group, (known, ok) in masks.items():
+                assert ok & ~known == 0 and known & ~full == 0, (window, group)
+                for pos, (key, _) in enumerate(bindings):
+                    if known >> pos & 1:
+                        assert search._shape_cache[(group, key)] == bool(ok >> pos & 1)
+            groups |= set(masks)
+            rows += len(masks)
+        assert groups <= {group for group, _ in search._shape_cache}
+        assert rows <= len(search._windows) * len(groups)
 
 
 class TestStructuralLaws:
