@@ -15,15 +15,18 @@ class is bound, through the exact range solver, failing partial colourings
 as early as possible.  A node checks a whole window of bindings against one
 shape group at a time, and keeps the verdicts as the group's pass masks on
 that window: a binding is checked against a group at most once per spec,
-and a node steps only to the bindings that pass every group it has.
+and a node steps only to the bindings that pass every group it has.  The
+edge condition counts distinct colours only, so a verdict is keyed on the
+shape up to a colour renaming: the group's colour columns and the new
+profile's place in them.  The range solver runs once per such key.
 
 A search context keeps, per spec, only what holds for every k (profile
-ids, shape verdicts, colour bindings per window of final colour counts with
-their pass masks, the class partitions); what belongs to one k (budget,
-node count, failure memo) is local to one decision.  The search runs on
-profile ids, small ints interned per spec: the placed profiles, the shape
-groups and the failure memo hold ids, and only the witness maps them back
-to profile keys.
+ids, shape groups with their colour columns, shape verdicts, colour
+bindings per window of final colour counts with their pass masks, the
+class partitions); what belongs to one k (budget, node count, failure memo)
+is local to one decision.  The search runs on profile ids, small ints
+interned per spec: the placed profiles, the shape groups and the failure
+memo hold ids, and only the witness maps them back to profile keys.
 """
 
 from __future__ import annotations
@@ -129,15 +132,20 @@ class _Search:
     """Exact-k feasibility searches over class profiles, one context per spec.
 
     State lives as long as it stays true.  Per spec, across every k: the
-    part arrangements, the profile id table, the shape verdicts, the colour
-    bindings and the partitions of q into as many parts as any decision so
-    far allowed a class.  Each profile key is interned to a small int when a
-    binding list first yields it (``_ids`` maps key to id, ``_keys`` id to
-    key), so the search compares and hashes ints, never nested tuples.  A
-    shape verdict says whether every edge over a group of class profiles
-    plus one new profile sees between alpha and beta colours; those
-    profiles fix the colours an edge sees, whatever k the whole colouring
-    uses, so the verdict holds for every k.  A binding list is cached under
+    part arrangements, the profile id table, the shape groups, the group
+    sig ids, the shape verdicts, the colour bindings and the partitions of
+    q into as many parts as any decision so far allowed a class.  Each
+    profile key is interned to a small int when a binding list first yields
+    it (``_ids`` maps key to id, ``_keys`` id to key), so the search
+    compares and hashes ints, never nested tuples.  A shape verdict says
+    whether every edge over a group of class profiles plus one new profile
+    sees between alpha and beta colours; those profiles fix the colours an
+    edge sees, whatever k the whole colouring uses, so the verdict holds for
+    every k.  ``_groups`` keeps, per group met, its profile keys, colour
+    columns and sig id, the id ``_sigs`` interns for its sorted columns;
+    ``_verdicts[sig]`` maps a relation (how the new profile's colours sit in
+    the group's columns, see :meth:`_passing`) to the verdict, so shapes
+    equal up to a colour renaming share one.  A binding list is cached under
     the window of final colour counts it was built for, so it too holds for
     every k.  So do its pass masks: for each shape group checked against a
     window, ``(known, ok)``, where bit p of ``known`` says binding p was
@@ -162,7 +170,11 @@ class _Search:
         self.arrangements = part_arrangements(spec.sigma)
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
-        self._shape_cache: dict[tuple[tuple[int, ...], int], bool] = {}
+        # shape group -> _group's (profile keys, colour columns, sig id)
+        self._groups: dict[tuple[int, ...], tuple] = {}
+        # sorted colour columns -> sig id; sig id -> relation -> verdict
+        self._sigs: dict[tuple[tuple[int, ...], ...], int] = {}
+        self._verdicts: list[dict[tuple, bool]] = []
         self._bindings_cache: dict[tuple, tuple] = {}
         # window -> (the list _bindings gives for it, a mask with a bit for
         # each of its bindings, shape group -> (known, ok) pass masks)
@@ -190,7 +202,6 @@ class _Search:
             self._class_partitions = _partitions(spec.q, most)
             self._class_partitions_most = most
         partitions = [p for p in self._class_partitions if len(p) <= max_new]
-        shapes = self._shape_cache
         windows = self._windows
         failed: set[tuple] = set()
         nodes = 0
@@ -229,17 +240,8 @@ class _Search:
                     known, ok = masks.get(group, (0, 0))
                     fresh = live & ~known
                     if fresh:
-                        known |= fresh
-                        while fresh:
-                            low = fresh & -fresh
-                            key = bindings[low.bit_length() - 1][0]
-                            verdict = shapes.get((group, key))
-                            if verdict is None:
-                                verdict = self._solve_shape(group, key)
-                            if verdict:
-                                ok |= low
-                            fresh ^= low
-                        masks[group] = (known, ok)
+                        ok |= self._passing(group, bindings, fresh)
+                        masks[group] = (known | fresh, ok)
                     live &= ok
                     if not live:
                         break
@@ -287,23 +289,65 @@ class _Search:
         return KDecision(k=k, verdict="infeasible" if found is None else "feasible",
                          witness=witness, nodes=nodes)
 
-    def _solve_shape(self, group: tuple[int, ...], key: int) -> bool:
-        """Whether every edge over classes with the profiles of ``group``
-        (sorted ids) and one of ``key`` sees alpha..beta colours; solved
-        once per spec and cached."""
+    def _group(self, group: tuple[int, ...]
+               ) -> tuple[tuple[ProfileKey, ...], dict[int, tuple[int, ...]], int]:
+        """The shape data of ``group`` (sorted ids), built once per spec:
+        its profile keys in key order (slot j holds the j-th), each colour's
+        column ``(slot, mult, slot, mult, ...)``, and the interned id of its
+        sorted columns, which fix the group up to a colour renaming."""
+        # key order, so a group has one slot order whatever order its ids
+        # were interned in
+        shape_keys = tuple(sorted(map(self._keys.__getitem__, group)))
+        cols: dict[int, tuple[int, ...]] = {}
+        for slot, key in enumerate(shape_keys):
+            for c, m in key:
+                cols[c] = cols.get(c, ()) + (slot, m)
+        columns = tuple(sorted(cols.values()))
+        sig = self._sigs.get(columns)
+        if sig is None:
+            sig = self._sigs[columns] = len(self._verdicts)
+            self._verdicts.append({})
+        info = self._groups[group] = (shape_keys, cols, sig)
+        return info
+
+    def _passing(self, group: tuple[int, ...], bindings: tuple, fresh: int
+                 ) -> int:
+        """The bits of ``fresh`` whose bindings pass against ``group``
+        (sorted ids): every edge over the group's classes and the binding's
+        class sees alpha..beta colours.
+
+        A verdict is solved once per spec for each (group sig id, relation),
+        the relation pairing each colour of the new profile with its column
+        in the group (empty when new to it) and its multiplicity.  Equal
+        keys give a colour renaming that carries one shape onto the other,
+        group slot j to slot j and new class to new class; arrangements
+        hand out parts by slot, so the verdicts are equal.
+        """
+        shape_keys, cols, sig = self._groups.get(group) or self._group(group)
+        get, table, keys = cols.get, self._verdicts[sig], self._keys
+        ok = 0
+        while fresh:
+            low = fresh & -fresh
+            key = bindings[low.bit_length() - 1][0]
+            relation = tuple(sorted([(get(c, ()), m) for c, m in keys[key]]))
+            verdict = table.get(relation)
+            if verdict is None:
+                verdict = table[relation] = self._solve_shape(shape_keys, key)
+            if verdict:
+                ok |= low
+            fresh ^= low
+        return ok
+
+    def _solve_shape(self, shape_keys: tuple[ProfileKey, ...], key: int) -> bool:
+        """Whether every edge over classes with the profiles ``shape_keys``
+        and one of ``key`` sees alpha..beta colours."""
         spec = self.spec
-        keys = self._keys
-        # the group's profile keys in key order, so the range solver sees
-        # one form of a shape whatever order its ids were interned in
-        shape_keys = tuple(sorted(map(keys.__getitem__, group))) + (keys[key],)
-        verdict = True
+        shape = shape_keys + (self._keys[key],)
         for parts in self.arrangements:
-            lo, hi = range_of_keys(shape_keys, parts)
+            lo, hi = range_of_keys(shape, parts)
             if lo < spec.alpha or hi > spec.beta:
-                verdict = False
-                break
-        self._shape_cache[(group, key)] = verdict
-        return verdict
+                return False
+        return True
 
     def _bindings(self, partition: tuple[int, ...], used: int, lo: int, hi: int
                   ) -> tuple[tuple[int, int], ...]:

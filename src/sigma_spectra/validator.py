@@ -141,6 +141,10 @@ def range_of_keys(
     """Range over raw profile keys ((colour, mult) tuples); no validation.
 
     Shared fast path for the validator and the engine; one pass, both ends.
+    Each call normalises its shape before the cache lookup, hits included.
+    The engine calls it only on a miss of its own verdict cache, keyed per
+    spec on the shape up to a colour renaming; the validator, once per edge
+    shape of a colouring.
     """
     return _range_of(*_normalise(profile_keys, parts))
 

@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigma_spectra import (
     BudgetExceededError,
@@ -24,6 +25,7 @@ from sigma_spectra import (
 )
 from sigma_spectra.engine import _Search, _partitions
 from sigma_spectra.formulas import gap_instance_params
+from sigma_spectra.validator import range_of_keys
 from sigma_spectra.verification import gap_cells, nogap_grid
 
 
@@ -172,26 +174,36 @@ class TestSpectrum:
 
     def test_shape_groups_stored_sorted(self):
         # a group kept in placement order gives the same verdicts and
-        # nodes, but solves one shape again under each of its orders
+        # nodes, but builds its columns again under each of its orders
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
         search = _Search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
-        groups = [group for group, _ in search._shape_cache]
-        assert groups
-        assert all(list(group) == sorted(group) for group in groups)
+        assert search._groups
+        for group, (shape_keys, _cols, _sig) in search._groups.items():
+            assert list(group) == sorted(group)
+            # slot j holds the j-th profile key in key order
+            assert shape_keys == tuple(sorted(search._keys[i] for i in group))
 
     def test_search_state_is_keyed_on_profile_ids(self):
-        # each profile key is interned once per spec; the shape verdicts,
-        # like the placed profiles, are keyed on its id, never the key
+        # each profile key is interned once per spec; the shape groups, like
+        # the placed profiles, are keyed on its id, never the key, and each
+        # group's sorted colour columns on an interned sig id
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
         search = _Search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
-        assert search._shape_cache
-        for group, key in search._shape_cache:
-            assert type(group) is tuple and type(key) is int
-            assert all(type(i) is int for i in group)
+        assert search._groups
+        for group, (shape_keys, cols, sig) in search._groups.items():
+            assert type(group) is tuple and all(type(i) is int for i in group)
+            assert type(sig) is int
+            assert search._sigs[tuple(sorted(cols.values()))] == sig
+            columns = {}
+            for slot, key in enumerate(shape_keys):
+                for c, m in key:
+                    columns.setdefault(c, []).extend((slot, m))
+            assert cols == {c: tuple(column) for c, column in columns.items()}
+        assert sorted(search._sigs.values()) == list(range(len(search._verdicts)))
         assert len(set(search._keys)) == len(search._keys)
         assert search._ids == {key: i for i, key in enumerate(search._keys)}
 
@@ -332,9 +344,18 @@ class TestBudgetAccounting:
             0, 1, 2, 5, 17, 123, 1_001, 9_999, 77_777, total - 1, total])
 
 
+def direct_verdict(spec, shape_keys):
+    """Whether every edge over classes with these profile keys sees alpha..beta
+    colours, from ``range_of_keys`` over every ordering of sigma's parts."""
+    return all(
+        spec.alpha <= lo and hi <= spec.beta
+        for lo, hi in (range_of_keys(tuple(shape_keys), parts)
+                       for parts in set(itertools.permutations(spec.sigma.parts))))
+
+
 class TestPassMasks:
     """The pass masks a search keeps hold only verdicts it checked, each one
-    the shape verdict of its binding, and grow with the instance only."""
+    the direct verdict of its shape, and grow with the instance only."""
 
     @pytest.mark.parametrize("spec,node_budget", [
         (GAP22, None), (A2, None), (spec_of(4, 3, [2, 2, 2], 2, 5), None),
@@ -345,6 +366,7 @@ class TestPassMasks:
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, node_budget, _search=search)
         assert search._windows
+        keys = search._keys
         groups = set()
         rows = 0
         for window, (bindings, full, masks) in search._windows.items():
@@ -354,11 +376,100 @@ class TestPassMasks:
                 assert ok & ~known == 0 and known & ~full == 0, (window, group)
                 for pos, (key, _) in enumerate(bindings):
                     if known >> pos & 1:
-                        assert search._shape_cache[(group, key)] == bool(ok >> pos & 1)
+                        shape = [keys[i] for i in group] + [keys[key]]
+                        assert direct_verdict(spec, shape) == bool(ok >> pos & 1), (
+                            window, group, key)
             groups |= set(masks)
             rows += len(masks)
-        assert groups <= {group for group, _ in search._shape_cache}
+        assert groups == set(search._groups)
         assert rows <= len(search._windows) * len(groups)
+
+
+def engine_verdict(search, group_keys, new_key):
+    """The search's verdict on the shape of ``group_keys`` plus ``new_key``,
+    read through its verdict cache as a node's mask fill reads it."""
+    for key in (*group_keys, new_key):
+        if key not in search._ids:
+            search._ids[key] = len(search._keys)
+            search._keys.append(key)
+    group = tuple(sorted(search._ids[key] for key in group_keys))
+    return search._passing(group, ((search._ids[new_key], 0),), 1) == 1
+
+
+def small_profiles(q, colours):
+    """Every profile key of a q-vertex class over colours 0..colours-1."""
+    return sorted({tuple(sorted(Counter(cls).items()))
+                   for cls in itertools.product(range(colours), repeat=q)})
+
+
+class TestVerdictKey:
+    """A shape verdict is cached per spec under the group's sig id and the
+    new profile's relation to its colour columns: two shapes with equal keys
+    must have equal direct verdicts, whichever the search met first."""
+
+    def assert_shapes_get_direct_verdicts(self, spec, shapes):
+        search = _Search(spec)
+        for group_keys, new_key in shapes:
+            direct = direct_verdict(spec, group_keys + (new_key,))
+            assert engine_verdict(search, group_keys, new_key) == direct, (
+                group_keys, new_key)
+        return search
+
+    def assert_pair_told_apart(self, spec, first, second):
+        assert (direct_verdict(spec, first[0] + (first[1],))
+                != direct_verdict(spec, second[0] + (second[1],)))
+        self.assert_shapes_get_direct_verdicts(spec, [first, second])
+        self.assert_shapes_get_direct_verdicts(spec, [second, first])
+
+    def test_multiplicity_is_in_the_key(self):
+        # the new profiles hold colours 0 and 1 each, in the same group
+        # columns, with their multiplicities swapped: ranges [2, 2] and [1, 2]
+        spec = spec_of(3, 3, [2, 2], 2, 2)
+        group = (((0, 1), (1, 2)),)
+        self.assert_pair_told_apart(
+            spec, (group, ((0, 2), (1, 1))), (group, ((0, 1), (1, 2))))
+
+    def test_group_columns_are_in_the_key(self):
+        # the new profile is one fresh colour in both, so the relations are
+        # equal and only the group columns differ: ranges [2, 2] and [2, 3]
+        spec = spec_of(3, 3, [2, 1], 2, 2)
+        self.assert_pair_told_apart(
+            spec, ((((0, 3),),), ((1, 3),)), ((((0, 1), (1, 2)),), ((2, 3),)))
+
+    @pytest.mark.parametrize("parts,q,alpha,beta", [
+        ([2, 2], 3, 2, 2), ([2, 1], 3, 2, 2), ([2, 2, 2], 3, 2, 3),
+        ([3, 2], 3, 2, 3),
+    ])
+    def test_every_small_shape_gets_its_direct_verdict(self, parts, q, alpha, beta):
+        # every group and new profile over four colours, through one search:
+        # a shape whose key an earlier one shares gets the cached verdict
+        spec = spec_of(3, q, parts, alpha, beta)
+        profiles = small_profiles(q, 4)
+        shapes = list(itertools.product(itertools.combinations_with_replacement(
+            profiles, spec.sigma.s - 1), profiles))
+        search = self.assert_shapes_get_direct_verdicts(spec, shapes)
+        # most shapes were answered from the cache, not solved
+        assert sum(map(len, search._verdicts)) * 4 < len(shapes)
+
+    @pytest.mark.parametrize("parts,q,alpha,beta", [
+        ([2, 2], 3, 2, 2), ([2, 1], 3, 2, 2), ([2, 2], 4, 2, 3),
+        ([2, 2, 2], 4, 2, 3), ([3, 2, 1], 4, 3, 4),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shapes_sharing_a_key_share_the_direct_verdict(
+            self, parts, q, alpha, beta, data):
+        # every pairing of a few groups with a few new profiles, over five
+        # colours, in any order, through one search
+        spec = spec_of(3, q, parts, alpha, beta)
+        profile = st.lists(st.integers(0, 4), min_size=q, max_size=q).map(
+            lambda cls: tuple(sorted(Counter(cls).items())))
+        group = st.lists(profile, min_size=len(parts) - 1,
+                         max_size=len(parts) - 1).map(tuple)
+        shapes = data.draw(st.permutations(list(itertools.product(
+            data.draw(st.lists(group, min_size=1, max_size=4)),
+            data.draw(st.lists(profile, min_size=1, max_size=6))))))
+        self.assert_shapes_get_direct_verdicts(spec, shapes)
 
 
 class TestStructuralLaws:
