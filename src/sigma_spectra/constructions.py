@@ -26,7 +26,6 @@ __all__ = [
     "layered_colouring",
     "beta_colouring",
     "recolour_whole_class",
-    "recolour_merge_two_unique",
     "split_to_fixed",
     "spectrum_walk",
     "spectrum_walk_steps",
@@ -219,24 +218,6 @@ def _check_private(colouring: Colouring, class_index: int,
             raise InfeasibleError(
                 f"colour {colour} must appear in class {class_index} and nowhere else"
             )
-
-
-def recolour_merge_two_unique(
-    colouring: Colouring, class_index: int, x: int, y: int
-) -> Colouring:
-    """Merge two colours private to one class into a single fresh colour.
-
-    Drops the colour count by exactly one.  Only class ``class_index``
-    changes; the result is not canonicalised.
-    """
-    if x == y:
-        raise InfeasibleError("x and y must be two different colours")
-    _check_private(colouring, class_index, (x, y))
-    z = _fresh_colour(colouring)
-    new_class = tuple(
-        z if c in (x, y) else c for c in colouring.classes[class_index]
-    )
-    return _replace_class(colouring, class_index, new_class)
 
 
 def split_to_fixed(

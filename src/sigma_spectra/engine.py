@@ -21,16 +21,18 @@ shape up to a colour renaming: the group's colour columns and the new
 profile's place in them.  The range solver runs once per such key.
 
 A search context keeps, per spec, only what holds for every k (profile
-ids, shape groups with their colour columns, shape verdicts, colour
-bindings per window of final colour counts with their pass masks, the
-class partitions); what belongs to one k (budget, node count, failure memo)
-is local to one decision.  The search runs on profile ids, small ints
-interned per spec: the placed profiles, the shape groups and the failure
-memo hold ids, and only the witness maps them back to profile keys.
+ids, shape groups with their colour columns, a verdict table per set of
+columns, colour bindings per window of final colour counts with their pass
+masks, the class partitions); what belongs to one k (budget, node count,
+failure memo) is local to one decision.  The search runs on profile ids,
+small ints interned per spec: the placed profiles, the shape groups and
+the failure memo hold sorted ids, and only the witness maps them back to
+profile keys.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -132,37 +134,36 @@ class _Search:
     """Exact-k feasibility searches over class profiles, one context per spec.
 
     State lives as long as it stays true.  Per spec, across every k: the
-    part arrangements, the profile id table, the shape groups, the group
-    sig ids, the shape verdicts, the colour bindings and the partitions of
-    q into as many parts as any decision so far allowed a class.  Each
-    profile key is interned to a small int when a binding list first yields
-    it (``_ids`` maps key to id, ``_keys`` id to key), so the search
-    compares and hashes ints, never nested tuples.  A shape verdict says
-    whether every edge over a group of class profiles plus one new profile
-    sees between alpha and beta colours; those profiles fix the colours an
-    edge sees, whatever k the whole colouring uses, so the verdict holds for
-    every k.  ``_groups`` keeps, per group met, its profile keys, colour
-    columns and sig id, the id ``_sigs`` interns for its sorted columns;
-    ``_verdicts[sig]`` maps a relation (how the new profile's colours sit in
-    the group's columns, see :meth:`_passing`) to the verdict, so shapes
-    equal up to a colour renaming share one.  A binding list is cached under
-    the window of final colour counts it was built for, so it too holds for
-    every k.  So do its pass masks: for each shape group checked against a
-    window, ``(known, ok)``, where bit p of ``known`` says binding p was
-    checked against the group and bit p of ``ok`` that it passed.  A node
-    ANDs the masks of its groups, checking only the bindings still in the
-    running that a group has not seen, so a window's bits fill lazily.  Per
+    part arrangements, the profile id table, the shape groups, the verdict
+    tables, the windows of colour bindings and the partitions of q into as
+    many parts as any decision so far allowed a class.  Each profile key is
+    interned to a small int when a binding list first yields it (``_ids``
+    maps key to id, ``_keys`` id to key), so the search compares and hashes
+    ints, never nested tuples.  A shape verdict says whether every edge over
+    a group of class profiles plus one new profile sees between alpha and
+    beta colours; those profiles fix the colours an edge sees, whatever k
+    the whole colouring uses, so the verdict holds for every k.  ``_groups``
+    keeps, per group met, its profile keys, colour columns and verdict
+    table, the one ``_verdicts`` holds for its sorted columns: it maps a
+    relation (how the new profile's colours sit in the group's columns, see
+    :meth:`_passing`) to the verdict, so shapes equal up to a colour
+    renaming share one.  ``_windows`` holds the binding list of each window
+    of final colour counts a node met, so it too holds for every k, and
+    its pass masks: for each shape group checked against the window,
+    ``(known, ok)``, where bit p of ``known`` says binding p was checked
+    against the group and bit p of ``ok`` that it passed.  A node ANDs the
+    masks of its groups, checking only the bindings still in the running
+    that a group has not seen, so a window's bits fill lazily.  Per
     :meth:`decide`, as its locals: k, the node budget and count, the failure
     memo and the per-class colour cap with the partitions it allows.
 
-    Each node receives the placed profiles as a tuple of ids, at most
-    ``s - 1`` copies of each (the most classes an edge shape can share with
-    the future), copies together, ids in first-placement order.  Sorted,
-    it is the failure memo's profile part: whether a prefix can complete
-    depends only on it, how many classes remain, the last partition (the
-    non-increase rule) and the used-colour count.  Its distinct
-    ``s - 1``-element groups, each sorted, are the shapes every child must
-    pass with its new profile.
+    Each node receives the placed profiles as a sorted tuple of ids, at
+    most ``s - 1`` copies of each (the most classes an edge shape can share
+    with the future).  It is the failure memo's profile part: whether a
+    prefix can complete depends only on it, how many classes remain, the
+    last partition (the non-increase rule) and the used-colour count.  Its
+    distinct ``s - 1``-element groups, sorted as it is, are the shapes
+    every child must pass with its new profile.
     """
 
     def __init__(self, spec: HypergraphSpec):
@@ -170,14 +171,12 @@ class _Search:
         self.arrangements = part_arrangements(spec.sigma)
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
-        # shape group -> _group's (profile keys, colour columns, sig id)
+        # shape group -> _group's (profile keys, colour columns, verdicts)
         self._groups: dict[tuple[int, ...], tuple] = {}
-        # sorted colour columns -> sig id; sig id -> relation -> verdict
-        self._sigs: dict[tuple[tuple[int, ...], ...], int] = {}
-        self._verdicts: list[dict[tuple, bool]] = []
-        self._bindings_cache: dict[tuple, tuple] = {}
-        # window -> (the list _bindings gives for it, a mask with a bit for
-        # each of its bindings, shape group -> (known, ok) pass masks)
+        # sorted colour columns -> relation -> verdict
+        self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
+        # clamped window -> (its bindings, a mask with a bit for each of
+        # them, shape group -> (known, ok) pass masks)
         self._windows: dict[tuple, tuple[tuple, int, dict]] = {}
         self._class_partitions: tuple[tuple[int, ...], ...] = ()
         self._class_partitions_most = 0
@@ -213,12 +212,11 @@ class _Search:
             nonlocal nodes
             if i == n:
                 return () if used == k else None
-            state = (i, prev, used, tuple(sorted(placed)))
+            state = (i, prev, used, placed)
             if state in failed:
                 return None
-            # first-placement order: the order the groups below are checked in
-            groups = tuple(dict.fromkeys(map(
-                tuple, map(sorted, itertools.combinations(placed, cap)))))
+            # combinations of a sorted tuple come out sorted
+            groups = tuple(dict.fromkeys(itertools.combinations(placed, cap)))
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
@@ -227,11 +225,11 @@ class _Search:
                 top = used + len(partition)
                 if partition > prev or top < least:
                     continue
-                # least..k clamped to this partition, as _bindings keys it
+                # least..k clamped to the counts this partition can reach
                 window = (partition, used, lo, k if k < top else top)
                 entry = windows.get(window)
                 if entry is None:
-                    bindings = self._bindings(partition, used, least, k)
+                    bindings = self._bindings(*window)
                     entry = windows[window] = (bindings, (1 << len(bindings)) - 1, {})
                 bindings, live, masks = entry
                 # AND the groups' masks, checking only the bindings still
@@ -257,10 +255,10 @@ class _Search:
                         raise BudgetExceededError(
                             f"exceeded {node_budget} nodes deciding k={k}")
                     key, new_used = bindings[pos]
-                    # a copy joins its id's copies, a new id goes last
+                    # the id joins at its sorted place, up to cap copies
                     after = placed
                     if placed.count(key) < cap:
-                        at = placed.index(key) if key in placed else len(placed)
+                        at = bisect.bisect(placed, key)
                         after = placed[:at] + (key,) + placed[at:]
                     rest = place(i + 1, partition, new_used, after)
                     if rest is not None:
@@ -290,11 +288,11 @@ class _Search:
                          witness=witness, nodes=nodes)
 
     def _group(self, group: tuple[int, ...]
-               ) -> tuple[tuple[ProfileKey, ...], dict[int, tuple[int, ...]], int]:
+               ) -> tuple[tuple[ProfileKey, ...], dict[int, tuple[int, ...]], dict]:
         """The shape data of ``group`` (sorted ids), built once per spec:
         its profile keys in key order (slot j holds the j-th), each colour's
-        column ``(slot, mult, slot, mult, ...)``, and the interned id of its
-        sorted columns, which fix the group up to a colour renaming."""
+        column ``(slot, mult, slot, mult, ...)``, and the verdict table of
+        its sorted columns, which fix the group up to a colour renaming."""
         # key order, so a group has one slot order whatever order its ids
         # were interned in
         shape_keys = tuple(sorted(map(self._keys.__getitem__, group)))
@@ -302,12 +300,8 @@ class _Search:
         for slot, key in enumerate(shape_keys):
             for c, m in key:
                 cols[c] = cols.get(c, ()) + (slot, m)
-        columns = tuple(sorted(cols.values()))
-        sig = self._sigs.get(columns)
-        if sig is None:
-            sig = self._sigs[columns] = len(self._verdicts)
-            self._verdicts.append({})
-        info = self._groups[group] = (shape_keys, cols, sig)
+        table = self._verdicts.setdefault(tuple(sorted(cols.values())), {})
+        info = self._groups[group] = (shape_keys, cols, table)
         return info
 
     def _passing(self, group: tuple[int, ...], bindings: tuple, fresh: int
@@ -316,15 +310,16 @@ class _Search:
         (sorted ids): every edge over the group's classes and the binding's
         class sees alpha..beta colours.
 
-        A verdict is solved once per spec for each (group sig id, relation),
-        the relation pairing each colour of the new profile with its column
-        in the group (empty when new to it) and its multiplicity.  Equal
-        keys give a colour renaming that carries one shape onto the other,
-        group slot j to slot j and new class to new class; arrangements
-        hand out parts by slot, so the verdicts are equal.
+        A verdict is solved once per spec for each (sorted group columns,
+        relation), the relation pairing each colour of the new profile with
+        its column in the group (empty when new to it) and its multiplicity.
+        Equal keys give a colour renaming that carries one shape onto the
+        other, group slot j to slot j and new class to new class;
+        arrangements hand out parts by slot, so the verdicts are equal.  A
+        verdict is False at the first arrangement an edge fails.
         """
-        shape_keys, cols, sig = self._groups.get(group) or self._group(group)
-        get, table, keys = cols.get, self._verdicts[sig], self._keys
+        shape_keys, cols, table = self._groups.get(group) or self._group(group)
+        get, keys, spec = cols.get, self._keys, self.spec
         ok = 0
         while fresh:
             low = fresh & -fresh
@@ -332,38 +327,26 @@ class _Search:
             relation = tuple(sorted([(get(c, ()), m) for c, m in keys[key]]))
             verdict = table.get(relation)
             if verdict is None:
-                verdict = table[relation] = self._solve_shape(shape_keys, key)
+                shape = shape_keys + (keys[key],)
+                verdict = table[relation] = all(
+                    spec.alpha <= lo and hi <= spec.beta
+                    for lo, hi in (range_of_keys(shape, parts)
+                                   for parts in self.arrangements))
             if verdict:
                 ok |= low
             fresh ^= low
         return ok
 
-    def _solve_shape(self, shape_keys: tuple[ProfileKey, ...], key: int) -> bool:
-        """Whether every edge over classes with the profiles ``shape_keys``
-        and one of ``key`` sees alpha..beta colours."""
-        spec = self.spec
-        shape = shape_keys + (self._keys[key],)
-        for parts in self.arrangements:
-            lo, hi = range_of_keys(shape, parts)
-            if lo < spec.alpha or hi > spec.beta:
-                return False
-        return True
-
     def _bindings(self, partition: tuple[int, ...], used: int, lo: int, hi: int
                   ) -> tuple[tuple[int, int], ...]:
         """The canonical colour bindings of ``partition`` after ``used``
         colours that end with ``lo..hi`` colours, as (profile id, new used
-        count); cached per window, since they depend on nothing else.
+        count), in generation order.
 
         Parts with equal size form groups; each group takes a set of old
         colours plus fresh ones, fresh identifiers running consecutively,
         larger sizes first.
         """
-        # a binding ends with between used and used + len(partition) colours
-        window = (partition, used, max(lo, used), min(hi, used + len(partition)))
-        cached = self._bindings_cache.get(window)
-        if cached is not None:
-            return cached
         groups = [(size, len(list(grp)))
                   for size, grp in itertools.groupby(partition)]
         ids, keys = self._ids, self._keys
@@ -396,8 +379,7 @@ class _Search:
                     out.append((pid, ends))
 
         assign(0, tuple(range(used)), 0, ())
-        cached = self._bindings_cache[window] = tuple(out)
-        return cached
+        return tuple(out)
 
 
 def _trivial_colouring(spec: HypergraphSpec, k: int) -> Colouring:

@@ -18,9 +18,9 @@ from sigma_spectra import (
     decide_k,
     is_valid,
     k_colourable,
-    recolour_merge_two_unique,
     recolour_whole_class,
     spectrum,
+    split_to_fixed,
 )
 from sigma_spectra.verification import (
     suite_appendix,
@@ -230,7 +230,7 @@ def test_criterion_9_recolouring_preserves_validity():
             if mergeable and rng.random() < 0.5:
                 i = rng.choice(sorted(mergeable))
                 x, y = rng.sample(mergeable[i], 2)
-                current = recolour_merge_two_unique(current, i, x, y)
+                current = split_to_fixed(current, i, x, y)
             else:
                 current = recolour_whole_class(current, rng.randrange(current.n))
             applications += 1

@@ -20,7 +20,6 @@ from sigma_spectra import (
     mono_distribution,
     mono_zone,
     mono_zone_lower_bound,
-    recolour_merge_two_unique,
     recolour_whole_class,
     spectrum,
     spectrum_walk,
@@ -216,18 +215,6 @@ class TestRecolourOps:
         out = recolour_whole_class(shared, 0)
         assert out.colour_count == shared.colour_count + 1
 
-    def test_merge_drops_exactly_one(self):
-        c = Colouring(classes=((1, 2, 3), (1, 4, 4), (1, 5, 5), (1, 1, 1)))
-        out = recolour_merge_two_unique(c, 0, 2, 3)
-        assert out.colour_count == c.colour_count - 1
-
-    def test_merge_preconditions(self):
-        c = Colouring(classes=((1, 2, 3), (1, 4, 4), (3, 5, 5), (1, 1, 1)))
-        with pytest.raises(InfeasibleError):
-            recolour_merge_two_unique(c, 0, 2, 3)  # 3 occurs elsewhere
-        with pytest.raises(InfeasibleError):
-            recolour_merge_two_unique(c, 0, 2, 2)  # x == y
-
     def test_split_requires_private_colours(self):
         c = Colouring(classes=((1, 2, 3), (1, 4, 4)))
         with pytest.raises(InfeasibleError):
@@ -273,7 +260,7 @@ class TestRecolourOps:
                 if privates and rng.random() < 0.5:
                     i = rng.choice(sorted(privates))
                     x, y = rng.sample(privates[i], 2)
-                    current = recolour_merge_two_unique(current, i, x, y)
+                    current = split_to_fixed(current, i, x, y)
                 else:
                     i = rng.randrange(current.n)
                     current = recolour_whole_class(current, i)

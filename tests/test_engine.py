@@ -180,7 +180,7 @@ class TestSpectrum:
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
-        for group, (shape_keys, _cols, _sig) in search._groups.items():
+        for group, (shape_keys, _cols, _table) in search._groups.items():
             assert list(group) == sorted(group)
             # slot j holds the j-th profile key in key order
             assert shape_keys == tuple(sorted(search._keys[i] for i in group))
@@ -188,22 +188,24 @@ class TestSpectrum:
     def test_search_state_is_keyed_on_profile_ids(self):
         # each profile key is interned once per spec; the shape groups, like
         # the placed profiles, are keyed on its id, never the key, and each
-        # group's sorted colour columns on an interned sig id
+        # group holds the one verdict table of its sorted colour columns
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
         search = _Search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
-        for group, (shape_keys, cols, sig) in search._groups.items():
+        tables = set()
+        for group, (shape_keys, cols, table) in search._groups.items():
             assert type(group) is tuple and all(type(i) is int for i in group)
-            assert type(sig) is int
-            assert search._sigs[tuple(sorted(cols.values()))] == sig
+            assert table is search._verdicts[tuple(sorted(cols.values()))]
+            tables.add(id(table))
             columns = {}
             for slot, key in enumerate(shape_keys):
                 for c, m in key:
                     columns.setdefault(c, []).extend((slot, m))
             assert cols == {c: tuple(column) for c, column in columns.items()}
-        assert sorted(search._sigs.values()) == list(range(len(search._verdicts)))
+        # no table is orphaned: each belongs to some group
+        assert tables == set(map(id, search._verdicts.values()))
         assert len(set(search._keys)) == len(search._keys)
         assert search._ids == {key: i for i, key in enumerate(search._keys)}
 
@@ -304,10 +306,11 @@ class TestBindingWindow:
         search = _Search(spec)
         nodes = sum(search.decide(k, 100).nodes
                     for k in range(1, spec.num_vertices + 1))
-        assert sum(map(len, search._bindings_cache.values())) <= nodes
+        bindings = [entry[0] for entry in search._windows.values()]
+        assert sum(map(len, bindings)) <= nodes
         # a partition too short to reach the window is skipped before it
         # gets a bindings call
-        assert all(search._bindings_cache.values())
+        assert all(bindings)
 
     def test_wide_classes_spectrum_is_quick(self):
         # 48 nodes; the count above cannot see bindings built and then
@@ -370,7 +373,7 @@ class TestPassMasks:
         groups = set()
         rows = 0
         for window, (bindings, full, masks) in search._windows.items():
-            assert bindings is search._bindings_cache[window]
+            assert bindings == search._bindings(*window)
             assert full == (1 << len(bindings)) - 1
             for group, (known, ok) in masks.items():
                 assert ok & ~known == 0 and known & ~full == 0, (window, group)
@@ -403,8 +406,8 @@ def small_profiles(q, colours):
 
 
 class TestVerdictKey:
-    """A shape verdict is cached per spec under the group's sig id and the
-    new profile's relation to its colour columns: two shapes with equal keys
+    """A shape verdict is cached per spec under the group's sorted colour
+    columns and the new profile's relation to them: two shapes with equal keys
     must have equal direct verdicts, whichever the search met first."""
 
     def assert_shapes_get_direct_verdicts(self, spec, shapes):
@@ -449,7 +452,7 @@ class TestVerdictKey:
             profiles, spec.sigma.s - 1), profiles))
         search = self.assert_shapes_get_direct_verdicts(spec, shapes)
         # most shapes were answered from the cache, not solved
-        assert sum(map(len, search._verdicts)) * 4 < len(shapes)
+        assert sum(map(len, search._verdicts.values())) * 4 < len(shapes)
 
     @pytest.mark.parametrize("parts,q,alpha,beta", [
         ([2, 2], 3, 2, 2), ([2, 1], 3, 2, 2), ([2, 2], 4, 2, 3),

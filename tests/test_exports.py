@@ -25,8 +25,10 @@ EXPORTED = {
     "uncolourable_condition", "verify_interval", "zone_only_condition",
 }
 # earlier exports deleted on purpose: verify_interval had no caller in the
-# library, the CLI, the demos or the benchmark
-DROPPED = {"verify_interval"}
+# library, the CLI, the demos or the benchmark; recolour_merge_two_unique
+# had no library caller and is split_to_fixed up to renaming its target
+# to a fresh colour
+DROPPED = {"verify_interval", "recolour_merge_two_unique"}
 
 
 def test_all_is_the_modules_all_in_order():
