@@ -21,13 +21,15 @@ shape up to a colour renaming: the group's colour columns and the new
 profile's place in them.  The range solver runs once per such key.
 
 A search context keeps, per spec, only what holds for every k (profile
-ids, shape groups with their colour columns, a verdict table per set of
-columns, colour bindings per window of final colour counts with their pass
-masks, the class partitions); what belongs to one k (budget, node count,
-failure memo) is local to one decision.  The search runs on profile ids,
-small ints interned per spec: the placed profiles, the shape groups and
-the failure memo hold sorted ids, and only the witness maps them back to
-profile keys.
+ids, column ids, shape groups with their profile keys, column offsets and
+verdict table, a verdict table per set of columns, colour bindings per
+window of final colour counts with their pass masks, the class
+partitions); what belongs to one k (budget, node count, failure memo) is
+local to one decision.  The search runs on profile ids, small ints
+interned per spec: the placed profiles, the shape groups and the failure
+memo hold sorted ids, and only the witness maps them back to profile keys.
+A relation is a sorted tuple of ints, and the failure memo holds the
+index of the last class's partition.
 """
 
 from __future__ import annotations
@@ -134,18 +136,20 @@ class _Search:
     """Exact-k feasibility searches over class profiles, one context per spec.
 
     State lives as long as it stays true.  Per spec, across every k: the
-    part arrangements, the profile id table, the shape groups, the verdict
-    tables, the windows of colour bindings and the partitions of q into as
-    many parts as any decision so far allowed a class.  Each profile key is
-    interned to a small int when a binding list first yields it (``_ids``
-    maps key to id, ``_keys`` id to key), so the search compares and hashes
-    ints, never nested tuples.  A shape verdict says whether every edge over
-    a group of class profiles plus one new profile sees between alpha and
-    beta colours; those profiles fix the colours an edge sees, whatever k
-    the whole colouring uses, so the verdict holds for every k.  ``_groups``
-    keeps, per group met, its profile keys, colour columns and verdict
-    table, the one ``_verdicts`` holds for its sorted columns: it maps a
-    relation (how the new profile's colours sit in the group's columns, see
+    part arrangements, the profile and column id tables, the shape groups,
+    the verdict tables, the windows of colour bindings and the partitions
+    of q into as many parts as any decision so far allowed a class.  Each
+    profile key is interned to a small int when a binding list first
+    yields it (``_ids`` maps key to id, ``_keys`` id to key), so the search
+    compares and hashes ints, never nested tuples.  A shape verdict says
+    whether every edge over a group of class profiles plus one new profile
+    sees between alpha and beta colours; those profiles fix the colours an
+    edge sees, whatever k the whole colouring uses, so the verdict holds
+    for every k.  ``_groups`` keeps, per group met, its profile keys, an
+    int offset per colour (its column's id in ``_colids`` times ``q + 1``,
+    see :meth:`_group`) and its verdict table, the one ``_verdicts`` holds
+    for its sorted columns: it maps a relation (how the new profile's
+    colours sit in the group's columns, as sorted ints, see
     :meth:`_passing`) to the verdict, so shapes equal up to a colour
     renaming share one.  ``_windows`` holds the binding list of each window
     of final colour counts a node met, so it too holds for every k, and
@@ -161,7 +165,10 @@ class _Search:
     most ``s - 1`` copies of each (the most classes an edge shape can share
     with the future).  It is the failure memo's profile part: whether a
     prefix can complete depends only on it, how many classes remain, the
-    last partition (the non-increase rule) and the used-colour count.  Its
+    last partition (the non-increase rule) and the used-colour count.  The
+    memo holds that partition as its index in the decision's partitions,
+    which run in decreasing order, so a child scans from that index on; a
+    parent tests the memo before it calls a child and fills it after.  Its
     distinct ``s - 1``-element groups, sorted as it is, are the shapes
     every child must pass with its new profile.
     """
@@ -171,9 +178,11 @@ class _Search:
         self.arrangements = part_arrangements(spec.sigma)
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
-        # shape group -> _group's (profile keys, colour columns, verdicts)
+        # colour column -> small int, () (a colour the group lacks) -> 0
+        self._colids: dict[tuple[int, ...], int] = {(): 0}
+        # shape group -> _group's (profile keys, column offsets, verdicts)
         self._groups: dict[tuple[int, ...], tuple] = {}
-        # sorted colour columns -> relation -> verdict
+        # sorted colour columns -> relation (sorted ints) -> verdict
         self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
         # clamped window -> (its bindings, a mask with a bit for each of
         # them, shape group -> (known, ok) pass masks)
@@ -205,25 +214,26 @@ class _Search:
         failed: set[tuple] = set()
         nodes = 0
 
-        def place(i: int, prev: tuple[int, ...], used: int,
+        def place(i: int, j: int, used: int,
                   placed: tuple[int, ...]) -> tuple[int, ...] | None:
             """Profile ids of classes ``i..`` that complete the prefix with
-            exactly k colours, or None when no completion exists."""
+            exactly k colours, or None when no completion exists; the class
+            takes ``partitions[j]`` or a later one.  The caller tests the
+            failure memo first and fills it on None."""
             nonlocal nodes
-            if i == n:
-                return () if used == k else None
-            state = (i, prev, used, placed)
-            if state in failed:
-                return None
+            final = i == n - 1
             # combinations of a sorted tuple come out sorted
             groups = tuple(dict.fromkeys(itertools.combinations(placed, cap)))
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
-            for partition in partitions:
+            # partitions run in decreasing order, so scanning from j keeps
+            # the class partitions non-increasing
+            for j in range(j, len(partitions)):
+                partition = partitions[j]
                 # a binding ends with at most used + len(partition) colours
                 top = used + len(partition)
-                if partition > prev or top < least:
+                if top < least:
                     continue
                 # least..k clamped to the counts this partition can reach
                 window = (partition, used, lo, k if k < top else top)
@@ -255,24 +265,30 @@ class _Search:
                         raise BudgetExceededError(
                             f"exceeded {node_budget} nodes deciding k={k}")
                     key, new_used = bindings[pos]
+                    # the last class's window is (partition, used, k, k):
+                    # every binding in it ends with exactly k colours
+                    if final:
+                        return (key,)
                     # the id joins at its sorted place, up to cap copies
                     after = placed
                     if placed.count(key) < cap:
                         at = bisect.bisect(placed, key)
                         after = placed[:at] + (key,) + placed[at:]
-                    rest = place(i + 1, partition, new_used, after)
-                    if rest is not None:
-                        return (key,) + rest
+                    state = (i + 1, j, new_used, after)
+                    if state not in failed:
+                        rest = place(i + 1, j, new_used, after)
+                        if rest is not None:
+                            return (key,) + rest
+                        failed.add(state)
                     live ^= low
                 nodes += len(bindings) - 1 - last
                 if node_budget is not None and nodes > node_budget:
                     raise BudgetExceededError(
                         f"exceeded {node_budget} nodes deciding k={k}")
-            failed.add(state)
             return None
 
         try:
-            found = place(0, (spec.q + 1,), 0, ())
+            found = place(0, 0, 0, ())
         except BudgetExceededError:
             # the count may have stepped past the binding that tripped it
             return KDecision(k=k, verdict="unknown", witness=None,
@@ -288,11 +304,18 @@ class _Search:
                          witness=witness, nodes=nodes)
 
     def _group(self, group: tuple[int, ...]
-               ) -> tuple[tuple[ProfileKey, ...], dict[int, tuple[int, ...]], dict]:
+               ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:
         """The shape data of ``group`` (sorted ids), built once per spec:
         its profile keys in key order (slot j holds the j-th), each colour's
-        column ``(slot, mult, slot, mult, ...)``, and the verdict table of
-        its sorted columns, which fix the group up to a colour renaming."""
+        column offset, and the verdict table of its sorted columns, which
+        fix the group up to a colour renaming.
+
+        A colour's column is ``(slot, mult, slot, mult, ...)`` over the
+        group's slots that hold it.  Its offset ``base[c]`` is the column's
+        id (``_colids``, per spec, ``()`` for a colour the group lacks)
+        times ``q + 1``, so ``base[c] + m`` for a multiplicity 1 <= m <= q
+        names (column, m) by one int, distinct for distinct pairs (a width
+        of q would do too, m being at least 1; q - 1 would not)."""
         # key order, so a group has one slot order whatever order its ids
         # were interned in
         shape_keys = tuple(sorted(map(self._keys.__getitem__, group)))
@@ -300,8 +323,13 @@ class _Search:
         for slot, key in enumerate(shape_keys):
             for c, m in key:
                 cols[c] = cols.get(c, ()) + (slot, m)
+        colids, width = self._colids, self.spec.q + 1
+        # colours run below k <= n*q, so the list covers every binding's
+        base = [0] * self.spec.num_vertices
+        for c, column in cols.items():
+            base[c] = colids.setdefault(column, len(colids)) * width
         table = self._verdicts.setdefault(tuple(sorted(cols.values())), {})
-        info = self._groups[group] = (shape_keys, cols, table)
+        info = self._groups[group] = (shape_keys, base, table)
         return info
 
     def _passing(self, group: tuple[int, ...], bindings: tuple, fresh: int
@@ -311,20 +339,23 @@ class _Search:
         class sees alpha..beta colours.
 
         A verdict is solved once per spec for each (sorted group columns,
-        relation), the relation pairing each colour of the new profile with
-        its column in the group (empty when new to it) and its multiplicity.
-        Equal keys give a colour renaming that carries one shape onto the
-        other, group slot j to slot j and new class to new class;
+        relation).  The relation is the sorted ints ``base[c] + m`` over the
+        colours c of the new profile with multiplicity m (see
+        :meth:`_group`): it pairs each colour with its column in the group
+        (empty when new to it) and its multiplicity, and column ids are
+        injective per spec, so two relations are equal exactly when those
+        pairs are.  Equal keys give a colour renaming that carries one shape
+        onto the other, group slot j to slot j and new class to new class;
         arrangements hand out parts by slot, so the verdicts are equal.  A
         verdict is False at the first arrangement an edge fails.
         """
-        shape_keys, cols, table = self._groups.get(group) or self._group(group)
-        get, keys, spec = cols.get, self._keys, self.spec
+        shape_keys, base, table = self._groups.get(group) or self._group(group)
+        keys, spec = self._keys, self.spec
         ok = 0
         while fresh:
             low = fresh & -fresh
             key = bindings[low.bit_length() - 1][0]
-            relation = tuple(sorted([(get(c, ()), m) for c, m in keys[key]]))
+            relation = tuple(sorted([base[c] + m for c, m in keys[key]]))
             verdict = table.get(relation)
             if verdict is None:
                 shape = shape_keys + (keys[key],)

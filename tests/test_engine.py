@@ -180,7 +180,7 @@ class TestSpectrum:
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
-        for group, (shape_keys, _cols, _table) in search._groups.items():
+        for group, (shape_keys, _base, _table) in search._groups.items():
             assert list(group) == sorted(group)
             # slot j holds the j-th profile key in key order
             assert shape_keys == tuple(sorted(search._keys[i] for i in group))
@@ -188,24 +188,31 @@ class TestSpectrum:
     def test_search_state_is_keyed_on_profile_ids(self):
         # each profile key is interned once per spec; the shape groups, like
         # the placed profiles, are keyed on its id, never the key, and each
-        # group holds the one verdict table of its sorted colour columns
+        # group holds the one verdict table of its sorted colour columns and
+        # an offset per colour: its column's id times q + 1, else 0
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
         search = _Search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
         tables = set()
-        for group, (shape_keys, cols, table) in search._groups.items():
+        for group, (shape_keys, base, table) in search._groups.items():
             assert type(group) is tuple and all(type(i) is int for i in group)
-            assert table is search._verdicts[tuple(sorted(cols.values()))]
-            tables.add(id(table))
             columns = {}
             for slot, key in enumerate(shape_keys):
                 for c, m in key:
                     columns.setdefault(c, []).extend((slot, m))
-            assert cols == {c: tuple(column) for c, column in columns.items()}
+            cols = {c: tuple(column) for c, column in columns.items()}
+            assert table is search._verdicts[tuple(sorted(cols.values()))]
+            tables.add(id(table))
+            assert base == [
+                search._colids[cols[c]] * (spec.q + 1) if c in cols else 0
+                for c in range(spec.num_vertices)]
         # no table is orphaned: each belongs to some group
         assert tables == set(map(id, search._verdicts.values()))
+        # column ids are injective, with 0 for the empty column only
+        assert search._colids[()] == 0
+        assert sorted(search._colids.values()) == list(range(len(search._colids)))
         assert len(set(search._keys)) == len(search._keys)
         assert search._ids == {key: i for i, key in enumerate(search._keys)}
 
