@@ -258,7 +258,9 @@ def count_edges(spec: HypergraphSpec) -> int:
 # multiplicity stay together as one new cell.  Every map consistent with
 # the refined cells gives the same tuple, so no colour order is ever chosen.
 # The only branching is over which class comes next among those with the
-# least tuple; classes with equal content give equal branches.
+# least tuple.  Classes with equal content give equal branches, and so do
+# tied private classes, whose colours no other class (a copy included)
+# holds: they trade places, colours and all, by a symmetry fixing the rest.
 
 
 def _place(
@@ -294,6 +296,8 @@ def canonical_colouring(colouring: Colouring) -> Colouring:
     colour permutation, a class permutation, or within-class reordering.
     """
     counts = {cls: Counter(cls) for cls in colouring.classes}
+    holders = Counter(c for cls in colouring.classes for c in set(cls))
+    private = {cls for cls in counts if all(holders[c] == 1 for c in cls)}
     best: tuple[tuple[int, ...], ...] = ()
 
     def extend(remaining: tuple[tuple[int, ...], ...],
@@ -306,8 +310,10 @@ def canonical_colouring(colouring: Colouring) -> Colouring:
             return
         options = {cls: _place(counts[cls], cells) for cls in set(remaining)}
         least = min(key for key, _ in options.values())
+        tied_private = False
         for cls, (key, refined) in options.items():
-            if key == least:
+            if key == least and not (cls in private and tied_private):
+                tied_private |= cls in private
                 i = remaining.index(cls)
                 extend(remaining[:i] + remaining[i + 1:], refined,
                        prefix + (key,))

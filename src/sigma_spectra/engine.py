@@ -20,16 +20,12 @@ edge condition counts distinct colours only, so a verdict is keyed on the
 shape up to a colour renaming: the group's colour columns and the new
 profile's place in them.  The range solver runs once per such key.
 
-A search context keeps, per spec, only what holds for every k (profile
-ids, column ids, shape groups with their profile keys, column offsets and
-verdict table, a verdict table per set of columns, colour bindings per
-window of final colour counts with their pass masks, the class
-partitions); what belongs to one k (budget, node count, failure memo) is
+A search context (:class:`_Search`) keeps, per spec, only what holds for
+every k, sized by the profiles and shapes the search met, never by the
+n*q vertices; what belongs to one k (budget, node count, failure memo) is
 local to one decision.  The search runs on profile ids, small ints
 interned per spec: the placed profiles, the shape groups and the failure
 memo hold sorted ids, and only the witness maps them back to profile keys.
-A relation is a sorted tuple of ints, and the failure memo holds the
-index of the last class's partition.
 """
 
 from __future__ import annotations
@@ -84,8 +80,8 @@ class KDecision:
     search placed it, not canonical; ``witness.canonical()`` gives that.
 
     ``nodes`` counts the colour bindings the search tried, in search order,
-    whether or not they passed the shape checks; when the budget trips it
-    is ``node_budget + 1``, the binding that tripped it.
+    whether or not they passed the shape checks; once the count passes the
+    budget it reads ``node_budget + 1``, wherever the search stopped.
     """
 
     k: int
@@ -136,30 +132,29 @@ class _Search:
     """Exact-k feasibility searches over class profiles, one context per spec.
 
     State lives as long as it stays true.  Per spec, across every k: the
-    part arrangements, the profile and column id tables, the shape groups,
-    the verdict tables, the windows of colour bindings and the partitions
-    of q into as many parts as any decision so far allowed a class.  Each
-    profile key is interned to a small int when a binding list first
-    yields it (``_ids`` maps key to id, ``_keys`` id to key), so the search
-    compares and hashes ints, never nested tuples.  A shape verdict says
-    whether every edge over a group of class profiles plus one new profile
-    sees between alpha and beta colours; those profiles fix the colours an
-    edge sees, whatever k the whole colouring uses, so the verdict holds
-    for every k.  ``_groups`` keeps, per group met, its profile keys, an
-    int offset per colour (its column's id in ``_colids`` times ``q + 1``,
-    see :meth:`_group`) and its verdict table, the one ``_verdicts`` holds
-    for its sorted columns: it maps a relation (how the new profile's
-    colours sit in the group's columns, as sorted ints, see
+    part arrangements, the profile id tables, the shape groups, the verdict
+    tables, the windows of colour bindings and the partitions of q into as
+    many parts as any decision so far allowed a class.  Each profile key is
+    interned to a small int when a binding list first yields it (``_ids``
+    maps key to id, ``_keys`` id to key), so the search compares and hashes
+    ints, never nested tuples.  A shape verdict says whether every edge
+    over a group of class profiles plus one new profile sees between alpha
+    and beta colours; those profiles fix the colours an edge sees, whatever
+    k the whole colouring uses, so the verdict holds for every k.
+    ``_groups`` keeps, per group met, its profile keys, its colours'
+    offsets (see :meth:`_group`) and the verdict table ``_verdicts`` holds
+    for its sorted colour columns: it maps a relation (how the new
+    profile's colours sit in those columns, as sorted ints, see
     :meth:`_passing`) to the verdict, so shapes equal up to a colour
-    renaming share one.  ``_windows`` holds the binding list of each window
-    of final colour counts a node met, so it too holds for every k, and
-    its pass masks: for each shape group checked against the window,
-    ``(known, ok)``, where bit p of ``known`` says binding p was checked
-    against the group and bit p of ``ok`` that it passed.  A node ANDs the
-    masks of its groups, checking only the bindings still in the running
-    that a group has not seen, so a window's bits fill lazily.  Per
-    :meth:`decide`, as its locals: k, the node budget and count, the failure
-    memo and the per-class colour cap with the partitions it allows.
+    renaming share one.  ``_windows`` holds, for each window of final
+    colour counts a node met, its binding list and its pass masks: for
+    each shape group checked against the window, ``(known, ok)``, where
+    bit p of ``known`` says binding p was checked against the group and
+    bit p of ``ok`` that it passed.  A node ANDs the masks of its groups,
+    checking only the bindings still in the running that a group has not
+    seen, so a window's bits fill lazily.  Per :meth:`decide`, as its
+    locals: k, the node budget and count, the failure memo and the
+    per-class colour cap with the partitions it allows.
 
     Each node receives the placed profiles as a sorted tuple of ids, at
     most ``s - 1`` copies of each (the most classes an edge shape can share
@@ -178,15 +173,12 @@ class _Search:
         self.arrangements = part_arrangements(spec.sigma)
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
-        # colour column -> small int, () (a colour the group lacks) -> 0
-        self._colids: dict[tuple[int, ...], int] = {(): 0}
-        # shape group -> _group's (profile keys, column offsets, verdicts)
+        # shape group -> _group's (profile keys, colour offsets, verdicts)
         self._groups: dict[tuple[int, ...], tuple] = {}
         # sorted colour columns -> relation (sorted ints) -> verdict
         self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
-        # clamped window -> (its bindings, a mask with a bit for each of
-        # them, shape group -> (known, ok) pass masks)
-        self._windows: dict[tuple, tuple[tuple, int, dict]] = {}
+        # clamped window -> (bindings, shape group -> (known, ok) pass masks)
+        self._windows: dict[tuple, tuple[tuple, dict]] = {}
         self._class_partitions: tuple[tuple[int, ...], ...] = ()
         self._class_partitions_most = 0
 
@@ -219,9 +211,16 @@ class _Search:
             """Profile ids of classes ``i..`` that complete the prefix with
             exactly k colours, or None when no completion exists; the class
             takes ``partitions[j]`` or a later one.  The caller tests the
-            failure memo first and fills it on None."""
+            failure memo first and fills it on None.  The count, which only
+            grows, meets the budget here and when the decision ends."""
             nonlocal nodes
-            final = i == n - 1
+            if node_budget is not None and nodes > node_budget:
+                raise BudgetExceededError(
+                    f"exceeded {node_budget} nodes deciding k={k}")
+            # the last class's window is (partition, used, k, k): every
+            # binding in it ends with exactly k colours
+            if i == n:
+                return ()
             # combinations of a sorted tuple come out sorted
             groups = tuple(dict.fromkeys(itertools.combinations(placed, cap)))
             # the classes after this one add at most max_new colours each
@@ -239,9 +238,9 @@ class _Search:
                 window = (partition, used, lo, k if k < top else top)
                 entry = windows.get(window)
                 if entry is None:
-                    bindings = self._bindings(*window)
-                    entry = windows[window] = (bindings, (1 << len(bindings)) - 1, {})
-                bindings, live, masks = entry
+                    entry = windows[window] = (self._bindings(*window), {})
+                bindings, masks = entry
+                live = (1 << len(bindings)) - 1
                 # AND the groups' masks, checking only the bindings still
                 # live that a group has not seen
                 for group in groups:
@@ -261,14 +260,7 @@ class _Search:
                     pos = low.bit_length() - 1
                     nodes += pos - last
                     last = pos
-                    if node_budget is not None and nodes > node_budget:
-                        raise BudgetExceededError(
-                            f"exceeded {node_budget} nodes deciding k={k}")
                     key, new_used = bindings[pos]
-                    # the last class's window is (partition, used, k, k):
-                    # every binding in it ends with exactly k colours
-                    if final:
-                        return (key,)
                     # the id joins at its sorted place, up to cap copies
                     after = placed
                     if placed.count(key) < cap:
@@ -282,21 +274,19 @@ class _Search:
                         failed.add(state)
                     live ^= low
                 nodes += len(bindings) - 1 - last
-                if node_budget is not None and nodes > node_budget:
-                    raise BudgetExceededError(
-                        f"exceeded {node_budget} nodes deciding k={k}")
             return None
 
         try:
             found = place(0, 0, 0, ())
         except BudgetExceededError:
-            # the count may have stepped past the binding that tripped it
-            return KDecision(k=k, verdict="unknown", witness=None,
-                             nodes=node_budget + 1)
+            found = None  # nodes > node_budget, reported just below
         except RecursionError as exc:  # the search recurses once per class
             raise InstanceTooLargeError(
                 f"n={n} classes exceed the engine search's recursion depth"
             ) from exc
+        if node_budget is not None and nodes > node_budget:
+            return KDecision(k=k, verdict="unknown", witness=None,
+                             nodes=node_budget + 1)
         witness = None if found is None else Colouring(classes=tuple(
             tuple(c for c, m in self._keys[i] for _ in range(m)) for i in found
         ))
@@ -306,16 +296,18 @@ class _Search:
     def _group(self, group: tuple[int, ...]
                ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:
         """The shape data of ``group`` (sorted ids), built once per spec:
-        its profile keys in key order (slot j holds the j-th), each colour's
-        column offset, and the verdict table of its sorted columns, which
-        fix the group up to a colour renaming.
+        its profile keys in key order (slot j holds the j-th), its colours'
+        offsets in a list up to its largest colour, and the verdict table of
+        its sorted columns, which fix the group up to a colour renaming.
 
         A colour's column is ``(slot, mult, slot, mult, ...)`` over the
-        group's slots that hold it.  Its offset ``base[c]`` is the column's
-        id (``_colids``, per spec, ``()`` for a colour the group lacks)
-        times ``q + 1``, so ``base[c] + m`` for a multiplicity 1 <= m <= q
-        names (column, m) by one int, distinct for distinct pairs (a width
-        of q would do too, m being at least 1; q - 1 would not)."""
+        group's slots that hold it.  Its offset ``base[c]`` is ``(rank + 1)
+        * (q + 1)``, rank being the column's place among the sorted columns
+        that key the table, so every group sharing the table gives a column
+        one offset; a colour the group lacks reads 0, inside the list or past
+        its end.  ``base[c] + m`` for a multiplicity 1 <= m <= q names
+        (column, m) by one int, distinct for distinct pairs (a width of q
+        would do too; q - 1 would not)."""
         # key order, so a group has one slot order whatever order its ids
         # were interned in
         shape_keys = tuple(sorted(map(self._keys.__getitem__, group)))
@@ -323,14 +315,13 @@ class _Search:
         for slot, key in enumerate(shape_keys):
             for c, m in key:
                 cols[c] = cols.get(c, ()) + (slot, m)
-        colids, width = self._colids, self.spec.q + 1
-        # colours run below k <= n*q, so the list covers every binding's
-        base = [0] * self.spec.num_vertices
+        columns = tuple(sorted(cols.values()))
+        base = [0] * (max(cols, default=-1) + 1)
         for c, column in cols.items():
-            base[c] = colids.setdefault(column, len(colids)) * width
-        table = self._verdicts.setdefault(tuple(sorted(cols.values())), {})
-        info = self._groups[group] = (shape_keys, base, table)
-        return info
+            # equal columns share the rank of the first of them
+            base[c] = (columns.index(column) + 1) * (self.spec.q + 1)
+        table = self._verdicts.setdefault(columns, {})
+        return self._groups.setdefault(group, (shape_keys, base, table))
 
     def _passing(self, group: tuple[int, ...], bindings: tuple, fresh: int
                  ) -> int:
@@ -339,23 +330,25 @@ class _Search:
         class sees alpha..beta colours.
 
         A verdict is solved once per spec for each (sorted group columns,
-        relation).  The relation is the sorted ints ``base[c] + m`` over the
-        colours c of the new profile with multiplicity m (see
-        :meth:`_group`): it pairs each colour with its column in the group
-        (empty when new to it) and its multiplicity, and column ids are
-        injective per spec, so two relations are equal exactly when those
-        pairs are.  Equal keys give a colour renaming that carries one shape
-        onto the other, group slot j to slot j and new class to new class;
-        arrangements hand out parts by slot, so the verdicts are equal.  A
-        verdict is False at the first arrangement an edge fails.
+        relation).  The relation is the sorted ints ``base[c] + m`` (``m``
+        past the list's end) over the colours c of the new profile with
+        multiplicity m (see :meth:`_group`): it pairs each colour with its
+        column in the group (empty when new to it) and its multiplicity, and
+        within one table offsets are injective in the column, so two
+        relations are equal exactly when those pairs are.  Equal keys give a
+        colour renaming that carries one shape onto the other, group slot j
+        to slot j and new class to new class; arrangements hand out parts by
+        slot, so the verdicts are equal.  A verdict is False at the first
+        arrangement an edge fails.
         """
         shape_keys, base, table = self._groups.get(group) or self._group(group)
         keys, spec = self._keys, self.spec
-        ok = 0
+        ok, size = 0, len(base)
         while fresh:
             low = fresh & -fresh
             key = bindings[low.bit_length() - 1][0]
-            relation = tuple(sorted([base[c] + m for c, m in keys[key]]))
+            relation = tuple(sorted([base[c] + m if c < size else m
+                                     for c, m in keys[key]]))
             verdict = table.get(relation)
             if verdict is None:
                 shape = shape_keys + (keys[key],)
@@ -416,10 +409,10 @@ class _Search:
 def _trivial_colouring(spec: HypergraphSpec, k: int) -> Colouring:
     """A k-colouring of an edgeless instance, in canonical form: colour 0
     on the first ``n*q - k + 1`` vertices, then one vertex per colour."""
-    flat = [max(0, t - (spec.num_vertices - k)) for t in range(spec.num_vertices)]
+    shift = spec.num_vertices - k
     return Colouring(classes=tuple(
-        tuple(flat[i * spec.q : (i + 1) * spec.q]) for i in range(spec.n)
-    ))
+        tuple(max(0, t - shift) for t in range(i * spec.q, (i + 1) * spec.q))
+        for i in range(spec.n)))
 
 
 def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,

@@ -376,6 +376,12 @@ BAD_INPUTS = {
          "--alpha", "2", "--beta", "2", "--kind", "engine", "--k", "2", "--raw"],
         {},
     ),
+    # two billion vertices: the search must not size its state by them
+    "spectrum-too-many-classes": (
+        ["spectrum", "--n", "1000000000", "--r", "4", "--q", "2", "--sigma", "2,2",
+         "--alpha", "2", "--beta", "2", "--k-max", "3"],
+        {},
+    ),
     "engine-k-zero-with-output": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0",
          "--output", "{dir}/report.json"], {},

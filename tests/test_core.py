@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from sigma_spectra import (
     colouring_to_json,
     count_edges,
     edge_shapes,
+    layered_colouring,
     part_arrangements,
     profile_of,
 )
@@ -253,6 +255,17 @@ class TestCanonicalForm:
     ], ids=["layered", "layered-singletons", "paired", "mono"])
     def test_structured_canonical_forms(self, classes, expected):
         assert canonical_colouring(Colouring(classes=classes)).classes == expected
+
+    def test_private_classes_are_not_branched_in_every_order(self):
+        # nine classes, each with its own two colours: tying them in all 9!
+        # orders took seconds, one order of the interchangeable ones does
+        spec = spec_of(9, 4, [1, 1], beta=4)
+        layered = layered_colouring(spec, 18)
+        scrambled = Colouring(classes=tuple(
+            tuple(40 - c for c in cls) for cls in reversed(layered.classes)))
+        start = time.perf_counter()
+        assert canonical_colouring(scrambled) == layered
+        assert time.perf_counter() - start < 0.5
 
 
 class TestColouringJson:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -81,6 +82,19 @@ class TestKColourable:
             k_colourable(deep, 2)
         with pytest.raises(InstanceTooLargeError, match="n=1000"):
             spectrum(deep, k_max=2)
+
+    def test_search_state_is_not_sized_by_the_vertices(self):
+        # two million vertices: the search holds shape groups and profiles,
+        # never a per-vertex table, on its way to the recursion limit
+        spec = spec_of(10**6, 2, [2, 2], 2, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLargeError):
+                spectrum(spec, k_max=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_900_classes_still_decided(self):
         spec = spec_of(900, 2, [2], 2, 2)
@@ -188,14 +202,16 @@ class TestSpectrum:
     def test_search_state_is_keyed_on_profile_ids(self):
         # each profile key is interned once per spec; the shape groups, like
         # the placed profiles, are keyed on its id, never the key, and each
-        # group holds the one verdict table of its sorted colour columns and
-        # an offset per colour: its column's id times q + 1, else 0
+        # group holds the one verdict table of its sorted colour columns and,
+        # in a list up to its largest colour, an offset per colour: (rank of
+        # its column among those sorted columns + 1) times q + 1, else 0
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
         search = _Search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
         tables = set()
+        offsets = {}  # table id -> column -> offset, over every group sharing it
         for group, (shape_keys, base, table) in search._groups.items():
             assert type(group) is tuple and all(type(i) is int for i in group)
             columns = {}
@@ -203,16 +219,22 @@ class TestSpectrum:
                 for c, m in key:
                     columns.setdefault(c, []).extend((slot, m))
             cols = {c: tuple(column) for c, column in columns.items()}
-            assert table is search._verdicts[tuple(sorted(cols.values()))]
+            ranked = tuple(sorted(cols.values()))
+            assert table is search._verdicts[ranked]
             tables.add(id(table))
             assert base == [
-                search._colids[cols[c]] * (spec.q + 1) if c in cols else 0
-                for c in range(spec.num_vertices)]
+                (ranked.index(cols[c]) + 1) * (spec.q + 1) if c in cols else 0
+                for c in range(max(cols, default=-1) + 1)]
+            seen = offsets.setdefault(id(table), {})
+            for c, column in cols.items():
+                assert seen.setdefault(column, base[c]) == base[c], (group, c)
         # no table is orphaned: each belongs to some group
         assert tables == set(map(id, search._verdicts.values()))
-        # column ids are injective, with 0 for the empty column only
-        assert search._colids[()] == 0
-        assert sorted(search._colids.values()) == list(range(len(search._colids)))
+        # within a table the offsets are injective in the column, and none
+        # is the 0 of a colour the group lacks
+        for seen in offsets.values():
+            assert len(set(seen.values())) == len(seen)
+            assert all(v > 0 and v % (spec.q + 1) == 0 for v in seen.values())
         assert len(set(search._keys)) == len(search._keys)
         assert search._ids == {key: i for i, key in enumerate(search._keys)}
 
@@ -331,8 +353,12 @@ class TestBindingWindow:
 
 class TestBudgetAccounting:
     """A node steps over the bindings that fail its shape groups in one go,
-    yet counts each of them: a budget trips on exactly the binding it would
-    trip on one by one, and the count stops there."""
+    yet counts each of them, and the count is checked against the budget
+    when a class is entered and when the decision ends: a budget trips
+    exactly when the whole count passes it, and a tripped count reads
+    ``budget + 1``."""
+
+    APPENDIX = spec_of(7, 6, [6, 6], 3, 3)
 
     def assert_budgets(self, spec, k, budgets):
         """``budgets`` maps the unbudgeted node count to the budgets tried."""
@@ -349,9 +375,29 @@ class TestBudgetAccounting:
             self.assert_budgets(GAP22, k, lambda total: range(total + 2))
 
     def test_appendix_k4_budgets(self):
-        spec = spec_of(7, 6, [6, 6], 3, 3)
-        self.assert_budgets(spec, 4, lambda total: [
+        self.assert_budgets(self.APPENDIX, 4, lambda total: [
             0, 1, 2, 5, 17, 123, 1_001, 9_999, 77_777, total - 1, total])
+
+    def test_a_tripped_search_stops_near_its_budget(self):
+        # the count is compared as each class is entered, so a search past
+        # its budget stops there rather than run its proof out: 25 of the
+        # appendix k=4 proof's 336 (group, window) mask rows at a budget of 50
+        def mask_rows(budget):
+            search = _Search(self.APPENDIX)
+            search.decide(4, budget)
+            return sum(len(masks) for _, masks in search._windows.values())
+        assert mask_rows(50) * 4 < mask_rows(None)
+
+    # a witness returns through the call past the last class, whose entry
+    # check trips a budget crossed on the witness's own binding
+    @pytest.mark.parametrize("spec,k,budgets", [
+        (APPENDIX, 3, lambda total: range(total + 2)),  # 23 nodes
+        (APPENDIX, 8, lambda total: range(total + 2)),  # 44 nodes
+        (spec_of(6, 6, [3, 2], 2, 3), 3, lambda total: [  # 921 nodes
+            0, 1, 2, 5, 17, 123, total - 2, total - 1, total]),
+    ], ids=["appendix-k3", "appendix-k8", "n6-q6-s32-k3"])
+    def test_feasible_budgets(self, spec, k, budgets):
+        self.assert_budgets(spec, k, budgets)
 
 
 def direct_verdict(spec, shape_keys):
@@ -379,9 +425,9 @@ class TestPassMasks:
         keys = search._keys
         groups = set()
         rows = 0
-        for window, (bindings, full, masks) in search._windows.items():
+        for window, (bindings, masks) in search._windows.items():
             assert bindings == search._bindings(*window)
-            assert full == (1 << len(bindings)) - 1
+            full = (1 << len(bindings)) - 1
             for group, (known, ok) in masks.items():
                 assert ok & ~known == 0 and known & ~full == 0, (window, group)
                 for pos, (key, _) in enumerate(bindings):
