@@ -14,18 +14,19 @@ Every edge shape whose classes are all bound is checked as soon as its last
 class is bound, through the exact range solver, failing partial colourings
 as early as possible.  A node checks a whole window of bindings against one
 shape group at a time, and keeps the verdicts as the group's pass masks on
-that window: a binding is checked against a group at most once per spec,
+that window: a binding is checked against a group at most once per family,
 and a node steps only to the bindings that pass every group it has.  The
 edge condition counts distinct colours only, so a verdict is keyed on the
 shape up to a colour renaming: the group's colour columns and the new
 profile's place in them.  The range solver runs once per such key.
 
-A search context (:class:`_Search`) keeps, per spec, only what holds for
-every k, sized by the profiles and shapes the search met, never by the
-n*q vertices; what belongs to one k (budget, node count, failure memo) is
-local to one decision.  The search runs on profile ids, small ints
-interned per spec: the placed profiles, the shape groups and the failure
-memo hold sorted ids, and only the witness maps them back to profile keys.
+A search context (:class:`_Search`) keeps, per family H(., q | sigma) with
+its alpha and beta, only what holds for every n and k, sized by the profiles
+and shapes the search met, never by the n*q vertices; what belongs to one
+decision (n, k, budget, node count, failure memo) is local to it.  The search
+runs on profile ids, small ints interned per family: the placed profiles, the
+shape groups and the failure memo hold sorted ids, and only the witness maps
+them back to profile keys.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .core import Colouring, HypergraphSpec, part_arrangements
+from .core import Colouring, HypergraphSpec, Sigma, part_arrangements
 # canonical_colouring is unused here; bench/tracing.py wraps it by this name
 from .core import canonical_colouring  # noqa: F401
 from .errors import BudgetExceededError, InstanceTooLargeError
@@ -129,18 +131,20 @@ ProfileKey = tuple[tuple[int, int], ...]
 
 
 class _Search:
-    """Exact-k feasibility searches over class profiles, one context per spec.
+    """Exact-k feasibility searches over class profiles, one context per family
+    H(., q | sigma) with its alpha and beta; n is an argument of a decision.
 
-    State lives as long as it stays true.  Per spec, across every k: the
-    part arrangements, the profile id tables, the shape groups, the verdict
-    tables, the windows of colour bindings and the partitions of q into as
-    many parts as any decision so far allowed a class.  Each profile key is
-    interned to a small int when a binding list first yields it (``_ids``
-    maps key to id, ``_keys`` id to key), so the search compares and hashes
-    ints, never nested tuples.  A shape verdict says whether every edge
-    over a group of class profiles plus one new profile sees between alpha
-    and beta colours; those profiles fix the colours an edge sees, whatever
-    k the whole colouring uses, so the verdict holds for every k.
+    State lives as long as it stays true.  Per family, across every n and k:
+    the part arrangements (built on first use), the profile id tables, the
+    shape groups, the verdict tables, the windows of colour bindings and, per
+    colour cap a decision gave a class, the partitions of q into at most that
+    many parts.  Each profile key is interned to a small int when a binding
+    list first yields it (``_ids`` maps key to id, ``_keys`` id to key), so
+    the search compares and hashes ints, never nested tuples.  A shape
+    verdict says whether every edge over a group of class profiles plus one
+    new profile sees between alpha and beta colours; those profiles fix the
+    colours an edge sees, whatever n and k the whole colouring has, so the
+    verdict holds for every n and k.
     ``_groups`` keeps, per group met, its profile keys, its colours'
     offsets (see :meth:`_group`) and the verdict table ``_verdicts`` holds
     for its sorted colour columns: it maps a relation (how the new
@@ -153,8 +157,8 @@ class _Search:
     bit p of ``ok`` that it passed.  A node ANDs the masks of its groups,
     checking only the bindings still in the running that a group has not
     seen, so a window's bits fill lazily.  Per :meth:`decide`, as its
-    locals: k, the node budget and count, the failure memo and the
-    per-class colour cap with the partitions it allows.
+    locals: n, k, the node budget and count, the failure memo and the
+    per-class colour cap.
 
     Each node receives the placed profiles as a sorted tuple of ids, at
     most ``s - 1`` copies of each (the most classes an edge shape can share
@@ -168,9 +172,8 @@ class _Search:
     every child must pass with its new profile.
     """
 
-    def __init__(self, spec: HypergraphSpec):
-        self.spec = spec
-        self.arrangements = part_arrangements(spec.sigma)
+    def __init__(self, q: int, sigma: Sigma, alpha: int, beta: int):
+        self.q, self.sigma, self.alpha, self.beta = q, sigma, alpha, beta
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
         # shape group -> _group's (profile keys, colour offsets, verdicts)
@@ -179,29 +182,31 @@ class _Search:
         self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
         # clamped window -> (bindings, shape group -> (known, ok) pass masks)
         self._windows: dict[tuple, tuple[tuple, dict]] = {}
-        self._class_partitions: tuple[tuple[int, ...], ...] = ()
-        self._class_partitions_most = 0
+        # per-class colour cap -> _partitions(q, cap)
+        self._cap_partitions: dict[int, tuple[tuple[int, ...], ...]] = {}
 
-    def decide(self, k: int, node_budget: int | None) -> KDecision:
-        """Decide exactly ``k`` colours; "unknown" when the budget trips."""
-        spec = self.spec
-        n = spec.n
-        cap = spec.sigma.s - 1
+    @cached_property
+    def arrangements(self) -> tuple[tuple[int, ...], ...]:
+        return part_arrangements(self.sigma)
+
+    def decide(self, n: int, k: int, node_budget: int | None) -> KDecision:
+        """Decide exactly ``k`` colours on ``n`` classes; "unknown" when the
+        budget trips."""
+        if n < self.sigma.s or self.q < self.sigma.delta_max:  # no edges
+            return KDecision(k=k, verdict="feasible",
+                             witness=_trivial_colouring(n, self.q, k), nodes=0)
+        cap = self.sigma.s - 1
         # An edge may put its largest part, delta_max vertices, on any class,
         # so when delta_max > beta no class may carry more than beta colours.
         # This clamp is the whole largest-part condition: a class of at most
         # beta parts (each part >= 1 vertex) needs at most beta colours to
         # cover delta_max vertices and can never be forced past beta.
-        max_new = min(spec.q, k)
-        if spec.sigma.delta_max > spec.beta:
-            max_new = min(max_new, spec.beta)
-        if max_new > self._class_partitions_most:
-            # widen at least twofold, so the rising caps of a spectrum
-            # rebuild the list about log2(q) times, not once per k
-            most = min(spec.q, max(max_new, 2 * self._class_partitions_most))
-            self._class_partitions = _partitions(spec.q, most)
-            self._class_partitions_most = most
-        partitions = [p for p in self._class_partitions if len(p) <= max_new]
+        max_new = min(self.q, k)
+        if self.sigma.delta_max > self.beta:
+            max_new = min(max_new, self.beta)
+        partitions = self._cap_partitions.get(max_new)
+        if partitions is None:
+            partitions = self._cap_partitions[max_new] = _partitions(self.q, max_new)
         windows = self._windows
         failed: set[tuple] = set()
         nodes = 0
@@ -295,7 +300,7 @@ class _Search:
 
     def _group(self, group: tuple[int, ...]
                ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:
-        """The shape data of ``group`` (sorted ids), built once per spec:
+        """The shape data of ``group`` (sorted ids), built once per family:
         its profile keys in key order (slot j holds the j-th), its colours'
         offsets in a list up to its largest colour, and the verdict table of
         its sorted columns, which fix the group up to a colour renaming.
@@ -319,7 +324,7 @@ class _Search:
         base = [0] * (max(cols, default=-1) + 1)
         for c, column in cols.items():
             # equal columns share the rank of the first of them
-            base[c] = (columns.index(column) + 1) * (self.spec.q + 1)
+            base[c] = (columns.index(column) + 1) * (self.q + 1)
         table = self._verdicts.setdefault(columns, {})
         return self._groups.setdefault(group, (shape_keys, base, table))
 
@@ -329,7 +334,7 @@ class _Search:
         (sorted ids): every edge over the group's classes and the binding's
         class sees alpha..beta colours.
 
-        A verdict is solved once per spec for each (sorted group columns,
+        A verdict is solved once per family for each (sorted group columns,
         relation).  The relation is the sorted ints ``base[c] + m`` (``m``
         past the list's end) over the colours c of the new profile with
         multiplicity m (see :meth:`_group`): it pairs each colour with its
@@ -342,7 +347,7 @@ class _Search:
         arrangement an edge fails.
         """
         shape_keys, base, table = self._groups.get(group) or self._group(group)
-        keys, spec = self._keys, self.spec
+        keys = self._keys
         ok, size = 0, len(base)
         while fresh:
             low = fresh & -fresh
@@ -353,7 +358,7 @@ class _Search:
             if verdict is None:
                 shape = shape_keys + (keys[key],)
                 verdict = table[relation] = all(
-                    spec.alpha <= lo and hi <= spec.beta
+                    self.alpha <= lo and hi <= self.beta
                     for lo, hi in (range_of_keys(shape, parts)
                                    for parts in self.arrangements))
             if verdict:
@@ -406,13 +411,13 @@ class _Search:
         return tuple(out)
 
 
-def _trivial_colouring(spec: HypergraphSpec, k: int) -> Colouring:
-    """A k-colouring of an edgeless instance, in canonical form: colour 0
-    on the first ``n*q - k + 1`` vertices, then one vertex per colour."""
-    shift = spec.num_vertices - k
+def _trivial_colouring(n: int, q: int, k: int) -> Colouring:
+    """A k-colouring of n edgeless classes of q vertices, in canonical form:
+    colour 0 on the first ``n*q - k + 1`` vertices, then one per colour."""
+    shift = n * q - k
     return Colouring(classes=tuple(
-        tuple(max(0, t - shift) for t in range(i * spec.q, (i + 1) * spec.q))
-        for i in range(spec.n)))
+        tuple(max(0, t - shift) for t in range(i * q, (i + 1) * q))
+        for i in range(n)))
 
 
 def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
@@ -423,16 +428,13 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
     out.  Raises ``ValueError`` for k outside [1, n*q], and its subclass
     :class:`InstanceTooLargeError` when the search, one frame per class,
     outgrows Python's recursion limit (n = 900 fits the default one).
-    ``_search`` is the search context of ``spec`` shared by one spectrum.
+    ``_search`` is a search context of ``spec``'s family, shared by decisions.
     """
     if not 1 <= k <= spec.num_vertices:
         raise ValueError(f"k={k} outside [1, {spec.num_vertices}]")
-    if not spec.has_edges:
-        return KDecision(k=k, verdict="feasible",
-                         witness=_trivial_colouring(spec, k), nodes=0)
     if _search is None:
-        _search = _Search(spec)
-    return _search.decide(k, node_budget)
+        _search = _Search(spec.q, spec.sigma, spec.alpha, spec.beta)
+    return _search.decide(spec.n, k, node_budget)
 
 
 def k_colourable(
@@ -459,14 +461,15 @@ def spectrum(
     """Decide every k from 1 to ``k_max`` (default n*q) and assemble the
     spectrum, chromatic endpoints and gap intervals.
 
-    Each k goes through :func:`decide_k` with one shared search context,
-    so verdicts that hold for every k are found once; each verdict,
-    witness and node count equals that of a lone :func:`decide_k` call.
+    Each k goes through :func:`decide_k` with one context of the spec's
+    family, n an argument of each decision, so what holds for every n and k
+    is found once; each verdict, witness and node count equals that of a
+    lone :func:`decide_k` call.
     """
     cap = spec.num_vertices if k_max is None else min(k_max, spec.num_vertices)
     if cap < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    search = _Search(spec)
+    search = _Search(spec.q, spec.sigma, spec.alpha, spec.beta)
     decisions = [decide_k(spec, k, node_budget, _search=search)
                  for k in range(1, cap + 1)]
     feasible = [d.k for d in decisions if d.verdict == "feasible"]

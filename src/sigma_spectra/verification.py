@@ -344,13 +344,10 @@ def suite_gaps() -> list[SuiteRow]:
         built = beta_colouring(spec)
         if built.colour_count != beta or not is_valid(spec, built):
             problems.append("balanced beta-colouring failed validation")
-        for k in range(1, beta):
-            if decide_k(spec, k, 20_000_000).verdict != "infeasible":
-                problems.append(f"k={k} not infeasible")
-        if decide_k(spec, beta, 20_000_000).verdict != "feasible":
-            problems.append(f"k={beta} not feasible")
-        if decide_k(spec, beta + 1, 20_000_000).verdict != "infeasible":
-            problems.append(f"k={beta + 1} not infeasible")
+        result = spectrum(spec, k_max=beta + 1, node_budget=20_000_000)
+        if not result.complete or result.feasible_k != (beta,):
+            problems.append(f"k<={beta + 1} feasible at {list(result.feasible_k)}, "
+                            f"unknown at {list(result.unknown_k)}, not {beta} alone")
         zone = mono_zone(spec)
         if zone is None or zone.is_empty or zone.lo <= beta + 1:
             problems.append(f"zone {zone} does not sit above the gap")

@@ -38,6 +38,11 @@ A2 = spec_of(5, 2, [2, 2], 3, 3)
 GAP22 = spec_of(5, 2, [2, 2], 2, 2)
 
 
+def family_search(spec):
+    """A fresh search context of ``spec``'s family H(., q | sigma), alpha, beta."""
+    return _Search(spec.q, spec.sigma, spec.alpha, spec.beta)
+
+
 def assert_search_layout(w):
     """The search places class partitions (sorted colour multiplicities)
     lexicographically non-increasing in class order."""
@@ -175,22 +180,48 @@ class TestSpectrum:
     @pytest.mark.parametrize("node_budget", [None, 200])
     def test_shared_search_matches_lone_decisions(self, node_budget):
         # a budget of 200 trips inside many k, so any state a tripped k
-        # left in the shared search would show in the k after it
-        specs = [*nogap_grid(), GAP22, A2]
+        # left in the shared search would show in the k after it.  One
+        # search per family also decides every (n, k) of it, n ascending (the
+        # grid's order), so any state kept for one n would show at the next.
+        # The grid's family sigma=(2,2,2), q=2, beta=5 starts at n=3; n=1 and
+        # 2 go first, edgeless.  sigma=(3,1), q=2 is edgeless at every n
+        # (q < delta_max)
+        specs = [spec_of(1, 2, [2, 2, 2], 2, 5), spec_of(2, 2, [2, 2, 2], 2, 5),
+                 *nogap_grid(), GAP22, A2,
+                 *(spec_of(n, 2, [3, 1], 2, 3) for n in range(1, 4))]
+        families, last_n = {}, {}
         for spec in specs:
             res = spectrum(spec, node_budget=node_budget)
+            key = (spec.q, spec.sigma, spec.alpha, spec.beta)
+            family = families.setdefault(key, family_search(spec))
+            assert spec.n > last_n.get(key, 0), spec
+            last_n[key] = spec.n
             for k in range(1, spec.num_vertices + 1):
                 d = decide_k(spec, k, node_budget)
                 assert (k in res.feasible_k) == (d.verdict == "feasible"), (spec, k)
                 assert (k in res.unknown_k) == (d.verdict == "unknown"), (spec, k)
                 assert res.witnesses.get(k) == d.witness, (spec, k)
                 assert res.nodes_explored[k] == d.nodes, (spec, k)
+                shared = decide_k(spec, k, node_budget, _search=family)
+                assert (shared.verdict, shared.witness, shared.nodes) == (
+                    d.verdict, d.witness, d.nodes), (spec, k)
+        assert len(families) == 24 + 3
+
+    def test_edgeless_decisions_build_no_arrangements(self):
+        # a family's part arrangements are built on first use, so its
+        # edgeless n (here n < s, with 9! orderings of sigma's distinct
+        # parts) are decided without them, as a lone decide_k always was
+        spec = spec_of(2, 9, list(range(1, 10)), 2, 3)
+        search = family_search(spec)
+        for k in range(1, spec.num_vertices + 1):
+            assert decide_k(spec, k, _search=search).verdict == "feasible"
+        assert "arrangements" not in vars(search)
 
     def test_shape_groups_stored_sorted(self):
         # a group kept in placement order gives the same verdicts and
         # nodes, but builds its columns again under each of its orders
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
-        search = _Search(spec)
+        search = family_search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
@@ -200,13 +231,13 @@ class TestSpectrum:
             assert shape_keys == tuple(sorted(search._keys[i] for i in group))
 
     def test_search_state_is_keyed_on_profile_ids(self):
-        # each profile key is interned once per spec; the shape groups, like
+        # each profile key is interned once per family; the shape groups, like
         # the placed profiles, are keyed on its id, never the key, and each
         # group holds the one verdict table of its sorted colour columns and,
         # in a list up to its largest colour, an offset per colour: (rank of
         # its column among those sorted columns + 1) times q + 1, else 0
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
-        search = _Search(spec)
+        search = family_search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
@@ -288,24 +319,26 @@ class TestPartitions:
 
     def test_rising_caps_widen_to_every_partition(self):
         # each k caps the parts per class at min(q, k); by the last k the
-        # list a spectrum's search keeps holds every partition of q
+        # table a spectrum's search keeps holds, per cap, the partitions of q
+        # into at most that many parts, and at cap q every partition of q
         spec = spec_of(2, 8, [1, 1], 2, 2)
-        search = _Search(spec)
+        search = family_search(spec)
         for k in range(1, spec.num_vertices + 1):
-            search.decide(k, 100)
-        assert search._class_partitions == _partitions(8, 8)
+            search.decide(spec.n, k, 100)
+        assert search._cap_partitions == {cap: _partitions(8, cap)
+                                          for cap in range(1, 9)}
 
     def test_wide_classes_list_only_the_partitions_they_can_use(self):
         # with at most two colours per class, 31 of the 966,467 partitions
         # of 60 can occur: in a lone decision at k=2, and at every k when
         # delta_max > beta clamps each class to beta = 2 colours
-        lone = _Search(spec_of(2, 60, [1, 1], 2, 2))
-        assert lone.decide(2, 100).verdict == "feasible"
-        clamped = _Search(spec_of(2, 60, [3, 3], 2, 2))
+        lone = family_search(spec_of(2, 60, [1, 1], 2, 2))
+        assert lone.decide(2, 2, 100).verdict == "feasible"
+        clamped = family_search(spec_of(2, 60, [3, 3], 2, 2))
         for k in range(1, 121):
-            clamped.decide(k, 100)
+            clamped.decide(2, k, 100)
         for search in (lone, clamped):
-            assert len(search._class_partitions) == 31
+            assert max(map(len, search._cap_partitions.values())) == 31
 
 
 class TestBindingWindow:
@@ -313,7 +346,7 @@ class TestBindingWindow:
     can still complete to, never all of them."""
 
     def test_window_filters_the_full_list_in_order(self):
-        search = _Search(A2)
+        search = family_search(A2)
         for q in range(1, 7):
             for partition in _partitions(q, q):
                 for used in range(5):
@@ -332,8 +365,8 @@ class TestBindingWindow:
         # a class of 10 singleton parts has tens of thousands of bindings
         # after up to 10 used colours, and the search ticks 40 of them
         spec = spec_of(2, 10, [1, 1], 2, 2)
-        search = _Search(spec)
-        nodes = sum(search.decide(k, 100).nodes
+        search = family_search(spec)
+        nodes = sum(search.decide(spec.n, k, 100).nodes
                     for k in range(1, spec.num_vertices + 1))
         bindings = [entry[0] for entry in search._windows.values()]
         assert sum(map(len, bindings)) <= nodes
@@ -383,8 +416,8 @@ class TestBudgetAccounting:
         # its budget stops there rather than run its proof out: 25 of the
         # appendix k=4 proof's 336 (group, window) mask rows at a budget of 50
         def mask_rows(budget):
-            search = _Search(self.APPENDIX)
-            search.decide(4, budget)
+            search = family_search(self.APPENDIX)
+            search.decide(self.APPENDIX.n, 4, budget)
             return sum(len(masks) for _, masks in search._windows.values())
         assert mask_rows(50) * 4 < mask_rows(None)
 
@@ -418,7 +451,7 @@ class TestPassMasks:
         (spec_of(4, 3, [2, 2, 2], 2, 5), 40),
     ])
     def test_masks_agree_with_the_shape_verdicts(self, spec, node_budget):
-        search = _Search(spec)
+        search = family_search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, node_budget, _search=search)
         assert search._windows
@@ -459,12 +492,12 @@ def small_profiles(q, colours):
 
 
 class TestVerdictKey:
-    """A shape verdict is cached per spec under the group's sorted colour
+    """A shape verdict is cached per family under the group's sorted colour
     columns and the new profile's relation to them: two shapes with equal keys
     must have equal direct verdicts, whichever the search met first."""
 
     def assert_shapes_get_direct_verdicts(self, spec, shapes):
-        search = _Search(spec)
+        search = family_search(spec)
         for group_keys, new_key in shapes:
             direct = direct_verdict(spec, group_keys + (new_key,))
             assert engine_verdict(search, group_keys, new_key) == direct, (

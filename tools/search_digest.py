@@ -5,6 +5,12 @@ witness classes), the ``engine.range_of_keys`` calls and the range solver's
 cache misses from an empty cache.  Equal lines mean equal verdicts, node
 counts, raw witnesses and range-solver work.
 
+``nogap-family`` makes the decisions of ``nogap-sweep``, in the same order,
+through one search context per family H(., q | sigma), alpha, beta, which
+meets its specs in ascending n.  Its sha256 equals ``nogap-sweep``'s exactly
+when sharing a context across n moves no verdict, node count or witness; its
+range-solver counts are lower, as verdicts found at one n serve every n.
+
     python tools/search_digest.py
 """
 
@@ -28,6 +34,16 @@ def nogap_sweep():
             yield spec, k, verdict, nodes, res.witnesses.get(k)
 
 
+def nogap_family():
+    searches = {}
+    for spec in verification.nogap_grid():
+        family = (spec.q, spec.sigma, spec.alpha, spec.beta)
+        search = searches.setdefault(family, engine._Search(*family))
+        for k in range(1, spec.num_vertices + 1):
+            d = decide_k(spec, k, 5_000_000, _search=search)
+            yield spec, k, d.verdict, d.nodes, d.witness
+
+
 def gap_proof():
     appendix = HypergraphSpec(n=7, q=6, sigma=build_sigma([6, 6]), alpha=3, beta=3)
     pairs = [(appendix, k) for k in (3, 4, 8)]
@@ -42,7 +58,8 @@ def gap_proof():
 
 
 def main() -> None:
-    for name, decisions in (("nogap-sweep", nogap_sweep), ("gap-proof", gap_proof)):
+    for name, decisions in (("nogap-sweep", nogap_sweep), ("nogap-family", nogap_family),
+                            ("gap-proof", gap_proof)):
         validator._range_of.cache_clear()
         digest = hashlib.sha256()
         with mock.patch.object(engine, "range_of_keys",
