@@ -23,7 +23,8 @@ profile's place in them.  The range solver runs once per such key.
 A search context (:class:`_Search`) keeps, per family H(., q | sigma) with
 its alpha and beta, only what holds for every n and k, sized by the profiles
 and shapes the search met, never by the n*q vertices; what belongs to one
-decision (n, k, budget, node count, failure memo) is local to it.  The search
+decision (n, k, budget, node count, failure memo) is local to it and freed,
+by reference counting alone, when the decision returns.  The search
 runs on profile ids, small ints interned per family: the placed profiles, the
 shape groups and the failure memo hold sorted ids, and only the witness maps
 them back to profile keys.
@@ -49,6 +50,7 @@ __all__ = [
     "decide_k",
     "k_colourable",
     "spectrum",
+    "WITNESS_VERTEX_LIMIT",
 ]
 
 
@@ -136,11 +138,12 @@ class _Search:
 
     State lives as long as it stays true.  Per family, across every n and k:
     the part arrangements (built on first use), the profile id tables, the
-    shape groups, the verdict tables, the windows of colour bindings and, per
-    colour cap a decision gave a class, the partitions of q into at most that
-    many parts.  Each profile key is interned to a small int when a binding
-    list first yields it (``_ids`` maps key to id, ``_keys`` id to key), so
-    the search compares and hashes ints, never nested tuples.  A shape
+    shape groups, the verdict tables, the windows of colour bindings and the
+    partitions of q into at most the largest colour cap a decision gave a
+    class (one list; a smaller cap filters it).  Each profile key is
+    interned to a small int when a binding list first yields it (``_ids``
+    maps key to id, ``_keys`` id to key), so the search compares and hashes
+    ints, never nested tuples.  A shape
     verdict says whether every edge over a group of class profiles plus one
     new profile sees between alpha and beta colours; those profiles fix the
     colours an edge sees, whatever n and k the whole colouring has, so the
@@ -157,8 +160,8 @@ class _Search:
     bit p of ``ok`` that it passed.  A node ANDs the masks of its groups,
     checking only the bindings still in the running that a group has not
     seen, so a window's bits fill lazily.  Per :meth:`decide`, as its
-    locals: n, k, the node budget and count, the failure memo and the
-    per-class colour cap.
+    locals, freed when it returns: n, k, the node budget and count, the
+    failure memo and the per-class colour cap.
 
     Each node receives the placed profiles as a sorted tuple of ids, at
     most ``s - 1`` copies of each (the most classes an edge shape can share
@@ -167,9 +170,16 @@ class _Search:
     last partition (the non-increase rule) and the used-colour count.  The
     memo holds that partition as its index in the decision's partitions,
     which run in decreasing order, so a child scans from that index on; a
-    parent tests the memo before it calls a child and fills it after.  Its
-    distinct ``s - 1``-element groups, sorted as it is, are the shapes
-    every child must pass with its new profile.
+    parent tests the memo before it calls a child and fills it after.  The
+    placed tuple's distinct ``s - 1``-element groups, sorted as it is, are
+    the shapes every child must pass with its new profile.
+
+    A memo state is one flat tuple, ``(i, j, used) + placed``: class index,
+    partition index and used-colour count, then the placed ids; the prefix
+    has a fixed length, so states never collide, and no placed tuple is
+    kept for the memo.  The memo is a dict used as a set: from a few
+    thousand states to about 80,000 (the benchmark's largest memos hold
+    27,403) Python 3.11 gives a dict the smaller table.
     """
 
     def __init__(self, q: int, sigma: Sigma, alpha: int, beta: int):
@@ -182,8 +192,9 @@ class _Search:
         self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
         # clamped window -> (bindings, shape group -> (known, ok) pass masks)
         self._windows: dict[tuple, tuple[tuple, dict]] = {}
-        # per-class colour cap -> _partitions(q, cap)
-        self._cap_partitions: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # _partitions(q, cap) for the largest per-class colour cap met
+        self._partitions: tuple[tuple[int, ...], ...] = ()
+        self._partitions_cap = 0
 
     @cached_property
     def arrangements(self) -> tuple[tuple[int, ...], ...]:
@@ -191,7 +202,8 @@ class _Search:
 
     def decide(self, n: int, k: int, node_budget: int | None) -> KDecision:
         """Decide exactly ``k`` colours on ``n`` classes; "unknown" when the
-        budget trips."""
+        budget trips.  The failure memo and the search closure die when it
+        returns; the context keeps only what holds for every n and k."""
         if n < self.sigma.s or self.q < self.sigma.delta_max:  # no edges
             return KDecision(k=k, verdict="feasible",
                              witness=_trivial_colouring(n, self.q, k), nodes=0)
@@ -204,11 +216,9 @@ class _Search:
         max_new = min(self.q, k)
         if self.sigma.delta_max > self.beta:
             max_new = min(max_new, self.beta)
-        partitions = self._cap_partitions.get(max_new)
-        if partitions is None:
-            partitions = self._cap_partitions[max_new] = _partitions(self.q, max_new)
+        partitions = self._capped_partitions(max_new)
         windows = self._windows
-        failed: set[tuple] = set()
+        failed: dict[tuple, None] = {}
         nodes = 0
 
         def place(i: int, j: int, used: int,
@@ -271,12 +281,12 @@ class _Search:
                     if placed.count(key) < cap:
                         at = bisect.bisect(placed, key)
                         after = placed[:at] + (key,) + placed[at:]
-                    state = (i + 1, j, new_used, after)
+                    state = (i + 1, j, new_used) + after
                     if state not in failed:
                         rest = place(i + 1, j, new_used, after)
                         if rest is not None:
                             return (key,) + rest
-                        failed.add(state)
+                        failed[state] = None
                     live ^= low
                 nodes += len(bindings) - 1 - last
             return None
@@ -289,6 +299,10 @@ class _Search:
             raise InstanceTooLargeError(
                 f"n={n} classes exceed the engine search's recursion depth"
             ) from exc
+        finally:
+            # place's closure holds place; break that cycle, so the memo
+            # dies now and not at the collector's next full pass
+            del place
         if node_budget is not None and nodes > node_budget:
             return KDecision(k=k, verdict="unknown", witness=None,
                              nodes=node_budget + 1)
@@ -297,6 +311,22 @@ class _Search:
         ))
         return KDecision(k=k, verdict="infeasible" if found is None else "feasible",
                          witness=witness, nodes=nodes)
+
+    def _capped_partitions(self, cap: int) -> tuple[tuple[int, ...], ...]:
+        """``_partitions(q, cap)``, read off the one list the context holds,
+        which it widens to ``cap`` first if ``cap`` is the largest met."""
+        if cap > self._partitions_cap:
+            # the partitions into exactly m parts are those of q - m into at
+            # most m parts, one added to each part and padded with ones
+            # (q = m pads the one partition of 0, (0,), to m ones)
+            wider = [tuple(part + 1 for part in p) + (1,) * (m - len(p))
+                     for m in range(self._partitions_cap + 1, cap + 1)
+                     for p in _partitions(self.q - m, m)]
+            self._partitions = tuple(sorted(wider + list(self._partitions), reverse=True))
+            self._partitions_cap = cap
+        if cap == self._partitions_cap:
+            return self._partitions
+        return tuple(p for p in self._partitions if len(p) <= cap)  # still decreasing
 
     def _group(self, group: tuple[int, ...]
                ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:
@@ -408,12 +438,24 @@ class _Search:
                     out.append((pid, ends))
 
         assign(0, tuple(range(used)), 0, ())
+        del assign  # its closure holds it, as place's does
         return tuple(out)
+
+
+# The most vertices an edgeless witness is built with; the searched ones are
+# bounded by the recursion depth instead
+WITNESS_VERTEX_LIMIT = 10**5
 
 
 def _trivial_colouring(n: int, q: int, k: int) -> Colouring:
     """A k-colouring of n edgeless classes of q vertices, in canonical form:
-    colour 0 on the first ``n*q - k + 1`` vertices, then one per colour."""
+    colour 0 on the first ``n*q - k + 1`` vertices, then one per colour.
+    Past ``WITNESS_VERTEX_LIMIT`` vertices it raises
+    :class:`InstanceTooLargeError`."""
+    if n * q > WITNESS_VERTEX_LIMIT:
+        raise InstanceTooLargeError(
+            f"n*q={n * q} vertices exceed the {WITNESS_VERTEX_LIMIT}-vertex "
+            "limit of an edgeless witness")
     shift = n * q - k
     return Colouring(classes=tuple(
         tuple(max(0, t - shift) for t in range(i * q, (i + 1) * q))
@@ -427,7 +469,9 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
     Returns verdict "unknown" instead of raising when the node budget runs
     out.  Raises ``ValueError`` for k outside [1, n*q], and its subclass
     :class:`InstanceTooLargeError` when the search, one frame per class,
-    outgrows Python's recursion limit (n = 900 fits the default one).
+    outgrows Python's recursion limit (n = 900 fits the default one), or
+    when an instance without edges, every k feasible, has more than
+    ``WITNESS_VERTEX_LIMIT`` vertices for its witness.
     ``_search`` is a search context of ``spec``'s family, shared by decisions.
     """
     if not 1 <= k <= spec.num_vertices:

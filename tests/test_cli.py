@@ -382,6 +382,13 @@ BAD_INPUTS = {
          "--alpha", "2", "--beta", "2", "--k-max", "3"],
         {},
     ),
+    # a billion vertices and no edges (q < delta_max): every k is feasible,
+    # but its witness must not be built
+    "spectrum-edgeless-too-many-vertices": (
+        ["spectrum", "--n", "1000000000", "--r", "4", "--q", "1", "--sigma", "2,2",
+         "--alpha", "2", "--beta", "2", "--k-max", "3"],
+        {},
+    ),
     "engine-k-zero-with-output": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0",
          "--output", "{dir}/report.json"], {},

@@ -1,7 +1,11 @@
 """Search engine: exact k decisions, spectra, gaps, budgets, determinism."""
 
+import gc
+import hashlib
+import importlib.util
 import itertools
 import json
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -15,6 +19,7 @@ from sigma_spectra import (
     HypergraphSpec,
     InstanceTooLargeError,
     IntInterval,
+    WITNESS_VERTEX_LIMIT,
     build_sigma,
     brute_oracle,
     decide_k,
@@ -36,6 +41,23 @@ def spec_of(n, q, parts, alpha, beta):
 
 A2 = spec_of(5, 2, [2, 2], 3, 3)
 GAP22 = spec_of(5, 2, [2, 2], 2, 2)
+
+
+def load_search_digest():
+    """``tools/search_digest.py``, whose lines compare two checkouts."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "search_digest.py"
+    spec = importlib.util.spec_from_file_location("search_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SEARCH_DIGEST = load_search_digest()
+# its nogap-sweep and gap-proof sha256, pinned: a change that claims to move
+# no verdict, node count or raw witness keeps them (range-solver counts are
+# left out, as a speed-up may move them)
+NOGAP_SWEEP_SHA256 = "2866c58b545932b4d626963d525c5738b91d7e2d3785a7903da73282b69ad56d"
+GAP_PROOF_SHA256 = "c9d61c2aae1c9f69f4e5568c3217e9134b3c91b3c714108494ab688be9f70dc9"
 
 
 def family_search(spec):
@@ -100,6 +122,18 @@ class TestKColourable:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_edgeless_witness_past_the_vertex_limit_too_large(self):
+        # no edges (q < delta_max), so every k is feasible without a search,
+        # but a witness has all n*q vertices: built up to the limit, past it
+        # the instance is too large, in a lone decision as in a spectrum
+        at = spec_of(WITNESS_VERTEX_LIMIT // 4, 4, [5, 5], 2, 2)
+        assert decide_k(at, 3).witness.colour_count == 3
+        past = spec_of(WITNESS_VERTEX_LIMIT // 4 + 1, 4, [5, 5], 2, 2)
+        with pytest.raises(InstanceTooLargeError, match="vertex limit"):
+            decide_k(past, 3)
+        with pytest.raises(InstanceTooLargeError, match="vertex limit"):
+            spectrum(past, k_max=3)
 
     def test_900_classes_still_decided(self):
         spec = spec_of(900, 2, [2], 2, 2)
@@ -185,13 +219,19 @@ class TestSpectrum:
         # grid's order), so any state kept for one n would show at the next.
         # The grid's family sigma=(2,2,2), q=2, beta=5 starts at n=3; n=1 and
         # 2 go first, edgeless.  sigma=(3,1), q=2 is edgeless at every n
-        # (q < delta_max)
+        # (q < delta_max).  Unbudgeted, the grid's spectra are those of the
+        # nogap-sweep digest
+        grid = nogap_grid()
         specs = [spec_of(1, 2, [2, 2, 2], 2, 5), spec_of(2, 2, [2, 2, 2], 2, 5),
-                 *nogap_grid(), GAP22, A2,
+                 *grid, GAP22, A2,
                  *(spec_of(n, 2, [3, 1], 2, 3) for n in range(1, 4))]
         families, last_n = {}, {}
+        digest = hashlib.sha256()
         for spec in specs:
             res = spectrum(spec, node_budget=node_budget)
+            if spec in grid:
+                for decision in SEARCH_DIGEST.spectrum_decisions(spec, res):
+                    digest.update(SEARCH_DIGEST.record(*decision))
             key = (spec.q, spec.sigma, spec.alpha, spec.beta)
             family = families.setdefault(key, family_search(spec))
             assert spec.n > last_n.get(key, 0), spec
@@ -206,6 +246,8 @@ class TestSpectrum:
                 assert (shared.verdict, shared.witness, shared.nodes) == (
                     d.verdict, d.witness, d.nodes), (spec, k)
         assert len(families) == 24 + 3
+        if node_budget is None:
+            assert digest.hexdigest() == NOGAP_SWEEP_SHA256
 
     def test_edgeless_decisions_build_no_arrangements(self):
         # a family's part arrangements are built on first use, so its
@@ -318,15 +360,39 @@ class TestPartitions:
                 assert list(_partitions(q, cap)) == reference_partitions(q, cap), (q, cap)
 
     def test_rising_caps_widen_to_every_partition(self):
-        # each k caps the parts per class at min(q, k); by the last k the
-        # table a spectrum's search keeps holds, per cap, the partitions of q
-        # into at most that many parts, and at cap q every partition of q
+        # each k caps the parts per class at min(q, k); after each k the one
+        # list a spectrum's search keeps holds the partitions of q into at
+        # most that many parts, and by the last k every partition of q
         spec = spec_of(2, 8, [1, 1], 2, 2)
         search = family_search(spec)
         for k in range(1, spec.num_vertices + 1):
             search.decide(spec.n, k, 100)
-        assert search._cap_partitions == {cap: _partitions(8, cap)
-                                          for cap in range(1, 9)}
+            cap = min(8, k)
+            assert (search._partitions_cap, search._partitions) == (
+                cap, _partitions(8, cap)), k
+
+    def test_any_cap_order_reads_the_capped_partitions(self):
+        # a larger cap widens the held list, a smaller one is read off it
+        rng = random.Random(0)
+        for q in range(1, 16):
+            search = _Search(q, build_sigma([1, 1]), 2, 2)
+            caps = [cap for cap in range(1, q + 1) for _ in range(2)]
+            rng.shuffle(caps)
+            for cap in caps:
+                assert search._capped_partitions(cap) == _partitions(q, cap), (q, cap)
+            assert search._partitions_cap == q
+
+    def test_rising_caps_hold_one_list(self):
+        # q=36 has 17,977 partitions; one list per cap 1..36 held 467,135
+        spec = spec_of(2, 36, [1, 1], 2, 2)
+        tracemalloc.start()
+        try:
+            res = spectrum(spec, k_max=36, node_budget=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.feasible_k == tuple(range(2, 37)) and res.complete
+        assert peak < 8 * 2**20
 
     def test_wide_classes_list_only_the_partitions_they_can_use(self):
         # with at most two colours per class, 31 of the 966,467 partitions
@@ -338,7 +404,7 @@ class TestPartitions:
         for k in range(1, 121):
             clamped.decide(2, k, 100)
         for search in (lone, clamped):
-            assert max(map(len, search._cap_partitions.values())) == 31
+            assert len(search._partitions) == 31
 
 
 class TestBindingWindow:
@@ -431,6 +497,37 @@ class TestBudgetAccounting:
     ], ids=["appendix-k3", "appendix-k8", "n6-q6-s32-k3"])
     def test_feasible_budgets(self, spec, k, budgets):
         self.assert_budgets(spec, k, budgets)
+
+
+class TestDecisionLifetime:
+    """What belongs to one decision, its failure memo above all, is freed by
+    reference counting when the decision returns, not left in reference
+    cycles for the collector."""
+
+    APPENDIX = spec_of(7, 6, [6, 6], 3, 3)
+
+    def test_a_decision_leaves_nothing_for_the_collector(self):
+        # the first proof fills the process-wide range-solver cache; the
+        # second, with the collector off, leaves its memo of 27,403 states and
+        # its context to the collector if any cycle holds them
+        decide_k(self.APPENDIX, 4)
+        gc.collect()
+        gc.disable()
+        try:
+            tracemalloc.start()
+            try:
+                d = decide_k(self.APPENDIX, 4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert d.verdict == "infeasible" and d.nodes == 507_599
+        assert found < 100
+        # memo states are flat tuples in a dict: 4.1 MB traced, against 6.0
+        # MB as 4-tuples holding the placed ids in a set
+        assert peak < 5.25 * 2**20
 
 
 def direct_verdict(spec, shape_keys):
@@ -629,6 +726,13 @@ class TestGoldenNodeCounts:
                 assert_search_layout(w)
 
     def test_gap_recipe_decisions(self):
+        # with the appendix decisions ahead of them, in the order of the
+        # gap-proof digest
+        digest = hashlib.sha256()
+        for k in (3, 4, 8):
+            d = decide_k(self.APPENDIX, k)
+            digest.update(SEARCH_DIGEST.record(self.APPENDIX, k, d.verdict, d.nodes,
+                                               d.witness))
         golden = {key: record for key, record in self.GOLDEN["gap-proof"].items()
                   if not key.startswith(f"{self.APPENDIX}|")}
         seen = {}
@@ -639,4 +743,6 @@ class TestGoldenNodeCounts:
             for k in range(1, beta + 2):
                 d = decide_k(spec, k)
                 seen[f"{spec}|k={k}"] = {"verdict": d.verdict, "nodes": d.nodes}
+                digest.update(SEARCH_DIGEST.record(spec, k, d.verdict, d.nodes, d.witness))
         assert seen == golden
+        assert digest.hexdigest() == GAP_PROOF_SHA256

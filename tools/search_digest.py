@@ -10,6 +10,8 @@ through one search context per family H(., q | sigma), alpha, beta, which
 meets its specs in ascending n.  Its sha256 equals ``nogap-sweep``'s exactly
 when sharing a context across n moves no verdict, node count or witness; its
 range-solver counts are lower, as verdicts found at one n serve every n.
+``tests/test_engine.py`` pins the ``nogap-sweep`` and ``gap-proof`` digests
+through :func:`record`, from decisions its tests already make.
 
     python tools/search_digest.py
 """
@@ -25,13 +27,22 @@ from sigma_spectra import HypergraphSpec, build_sigma, decide_k, engine, spectru
 from sigma_spectra import formulas, validator, verification  # noqa: E402
 
 
+def record(spec, k, verdict, nodes, witness) -> bytes:
+    """One decision as a line's SHA-256 reads it."""
+    return repr((str(spec), k, verdict, nodes, witness and witness.classes)).encode()
+
+
+def spectrum_decisions(spec, res):
+    """The decisions of ``res``, the spectrum of ``spec``, in k order."""
+    for k, nodes in res.nodes_explored.items():
+        verdict = ("unknown" if k in res.unknown_k else
+                   "feasible" if k in res.feasible_k else "infeasible")
+        yield spec, k, verdict, nodes, res.witnesses.get(k)
+
+
 def nogap_sweep():
     for spec in verification.nogap_grid():
-        res = spectrum(spec, node_budget=5_000_000)
-        for k, nodes in res.nodes_explored.items():
-            verdict = ("unknown" if k in res.unknown_k else
-                       "feasible" if k in res.feasible_k else "infeasible")
-            yield spec, k, verdict, nodes, res.witnesses.get(k)
+        yield from spectrum_decisions(spec, spectrum(spec, node_budget=5_000_000))
 
 
 def nogap_family():
@@ -64,9 +75,8 @@ def main() -> None:
         digest = hashlib.sha256()
         with mock.patch.object(engine, "range_of_keys",
                                wraps=engine.range_of_keys) as solver:
-            for spec, k, verdict, nodes, witness in decisions():
-                classes = witness and witness.classes
-                digest.update(repr((str(spec), k, verdict, nodes, classes)).encode())
+            for decision in decisions():
+                digest.update(record(*decision))
         print(f"{name}: sha256={digest.hexdigest()} range_calls={solver.call_count} "
               f"range_misses={validator._range_of.cache_info().misses}")
 
