@@ -16,6 +16,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -54,6 +55,11 @@ class Sigma:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+    @cached_property
+    def arrangements(self) -> tuple[tuple[int, ...], ...]:
+        """:func:`part_arrangements` of this partition, built on first use."""
+        return part_arrangements(self)
 
 
 def build_sigma(parts: Sequence[int]) -> Sigma:
@@ -222,7 +228,7 @@ def edge_shapes(
     """
     if not spec.has_edges:
         return
-    arrangements = part_arrangements(spec.sigma)
+    arrangements = spec.sigma.arrangements
     for class_tuple in itertools.combinations(range(spec.n), spec.sigma.s):
         for parts in arrangements:
             yield class_tuple, parts

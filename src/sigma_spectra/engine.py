@@ -35,9 +35,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .core import Colouring, HypergraphSpec, Sigma, part_arrangements
+from .core import Colouring, HypergraphSpec, Sigma
 # canonical_colouring is unused here; bench/tracing.py wraps it by this name
 from .core import canonical_colouring  # noqa: F401
 from .errors import BudgetExceededError, InstanceTooLargeError
@@ -51,6 +50,7 @@ __all__ = [
     "k_colourable",
     "spectrum",
     "WITNESS_VERTEX_LIMIT",
+    "SPECTRUM_WITNESS_VERTEX_LIMIT",
 ]
 
 
@@ -137,13 +137,13 @@ class _Search:
     H(., q | sigma) with its alpha and beta; n is an argument of a decision.
 
     State lives as long as it stays true.  Per family, across every n and k:
-    the part arrangements (built on first use), the profile id tables, the
-    shape groups, the verdict tables, the windows of colour bindings and the
-    partitions of q into at most the largest colour cap a decision gave a
-    class (one list; a smaller cap filters it).  Each profile key is
-    interned to a small int when a binding list first yields it (``_ids``
-    maps key to id, ``_keys`` id to key), so the search compares and hashes
-    ints, never nested tuples.  A shape
+    the profile id tables, the shape groups, the verdict tables, the windows
+    of colour bindings and the partitions of q into at most the largest
+    colour cap a decision gave a class (one list; a smaller cap filters it);
+    sigma keeps its own part arrangements, built on first use.  Each profile
+    key is interned to a small int when a binding list first yields it
+    (``_ids`` maps key to id, ``_keys`` id to key), so the search compares
+    and hashes ints, never nested tuples.  A shape
     verdict says whether every edge over a group of class profiles plus one
     new profile sees between alpha and beta colours; those profiles fix the
     colours an edge sees, whatever n and k the whole colouring has, so the
@@ -195,10 +195,6 @@ class _Search:
         # _partitions(q, cap) for the largest per-class colour cap met
         self._partitions: tuple[tuple[int, ...], ...] = ()
         self._partitions_cap = 0
-
-    @cached_property
-    def arrangements(self) -> tuple[tuple[int, ...], ...]:
-        return part_arrangements(self.sigma)
 
     def decide(self, n: int, k: int, node_budget: int | None) -> KDecision:
         """Decide exactly ``k`` colours on ``n`` classes; "unknown" when the
@@ -390,7 +386,7 @@ class _Search:
                 verdict = table[relation] = all(
                     self.alpha <= lo and hi <= self.beta
                     for lo, hi in (range_of_keys(shape, parts)
-                                   for parts in self.arrangements))
+                                   for parts in self.sigma.arrangements))
             if verdict:
                 ok |= low
             fresh ^= low
@@ -442,9 +438,11 @@ class _Search:
         return tuple(out)
 
 
-# The most vertices an edgeless witness is built with; the searched ones are
-# bounded by the recursion depth instead
+# The most vertices an edgeless witness is built with, and the most that an
+# edgeless spectrum's witnesses hold together (one per k); the searched ones
+# are bounded by the recursion depth instead
 WITNESS_VERTEX_LIMIT = 10**5
+SPECTRUM_WITNESS_VERTEX_LIMIT = 10**6
 
 
 def _trivial_colouring(n: int, q: int, k: int) -> Colouring:
@@ -508,11 +506,18 @@ def spectrum(
     Each k goes through :func:`decide_k` with one context of the spec's
     family, n an argument of each decision, so what holds for every n and k
     is found once; each verdict, witness and node count equals that of a
-    lone :func:`decide_k` call.
+    lone :func:`decide_k` call.  Raises :class:`InstanceTooLargeError` as
+    :func:`decide_k` does, and before any decision when an instance without
+    edges would keep more than ``SPECTRUM_WITNESS_VERTEX_LIMIT`` witness
+    vertices over its k.
     """
     cap = spec.num_vertices if k_max is None else min(k_max, spec.num_vertices)
     if cap < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not spec.has_edges and cap * spec.num_vertices > SPECTRUM_WITNESS_VERTEX_LIMIT:
+        raise InstanceTooLargeError(
+            f"{cap} witnesses of n*q={spec.num_vertices} vertices exceed the "
+            f"{SPECTRUM_WITNESS_VERTEX_LIMIT}-vertex limit of an edgeless spectrum")
     search = _Search(spec.q, spec.sigma, spec.alpha, spec.beta)
     decisions = [decide_k(spec, k, node_budget, _search=search)
                  for k in range(1, cap + 1)]

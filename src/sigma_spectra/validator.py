@@ -12,6 +12,14 @@ each colour, how often), not by the names; shapes equal up to a colour
 renaming share one solve.  The solver numbers the columns densely and keeps
 colours as bits of an integer mask.  One pass gives both range ends, and
 ``selection_achieving`` reads its pick off the same solver.
+
+An edge's colours are the union of what its classes contribute, so when
+the classes of a shape share no colour the union is disjoint and the
+shape's range is the sum of each class's own range.  One class's range
+for a part of ``a`` vertices is plain: as few colours as its largest
+multiplicities need to reach ``a``, as many as ``min(a, number of
+colours)``.  The validator takes that sum for every colour-disjoint
+shape, and the solver only for shapes whose classes share a colour.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable
 
-from .core import ClassProfile, Colouring, HypergraphSpec, edge_shapes, profile_of
+from .core import ClassProfile, Colouring, HypergraphSpec, profile_of
 from .errors import DimensionMismatchError, InfeasibleShapeError
 
 __all__ = [
@@ -143,8 +151,8 @@ def range_of_keys(
     Shared fast path for the validator and the engine; one pass, both ends.
     Each call normalises its shape before the cache lookup, hits included.
     The engine calls it only on a miss of its own verdict cache, keyed per
-    spec on the shape up to a colour renaming; the validator, once per edge
-    shape of a colouring.
+    family on the shape up to a colour renaming; the validator, once per
+    edge shape whose classes share a colour.
     """
     return _range_of(*_normalise(profile_keys, parts))
 
@@ -237,23 +245,74 @@ def _check_dimensions(spec: HypergraphSpec, colouring: Colouring) -> None:
         )
 
 
+def _class_ranges(mults: list[int], top: int) -> list[tuple[int, int]]:
+    """Per part size ``a`` in ``0..top``, the range of an ``a``-vertex pick
+    from a class with colour multiplicities ``mults`` (largest first): as
+    few colours as the largest multiplicities it takes to reach ``a``, as
+    many as ``min(a, number of colours)``."""
+    ranges = [(0, 0)]
+    touched = held = 0
+    for a in range(1, top + 1):
+        while held < a:
+            held += mults[touched]
+            touched += 1
+        ranges.append((touched, min(a, len(mults))))
+    return ranges
+
+
 def _first_violation(spec: HypergraphSpec, colouring: Colouring
                      ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
     """The first shape, in shape order, whose colour range leaves the window:
     (class tuple, parts, the offending distinct-colour count), or None.
 
-    Each class's profile key is built once; the shapes of a spec never ask
-    for more vertices than a class holds, so the checks of
-    :func:`edge_colour_range` are skipped.
+    Each class's profile key, colour mask (over the colouring's colours
+    renamed densely) and packed per-part ranges are built once per call.  A
+    shape whose classes share no colour takes the sum of its classes'
+    ranges, both ends in one sum of packed ints (no end exceeds the edge
+    size r, so they never carry into each other); any other goes to
+    :func:`range_of_keys`.  The shapes of a spec never ask for more vertices
+    than a class holds, so the checks of :func:`edge_colour_range` are
+    skipped.
     """
     _check_dimensions(spec, colouring)
-    keys = [profile_of(colouring, i).key() for i in range(spec.n)]
-    for class_tuple, parts in edge_shapes(spec):
-        lo, hi = range_of_keys(tuple(keys[i] for i in class_tuple), parts)
-        if lo < spec.alpha:
-            return class_tuple, parts, lo
-        if hi > spec.beta:
-            return class_tuple, parts, hi
+    if not spec.has_edges:
+        return None
+    width = spec.r.bit_length()
+    low_bits = (1 << width) - 1
+    dense: dict[int, int] = {}
+    keys, masks, ranges = [], [], []
+    for cls in colouring.classes:
+        # cls is sorted, so each colour's vertices are one run
+        key = tuple([(c, len(list(run))) for c, run in itertools.groupby(cls)])
+        mask = 0
+        for c, _ in key:
+            mask |= 1 << dense.setdefault(c, len(dense))
+        mults = sorted([m for _, m in key], reverse=True)
+        keys.append(key)
+        masks.append(mask)
+        ranges.append([lo << width | hi for lo, hi in
+                       _class_ranges(mults, spec.sigma.delta_max)])
+    alpha, beta = spec.alpha, spec.beta
+    arrangements = spec.sigma.arrangements
+    for class_tuple in itertools.combinations(range(spec.n), spec.sigma.s):
+        seen = 0
+        for i in class_tuple:
+            if masks[i] & seen:
+                shape, rows = tuple(keys[i] for i in class_tuple), None
+                break
+            seen |= masks[i]
+        else:  # the classes share no colour: their ranges add up
+            rows = [ranges[i] for i in class_tuple]
+        for parts in arrangements:
+            if rows is None:
+                lo, hi = range_of_keys(shape, parts)
+            else:
+                total = sum(map(list.__getitem__, rows, parts))
+                lo, hi = total >> width, total & low_bits
+            if lo < alpha:
+                return class_tuple, parts, lo
+            if hi > beta:
+                return class_tuple, parts, hi
     return None
 
 

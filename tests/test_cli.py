@@ -389,6 +389,13 @@ BAD_INPUTS = {
          "--alpha", "2", "--beta", "2", "--k-max", "3"],
         {},
     ),
+    # 100,000 vertices, each witness within its limit, but one per k: the
+    # spectrum's witnesses would hold 10**10 vertices
+    "spectrum-edgeless-too-many-witness-vertices": (
+        ["spectrum", "--n", "25000", "--r", "10", "--q", "4", "--sigma", "5,5",
+         "--alpha", "2", "--beta", "2"],
+        {},
+    ),
     "engine-k-zero-with-output": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0",
          "--output", "{dir}/report.json"], {},

@@ -29,6 +29,7 @@ from sigma_spectra import (
     mono_zone,
     spectrum,
 )
+from sigma_spectra import engine
 from sigma_spectra.engine import _Search, _partitions
 from sigma_spectra.formulas import gap_instance_params
 from sigma_spectra.validator import range_of_keys
@@ -58,6 +59,10 @@ SEARCH_DIGEST = load_search_digest()
 # left out, as a speed-up may move them)
 NOGAP_SWEEP_SHA256 = "2866c58b545932b4d626963d525c5738b91d7e2d3785a7903da73282b69ad56d"
 GAP_PROOF_SHA256 = "c9d61c2aae1c9f69f4e5568c3217e9134b3c91b3c714108494ab688be9f70dc9"
+# its validator line's sha256 over each set's witnesses, pinned: a change to
+# the validator keeps every verdict and violation witness
+VALIDATOR_NOGAP_SHA256 = "903b80e82ff8c9cf73f644da8c552223aa1465fc0ba912e9eebf5f7425054296"
+VALIDATOR_GAP_SHA256 = "15028f2836f7879bfbb8d3b221739ca7c6fab8d1038d21419cdd23206bd1bd97"
 
 
 def family_search(spec):
@@ -134,6 +139,28 @@ class TestKColourable:
             decide_k(past, 3)
         with pytest.raises(InstanceTooLargeError, match="vertex limit"):
             spectrum(past, k_max=3)
+
+    def test_edgeless_spectrum_past_the_total_vertex_limit_too_large(self, monkeypatch):
+        # a spectrum keeps one n*q-vertex witness per k, so at 10**5
+        # vertices (each witness within its own limit) all n*q of them would
+        # hold 10**10 vertices: refused before the first one is built
+        spec = spec_of(WITNESS_VERTEX_LIMIT // 4, 4, [5, 5], 2, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLargeError, match="edgeless spectrum"):
+                spectrum(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # the limit counts every witness vertex of the k asked for
+        assert len(spectrum(spec, k_max=3).witnesses) == 3
+        small = spec_of(6, 3, [5, 5], 2, 2)  # 18 vertices, 18 witnesses
+        monkeypatch.setattr(engine, "SPECTRUM_WITNESS_VERTEX_LIMIT", 18 * 18)
+        assert spectrum(small).feasible_k == tuple(range(1, 19))
+        monkeypatch.setattr(engine, "SPECTRUM_WITNESS_VERTEX_LIMIT", 18 * 18 - 1)
+        with pytest.raises(InstanceTooLargeError):
+            spectrum(small)
 
     def test_900_classes_still_decided(self):
         spec = spec_of(900, 2, [2], 2, 2)
@@ -226,12 +253,16 @@ class TestSpectrum:
                  *grid, GAP22, A2,
                  *(spec_of(n, 2, [3, 1], 2, 3) for n in range(1, 4))]
         families, last_n = {}, {}
-        digest = hashlib.sha256()
+        digest, checked = hashlib.sha256(), hashlib.sha256()
         for spec in specs:
             res = spectrum(spec, node_budget=node_budget)
             if spec in grid:
                 for decision in SEARCH_DIGEST.spectrum_decisions(spec, res):
                     digest.update(SEARCH_DIGEST.record(*decision))
+                    witness = decision[-1]
+                    if node_budget is None and witness is not None:
+                        for line in SEARCH_DIGEST.validator_records(spec, witness):
+                            checked.update(line)
             key = (spec.q, spec.sigma, spec.alpha, spec.beta)
             family = families.setdefault(key, family_search(spec))
             assert spec.n > last_n.get(key, 0), spec
@@ -248,16 +279,17 @@ class TestSpectrum:
         assert len(families) == 24 + 3
         if node_budget is None:
             assert digest.hexdigest() == NOGAP_SWEEP_SHA256
+            assert checked.hexdigest() == VALIDATOR_NOGAP_SHA256
 
     def test_edgeless_decisions_build_no_arrangements(self):
-        # a family's part arrangements are built on first use, so its
+        # sigma's part arrangements are built on first use, so a family's
         # edgeless n (here n < s, with 9! orderings of sigma's distinct
         # parts) are decided without them, as a lone decide_k always was
         spec = spec_of(2, 9, list(range(1, 10)), 2, 3)
         search = family_search(spec)
         for k in range(1, spec.num_vertices + 1):
             assert decide_k(spec, k, _search=search).verdict == "feasible"
-        assert "arrangements" not in vars(search)
+        assert "arrangements" not in vars(spec.sigma)
 
     def test_shape_groups_stored_sorted(self):
         # a group kept in placement order gives the same verdicts and
@@ -728,11 +760,14 @@ class TestGoldenNodeCounts:
     def test_gap_recipe_decisions(self):
         # with the appendix decisions ahead of them, in the order of the
         # gap-proof digest
-        digest = hashlib.sha256()
+        digest, checked = hashlib.sha256(), hashlib.sha256()
         for k in (3, 4, 8):
             d = decide_k(self.APPENDIX, k)
             digest.update(SEARCH_DIGEST.record(self.APPENDIX, k, d.verdict, d.nodes,
                                                d.witness))
+            if d.witness is not None:
+                for line in SEARCH_DIGEST.validator_records(self.APPENDIX, d.witness):
+                    checked.update(line)
         golden = {key: record for key, record in self.GOLDEN["gap-proof"].items()
                   if not key.startswith(f"{self.APPENDIX}|")}
         seen = {}
@@ -744,5 +779,9 @@ class TestGoldenNodeCounts:
                 d = decide_k(spec, k)
                 seen[f"{spec}|k={k}"] = {"verdict": d.verdict, "nodes": d.nodes}
                 digest.update(SEARCH_DIGEST.record(spec, k, d.verdict, d.nodes, d.witness))
+                if d.witness is not None:
+                    for line in SEARCH_DIGEST.validator_records(spec, d.witness):
+                        checked.update(line)
         assert seen == golden
         assert digest.hexdigest() == GAP_PROOF_SHA256
+        assert checked.hexdigest() == VALIDATOR_GAP_SHA256

@@ -1,6 +1,7 @@
 """Edge colour ranges, validity decisions and violation witnesses."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,19 @@ from sigma_spectra import (
     InfeasibleShapeError,
     build_sigma,
     edge_colour_range,
+    edge_shapes,
     find_violation,
     is_valid,
+    profile_of,
     selection_achieving,
 )
-from sigma_spectra.validator import _range_of, range_of_keys
+from sigma_spectra.engine import _partitions
+from sigma_spectra.validator import (
+    _class_ranges,
+    _first_violation,
+    _range_of,
+    range_of_keys,
+)
 
 
 def prof(counts):
@@ -331,3 +340,86 @@ class TestOracleEquivalence:
         )
         colouring = Colouring(classes=classes)
         assert is_valid(spec, colouring) == literal_is_valid(spec, colouring)
+
+
+def per_shape_first_violation(spec, colouring):
+    """The plain rule: every shape through ``range_of_keys``, in shape order."""
+    keys = [profile_of(colouring, i).key() for i in range(spec.n)]
+    for class_tuple, parts in edge_shapes(spec):
+        lo, hi = range_of_keys(tuple(keys[i] for i in class_tuple), parts)
+        if lo < spec.alpha:
+            return class_tuple, parts, lo
+        if hi > spec.beta:
+            return class_tuple, parts, hi
+    return None
+
+
+@st.composite
+def palette_colourings(draw):
+    """A spec, edgeless ones included, and a colouring whose classes draw
+    from private palettes (far apart, so large colours occur), from one
+    shared palette, or a mix of the two."""
+    parts = draw(st.sampled_from(
+        [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1), (1, 1, 1), (2, 1, 1), (3, 2)]))
+    sigma = build_sigma(list(parts))
+    n, q = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    alpha = draw(st.integers(2, 4))
+    beta = draw(st.integers(alpha, alpha + 3))
+    spec = HypergraphSpec(n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)
+    mode = draw(st.sampled_from(["private", "shared", "mixed"]))
+    classes = []
+    for i in range(n):
+        private = mode == "private" or (mode == "mixed" and draw(st.booleans()))
+        base = (i + 1) * 10**9 if private else 0
+        classes.append(tuple(base + draw(st.integers(0, 3)) for _ in range(q)))
+    return spec, Colouring(classes=tuple(classes))
+
+
+class TestDisjointSum:
+    """A shape whose classes share no colour takes the sum of its classes'
+    ranges; the validator reads each class's range off a per-part table."""
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_class_range_matches_the_solver(self, q):
+        for mults in _partitions(q, q):
+            key = tuple(enumerate(mults))
+            ranges = _class_ranges(list(mults), q)
+            assert len(ranges) == q + 1
+            for a in range(1, q + 1):
+                assert ranges[a] == range_of_keys((key,), (a,)), (mults, a)
+
+    @given(palette_colourings())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_shape_solver(self, case):
+        spec, colouring = case
+        found = _first_violation(spec, colouring)
+        assert found == per_shape_first_violation(spec, colouring)
+        assert is_valid(spec, colouring) == (found is None)
+
+    def test_disjoint_shapes_skip_the_solver(self, monkeypatch):
+        # a layered colouring: every class has its own two colours
+        spec = HypergraphSpec(n=5, q=4, sigma=build_sigma([2, 2]), alpha=2, beta=4)
+        colouring = Colouring(classes=tuple((2 * i,) * 2 + (2 * i + 1,) * 2
+                                            for i in range(5)))
+        calls = []
+        monkeypatch.setattr("sigma_spectra.validator.range_of_keys",
+                            lambda *args: calls.append(args))
+        assert is_valid(spec, colouring)
+        assert calls == []
+
+    def test_huge_colours_cost_no_memory(self):
+        # colours are renamed densely before they become mask bits: a bit
+        # per raw colour would need a 10**12-bit integer here
+        spec = HypergraphSpec(n=4, q=3, sigma=build_sigma([2, 1]), alpha=2, beta=3)
+        colouring = Colouring(classes=((10**12, 10**12, 2**70), (0, 0, 1),
+                                       (10**12, 5, 5), (7, 7, 7)))
+        tracemalloc.start()
+        try:
+            found = _first_violation(spec, colouring)
+            witness = find_violation(spec, colouring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert found == per_shape_first_violation(spec, colouring)
+        assert (witness is None) == is_valid(spec, colouring)

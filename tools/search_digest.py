@@ -13,23 +13,52 @@ range-solver counts are lower, as verdicts found at one n serve every n.
 ``tests/test_engine.py`` pins the ``nogap-sweep`` and ``gap-proof`` digests
 through :func:`record`, from decisions its tests already make.
 
+The ``validator`` line holds one SHA-256 per set of engine witnesses, those
+of ``nogap-sweep`` and of ``gap-proof``, over (spec, classes, ``is_valid``,
+``find_violation``'s witness) for each witness and two seeded one-vertex
+perturbations of it (:func:`validator_records`), then the validator's
+``range_of_keys`` calls and the range solver's misses.  Equal sha256 fields
+mean equal verdicts and equal violation witnesses; the tests pin them
+beside the engine digests.
+
     python tools/search_digest.py
 """
 
 import hashlib
+import random
 import sys
 from pathlib import Path
 from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sigma_spectra import HypergraphSpec, build_sigma, decide_k, engine, spectrum  # noqa: E402
+from sigma_spectra import (  # noqa: E402
+    Colouring, HypergraphSpec, build_sigma, decide_k, engine, find_violation, is_valid,
+    spectrum,
+)
 from sigma_spectra import formulas, validator, verification  # noqa: E402
 
 
 def record(spec, k, verdict, nodes, witness) -> bytes:
     """One decision as a line's SHA-256 reads it."""
     return repr((str(spec), k, verdict, nodes, witness and witness.classes)).encode()
+
+
+def validator_records(spec, witness):
+    """The validator's verdict and violation witness on ``witness`` and on
+    two one-vertex perturbations of it, drawn by a generator seeded with the
+    spec and the witness, each as a line's SHA-256 reads it."""
+    rng = random.Random(f"{spec}|{witness.classes}")
+    colourings = [witness]
+    for _ in range(2):
+        classes = [list(cls) for cls in witness.classes]
+        i, v = rng.randrange(spec.n), rng.randrange(spec.q)
+        # an old colour or one new one
+        classes[i][v] = rng.randrange(witness.colour_count + 1)
+        colourings.append(Colouring(classes=tuple(map(tuple, classes))))
+    for colouring in colourings:
+        yield repr((str(spec), colouring.classes, is_valid(spec, colouring),
+                    find_violation(spec, colouring))).encode()
 
 
 def spectrum_decisions(spec, res):
@@ -69,16 +98,32 @@ def gap_proof():
 
 
 def main() -> None:
+    witnesses = {}
     for name, decisions in (("nogap-sweep", nogap_sweep), ("nogap-family", nogap_family),
                             ("gap-proof", gap_proof)):
         validator._range_of.cache_clear()
         digest = hashlib.sha256()
+        found = witnesses[name] = []
         with mock.patch.object(engine, "range_of_keys",
                                wraps=engine.range_of_keys) as solver:
-            for decision in decisions():
-                digest.update(record(*decision))
+            for spec, k, verdict, nodes, witness in decisions():
+                digest.update(record(spec, k, verdict, nodes, witness))
+                if witness is not None:
+                    found.append((spec, witness))
         print(f"{name}: sha256={digest.hexdigest()} range_calls={solver.call_count} "
               f"range_misses={validator._range_of.cache_info().misses}")
+    validator._range_of.cache_clear()
+    fields = []
+    with mock.patch.object(validator, "range_of_keys",
+                           wraps=validator.range_of_keys) as solver:
+        for name in ("nogap-sweep", "gap-proof"):
+            digest = hashlib.sha256()
+            for spec, witness in witnesses[name]:
+                for line in validator_records(spec, witness):
+                    digest.update(line)
+            fields.append(f"{name}_sha256={digest.hexdigest()}")
+    print(f"validator: {' '.join(fields)} range_calls={solver.call_count} "
+          f"range_misses={validator._range_of.cache_info().misses}")
 
 
 if __name__ == "__main__":
