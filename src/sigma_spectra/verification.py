@@ -3,18 +3,26 @@ and engine results against the structural laws.
 
 Each suite returns a list of :class:`SuiteRow`; a row is one instance (or
 one parameter cell) with a pass/fail verdict and a short detail string.
-The exhaustive enumerations here are deliberately independent of the
-closed-form implementations they check.
+
+The exhaustive side stays independent of ``formulas``, the closed forms it
+checks, since a value read off the code under test cannot catch a fault in
+it.  It shares one enumeration with the rest of the package: the
+monochromatic zone walks the partitions of n from ``engine._partitions``,
+which ``TestPartitions`` in ``tests/test_engine.py`` checks against a
+reference enumeration.  Both partition bounds read the sums of one
+enumerator of capped-head vectors, memoised per vector shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import lru_cache
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator
 
 from .constructions import beta_colouring, mono_colouring
 from .core import HypergraphSpec, build_sigma
-from .engine import decide_k, spectrum
+from .engine import _partitions, decide_k, spectrum
 from .formulas import (
     gap_instance_params,
     max_sum_capped_head,
@@ -75,40 +83,20 @@ def _capped_vectors(length: int, head: int, cap: int) -> Iterator[tuple[int, ...
     yield from rec([], length, cap, 0)
 
 
+@lru_cache(maxsize=None)
+def _capped_sums(a: int, b: int, d: int) -> frozenset[int]:
+    """The sums of ``_capped_vectors(b, a - 1, d - 1)``."""
+    return frozenset(map(sum, _capped_vectors(b, a - 1, d - 1)))
+
+
 def exhaustive_max_sum(a: int, b: int, d: int) -> int:
     """Brute-force maximum of the capped-head partition sum."""
-    return max(sum(x) for x in _capped_vectors(b, a - 1, d - 1))
+    return max(_capped_sums(a, b, d))
 
 
 def exhaustive_min_parts(a: int, d: int, n: int) -> int | None:
     """Brute-force least b >= a reaching sum exactly n, or None."""
-
-    def reachable(b: int) -> bool:
-        found = False
-
-        def rec(i: int, rem: int, max_value: int, head_sum: int) -> None:
-            nonlocal found
-            if found:
-                return
-            if i == b:
-                found = rem == 0
-                return
-            left = b - i - 1
-            for v in range(min(max_value, rem - left), 0, -1):
-                hs = head_sum + (v if i < a - 1 else 0)
-                if i < a - 1 and hs > d - 1:
-                    continue
-                rec(i + 1, rem - v, v, hs)
-                if found:
-                    return
-
-        rec(0, n, d - 1, 0)
-        return found
-
-    for b in range(a, n + 1):
-        if reachable(b):
-            return b
-    return None
+    return next((b for b in range(a, n + 1) if n in _capped_sums(a, b, d)), None)
 
 
 def exhaustive_mono_zone(spec: HypergraphSpec) -> set[int]:
@@ -118,29 +106,15 @@ def exhaustive_mono_zone(spec: HypergraphSpec) -> set[int]:
         return set(range(1, spec.n + 1))
     s = spec.sigma.s
     feasible: set[int] = set()
-
-    def partitions_of(n: int, max_value: int) -> Iterator[tuple[int, ...]]:
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, max_value), 0, -1):
-            for rest in partitions_of(n - first, first):
-                yield (first,) + rest
-
-    for dist in partitions_of(spec.n, spec.n):
+    for dist in _partitions(spec.n, spec.n):
         k = len(dist)
         if k in feasible:
             continue
         # an edge sees exactly the colours of its s classes, so the extremes
-        # come straight from the distribution of classes per colour
-        lo = 0
-        taken = 0
-        for cnt in dist:  # largest counts first -> fewest colours
-            if taken >= s:
-                break
-            taken += cnt
-            lo += 1
-        hi = min(s, k)  # one class per colour -> most colours
+        # come straight from the distribution of classes per colour: fewest
+        # when they fill the largest colours first, most at one per colour
+        lo = next(i for i, taken in enumerate(accumulate(dist), 1) if taken >= s)
+        hi = min(s, k)
         if lo >= spec.alpha and hi <= spec.beta:
             feasible.add(k)
     return feasible
@@ -150,34 +124,52 @@ def exhaustive_mono_zone(spec: HypergraphSpec) -> set[int]:
 # suites
 # ---------------------------------------------------------------------------
 
+# every suite decision fits: the largest, the appendix k=4 proof, takes
+# 507,599 nodes
+_NODE_BUDGET = 5_000_000
+
+
+def _row(name: str, problems: list[str],
+         pass_detail: Callable[[], str]) -> SuiteRow:
+    """A FAIL row listing ``problems``, or, when there are none, a PASS row
+    whose detail ``pass_detail()`` may read values that exist only then."""
+    if problems:
+        return SuiteRow(name=name, passed=False, detail="; ".join(problems))
+    return SuiteRow(name=name, passed=True, detail=pass_detail())
+
+
+def _zone_problems(spec: HypergraphSpec, zone: Iterable[int]) -> list[str]:
+    """The zone points whose solid colouring is invalid or miscounted."""
+    problems = []
+    for k in zone:
+        colouring = mono_colouring(spec, k)
+        if colouring.colour_count != k or not is_valid(spec, colouring):
+            problems.append(f"zone k={k} construction failed validation")
+    return problems
+
 
 def suite_lemmas() -> list[SuiteRow]:
     """Closed-form partition bounds against exhaustive enumeration."""
     rows = []
     for a in range(2, 8):
         for d in range(a, 8):
-            bad_f: list[str] = []
+            problems = []
             for b in range(a, 9):
                 expect = exhaustive_max_sum(a, b, d)
                 got = max_sum_capped_head(a, b, d)
                 if got != expect:
-                    bad_f.append(f"b={b}: {got}!={expect}")
-            bad_b: list[str] = []
+                    problems.append(f"b={b}: {got}!={expect}")
             for n in range(1, 41):
                 expect_b = exhaustive_min_parts(a, d, n)
                 if expect_b is None:
                     if min_parts_attainable(a, d, n):
-                        bad_b.append(f"n={n}: expected unattainable")
+                        problems.append(f"n={n}: expected unattainable")
                 else:
                     got_b = min_parts_capped_head(a, d, n)
                     if got_b != expect_b or not min_parts_attainable(a, d, n):
-                        bad_b.append(f"n={n}: {got_b}!={expect_b}")
-            ok = not bad_f and not bad_b
-            detail = "; ".join(bad_f + bad_b) if not ok else (
-                f"b in [{a},8], n in [1,40]"
-            )
-            rows.append(SuiteRow(name=f"bounds a={a} d={d}", passed=ok,
-                                 detail=detail))
+                        problems.append(f"n={n}: {got_b}!={expect_b}")
+            rows.append(_row(f"bounds a={a} d={d}", problems,
+                             lambda: f"b in [{a},8], n in [1,40]"))
     return rows
 
 
@@ -204,18 +196,11 @@ def suite_zone() -> list[SuiteRow]:
     for spec in zone_grid():
         zone = mono_zone(spec)
         expect = exhaustive_mono_zone(spec)
-        problems = []
         if zone is None or set(zone) != expect:
-            problems.append(f"zone {zone} != exhaustive {sorted(expect)}")
+            problems = [f"zone {zone} != exhaustive {sorted(expect)}"]
         else:
-            for k in zone:
-                colouring = mono_colouring(spec, k)
-                if colouring.colour_count != k or not is_valid(spec, colouring):
-                    problems.append(f"k={k} construction failed validation")
-        rows.append(SuiteRow(
-            name=str(spec), passed=not problems,
-            detail="; ".join(problems) if problems else f"zone={zone}"
-        ))
+            problems = _zone_problems(spec, zone)
+        rows.append(_row(str(spec), problems, lambda: f"zone={zone}"))
     return rows
 
 
@@ -228,21 +213,14 @@ def suite_zone_only() -> list[SuiteRow]:
     ]
     rows = []
     for spec in instances:
-        if not zone_only_condition(spec):
-            rows.append(SuiteRow(name=str(spec), passed=False,
-                                 detail="instance misses the threshold"))
-            continue
         zone = mono_zone(spec)
-        result = spectrum(spec, node_budget=2_000_000)
-        ok = (
-            result.complete
-            and zone is not None
-            and list(result.feasible_k) == list(zone)
-        )
-        rows.append(SuiteRow(
-            name=str(spec), passed=ok,
-            detail=f"spectrum={list(result.feasible_k)} zone={zone}"
-        ))
+        result = spectrum(spec, node_budget=_NODE_BUDGET)
+        detail = f"spectrum={list(result.feasible_k)} zone={zone}"
+        problems = [] if zone_only_condition(spec) else [
+            "instance misses the threshold"]
+        if not result.complete or zone is None or list(result.feasible_k) != list(zone):
+            problems.append(detail)
+        rows.append(_row(str(spec), problems, lambda: detail))
     return rows
 
 
@@ -269,7 +247,7 @@ def suite_uncolourable() -> list[SuiteRow]:
         problems = []
         if not uncolourable_condition(spec):
             problems.append("threshold predicate is false")
-        result = spectrum(spec, node_budget=5_000_000)
+        result = spectrum(spec, node_budget=_NODE_BUDGET)
         if not result.complete:
             problems.append("budget tripped")
         if result.colourable:
@@ -277,11 +255,8 @@ def suite_uncolourable() -> list[SuiteRow]:
         if spec.num_vertices <= SIZE_CAP:
             if brute_spectrum(spec) != ():
                 problems.append("oracle found a colouring")
-        rows.append(SuiteRow(
-            name=str(spec), passed=not problems,
-            detail="; ".join(problems) if problems else
-            f"all k in [1,{spec.num_vertices}] infeasible"
-        ))
+        rows.append(_row(str(spec), problems,
+                         lambda: f"all k in [1,{spec.num_vertices}] infeasible"))
     return rows
 
 
@@ -309,18 +284,13 @@ def suite_nogaps() -> list[SuiteRow]:
     """No-gap law: the spectrum of each grid instance is one interval."""
     rows = []
     for spec in nogap_grid():
-        result = spectrum(spec, node_budget=5_000_000)
-        contiguous = (
-            result.colourable
-            and list(result.feasible_k)
-            == list(range(result.chi, result.chi_bar + 1))
-        )
-        ok = result.complete and contiguous and not result.gaps
-        rows.append(SuiteRow(
-            name=str(spec), passed=ok,
-            detail=f"spectrum=[{result.chi},{result.chi_bar}]" if ok else
-            f"feasible={list(result.feasible_k)} gaps={list(result.gaps)}"
-        ))
+        result = spectrum(spec, node_budget=_NODE_BUDGET)
+        ok = (result.complete and result.colourable and not result.gaps
+              and result.feasible_k == tuple(range(result.chi, result.chi_bar + 1)))
+        problems = [] if ok else [
+            f"feasible={list(result.feasible_k)} gaps={list(result.gaps)}"]
+        rows.append(_row(str(spec), problems,
+                         lambda: f"spectrum=[{result.chi},{result.chi_bar}]"))
     return rows
 
 
@@ -344,7 +314,7 @@ def suite_gaps() -> list[SuiteRow]:
         built = beta_colouring(spec)
         if built.colour_count != beta or not is_valid(spec, built):
             problems.append("balanced beta-colouring failed validation")
-        result = spectrum(spec, k_max=beta + 1, node_budget=20_000_000)
+        result = spectrum(spec, k_max=beta + 1, node_budget=_NODE_BUDGET)
         if not result.complete or result.feasible_k != (beta,):
             problems.append(f"k<={beta + 1} feasible at {list(result.feasible_k)}, "
                             f"unknown at {list(result.unknown_k)}, not {beta} alone")
@@ -352,51 +322,34 @@ def suite_gaps() -> list[SuiteRow]:
         if zone is None or zone.is_empty or zone.lo <= beta + 1:
             problems.append(f"zone {zone} does not sit above the gap")
         else:
-            for k in zone:
-                colouring = mono_colouring(spec, k)
-                if not is_valid(spec, colouring):
-                    problems.append(f"zone k={k} construction invalid")
-        rows.append(SuiteRow(
-            name=str(spec), passed=not problems,
-            detail="; ".join(problems) if problems else
-            f"gap between {beta} and {zone.lo}"
-        ))
+            problems += _zone_problems(spec, zone)
+        rows.append(_row(str(spec), problems,
+                         lambda: f"gap between {beta} and {zone.lo}"))
     return rows
 
 
 def suite_appendix() -> list[SuiteRow]:
     """The two boundary fixtures: a gap without a monochromatic zone, and a
     one-point spectrum without one."""
-    rows = []
-
     gap_spec = HypergraphSpec(n=7, q=6, sigma=build_sigma([6, 6]), alpha=3, beta=3)
-    verdicts = {k: decide_k(gap_spec, k, 50_000_000) for k in (3, 4, 8)}
     problems = []
-    if any(v.verdict == "unknown" for v in verdicts.values()):
-        problems.append("budget tripped")
-    if verdicts[3].verdict != "feasible":
-        problems.append("k=3 not feasible")
-    if verdicts[4].verdict != "infeasible":
-        problems.append("k=4 not infeasible")
-    if verdicts[8].verdict != "feasible":
-        problems.append("k=8 not feasible")
+    for k, want in ((3, "feasible"), (4, "infeasible"), (8, "feasible")):
+        got = decide_k(gap_spec, k, _NODE_BUDGET).verdict
+        if got != want:
+            problems.append(f"k={k} {got}, not {want}")
     zone = mono_zone(gap_spec)
     if zone is None or not zone.is_empty:
         problems.append("monochromatic zone should be empty")
-    rows.append(SuiteRow(
-        name=str(gap_spec), passed=not problems,
-        detail="; ".join(problems) if problems else
-        "3 feasible, 4 infeasible, 8 feasible: gap"
-    ))
 
     point_spec = HypergraphSpec(n=5, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=3)
-    result = spectrum(point_spec, node_budget=50_000_000)
+    result = spectrum(point_spec, node_budget=_NODE_BUDGET)
+    detail = f"spectrum={list(result.feasible_k)}"
     ok = result.complete and list(result.feasible_k) == [6] and not result.gaps
-    rows.append(SuiteRow(
-        name=str(point_spec), passed=ok,
-        detail=f"spectrum={list(result.feasible_k)}"
-    ))
-    return rows
+    return [
+        _row(str(gap_spec), problems,
+             lambda: "3 feasible, 4 infeasible, 8 feasible: gap"),
+        _row(str(point_spec), [] if ok else [detail], lambda: detail),
+    ]
 
 
 SUITES: dict[str, Callable[[], list[SuiteRow]]] = {

@@ -21,6 +21,11 @@ perturbations of it (:func:`validator_records`), then the validator's
 mean equal verdicts and equal violation witnesses; the tests pin them
 beside the engine digests.
 
+The ``verify`` line holds a SHA-256 over every row (suite, name, passed,
+detail) of every suite in ``verification.SUITES``, in ``SUITES`` order.
+Equal lines mean every suite gives the same verdicts and details, so a
+change to the verification harness can be checked by it.
+
     python tools/search_digest.py
 """
 
@@ -124,6 +129,11 @@ def main() -> None:
             fields.append(f"{name}_sha256={digest.hexdigest()}")
     print(f"validator: {' '.join(fields)} range_calls={solver.call_count} "
           f"range_misses={validator._range_of.cache_info().misses}")
+    digest = hashlib.sha256()
+    for suite, run in verification.SUITES.items():
+        for row in run():
+            digest.update(repr((suite, row.name, row.passed, row.detail)).encode())
+    print(f"verify: sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":
