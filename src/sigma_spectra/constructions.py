@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .core import Colouring, HypergraphSpec, canonical_colouring  # noqa: F401
 from .engine import k_colourable
 from .errors import InfeasibleError, NotApplicableError, TheoremViolationError
-from .formulas import MonoDistribution, mono_zone, mono_zone_lower_bound
+from .formulas import (MonoDistribution, _check_window_around_s, max_sum_capped_head,
+                       mono_zone, mono_zone_lower_bound)
 from .validator import is_valid
 
 __all__ = [
@@ -63,31 +64,21 @@ class WalkStep:
 def mono_distribution(spec: HypergraphSpec, k: int) -> MonoDistribution:
     """Class counts per colour for a valid all-monochromatic k-colouring.
 
-    Deterministic: as many colours as possible cover ``floor((s-1)/(alpha-1))``
-    classes; when that underfills, the leading colours take one extra class
-    each (never more than the head slack allows).
+    Deterministic: every colour covers one class, then colours in order fill
+    up to ``unit = floor((s-1)/(alpha-1))`` classes each; what is still left
+    (never more than the head slack allows) goes one class each to the
+    leading colours.
     """
     zone = mono_zone(spec)
     if zone is None or k not in zone:
         raise InfeasibleError(f"k={k} is not in the monochromatic zone {zone}")
-    n = spec.n
-    if not spec.has_edges:
-        unit = n
-        overflow = 0
-    else:
-        s = spec.sigma.s
-        unit = (s - 1) // (spec.alpha - 1)
-        overflow = max(0, n - k * unit)
-    if overflow > 0:
-        counts = (unit + 1,) * overflow + (unit,) * (k - overflow)
-        return MonoDistribution(counts=counts)
-    counts = []
-    remaining = n
-    for i in range(k):
-        take = min(unit, remaining - (k - 1 - i))
-        counts.append(take)
-        remaining -= take
-    return MonoDistribution(counts=tuple(counts))
+    unit = (spec.sigma.s - 1) // (spec.alpha - 1) if spec.has_edges else spec.n
+    counts, left = [], spec.n - k
+    for _ in range(k):
+        take = min(unit - 1, left)
+        counts.append(1 + take)
+        left -= take
+    return MonoDistribution(counts=tuple(c + (i < left) for i, c in enumerate(counts)))
 
 
 def mono_colouring(spec: HypergraphSpec, k: int) -> Colouring:
@@ -117,10 +108,7 @@ def layered_colouring(spec: HypergraphSpec, k_target: int) -> Colouring:
     singleton takes one vertex from a most-repeated colour.
     """
     s = spec.sigma.s
-    if not spec.alpha <= s <= spec.beta:
-        raise NotApplicableError(
-            f"needs alpha <= s <= beta, got ({spec.alpha},{s},{spec.beta})"
-        )
+    _check_window_around_s(spec.alpha, s, spec.beta)
     k = spec.beta // s
     base_total = spec.n * k
     extras = k_target - base_total
@@ -154,7 +142,7 @@ def beta_colouring(spec: HypergraphSpec) -> Colouring:
     extra time, so any ``alpha - 1`` colours cover at most ``Delta - 1``
     vertices and no edge can drop below ``alpha`` colours.  Needs
     ``Delta >= alpha`` and the recipe's exact class size
-    ``q = (beta-alpha+1)*floor((Delta-1)/(alpha-1)) + Delta - 1``.
+    ``q = max_sum_capped_head(alpha, beta, Delta)``.
     Canonical as built: every class reads ``0..beta-1``, heavy colours first.
     """
     delta = spec.sigma.delta_max
@@ -162,13 +150,12 @@ def beta_colouring(spec: HypergraphSpec) -> Colouring:
         raise NotApplicableError(
             f"needs largest part >= alpha, got {delta} < {spec.alpha}"
         )
-    unit = (delta - 1) // (spec.alpha - 1)
-    q_expected = (spec.beta - spec.alpha + 1) * unit + delta - 1
+    q_expected = max_sum_capped_head(spec.alpha, spec.beta, delta)
     if spec.q != q_expected:
         raise InfeasibleError(
             f"q={spec.q} does not match the balanced construction ({q_expected})"
         )
-    heavy = (delta - 1) - (spec.alpha - 1) * unit
+    unit, heavy = divmod(delta - 1, spec.alpha - 1)
     cls: list[int] = []
     for colour in range(spec.beta):
         cls.extend([colour] * (unit + 1 if colour < heavy else unit))
@@ -210,16 +197,6 @@ def recolour_whole_class(colouring: Colouring, class_index: int) -> Colouring:
     return _replace_class(colouring, class_index, (z,) * colouring.q)
 
 
-def _check_private(colouring: Colouring, class_index: int,
-                   colours: tuple[int, int]) -> None:
-    where = _classes_of_colour(colouring)
-    for colour in colours:
-        if where.get(colour) != {class_index}:
-            raise InfeasibleError(
-                f"colour {colour} must appear in class {class_index} and nowhere else"
-            )
-
-
 def split_to_fixed(
     colouring: Colouring, class_index: int, source: int, target: int
 ) -> Colouring:
@@ -233,7 +210,12 @@ def split_to_fixed(
     """
     if source == target:
         raise InfeasibleError("source and target must differ")
-    _check_private(colouring, class_index, (source, target))
+    private = _private_map(colouring).get(class_index, [])
+    for colour in (source, target):
+        if colour not in private:
+            raise InfeasibleError(
+                f"colour {colour} must appear in class {class_index} and nowhere else"
+            )
     new_class = tuple(
         target if c == source else c for c in colouring.classes[class_index]
     )
@@ -258,14 +240,14 @@ def _check_walk_spec(spec: HypergraphSpec) -> None:
         )
 
 
-def _private_map(colouring: Colouring) -> list[list[int]]:
-    """Per class: sorted colours appearing in that class and nowhere else."""
+def _private_map(colouring: Colouring) -> dict[int, list[int]]:
+    """Class index -> sorted colours appearing in that class and nowhere else."""
     where = _classes_of_colour(colouring)
-    out: list[list[int]] = [[] for _ in colouring.classes]
+    out: dict[int, list[int]] = {i: [] for i in range(colouring.n)}
     for colour, owners in where.items():
         if len(owners) == 1:
             out[next(iter(owners))].append(colour)
-    for lst in out:
+    for lst in out.values():
         lst.sort()
     return out
 

@@ -65,11 +65,12 @@ class Sigma:
 def build_sigma(parts: Sequence[int]) -> Sigma:
     """Build a :class:`Sigma` from part sizes, sorting them non-increasing.
 
-    Raises :class:`InvalidPartitionError` on an empty list or a part < 1.
+    Raises :class:`InvalidPartitionError` on an empty list or a part that
+    is not an integer >= 1 (bools included).
     """
     if not parts:
         raise InvalidPartitionError("partition must have at least one part")
-    if any(not isinstance(p, int) or p < 1 for p in parts):
+    if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
         raise InvalidPartitionError(f"parts must be positive integers: {parts!r}")
     ordered = tuple(sorted(parts, reverse=True))
     return Sigma(
@@ -96,6 +97,10 @@ class HypergraphSpec:
     beta: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "q", "alpha", "beta"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.q < 1:
             raise ValueError(f"need n >= 1 and q >= 1, got n={self.n}, q={self.q}")
         if self.alpha < 2:

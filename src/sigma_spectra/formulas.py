@@ -2,9 +2,11 @@
 
 Everything here is a pure integer formula; the exhaustive cross-checks that
 justify each formula live in :mod:`sigma_spectra.verification` and the test
-suite.  The two partition bounds below are the workhorses: several other
+suite.  The two partition bounds below are the workhorses: the other
 results reduce to "how many non-increasing positive parts can sum to what,
-when the largest ``a - 1`` parts are capped".
+when the largest ``a - 1`` parts are capped", and the thresholds here and
+the builders in :mod:`sigma_spectra.constructions` call the two bounds
+rather than re-deriving them.
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ def _check_cap_domain(a: int, d: int) -> None:
         raise DomainError(f"need 2 <= a <= d, got a={a}, d={d}")
 
 
+def _check_window_around_s(alpha: int, s: int, beta: int) -> None:
+    if not alpha <= s <= beta:
+        raise NotApplicableError(f"needs alpha <= s <= beta, got ({alpha},{s},{beta})")
+
+
 def max_sum_capped_head(a: int, b: int, d: int) -> int:
     """Largest sum of ``b`` non-increasing positive integers whose largest
     ``a - 1`` entries sum to at most ``d - 1``.
@@ -118,8 +125,7 @@ def min_parts_formula(a: int, d: int, n: int) -> int:
     _check_cap_domain(a, d)
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
-    unit = (d - 1) // (a - 1)
-    slack = d - 1 - (a - 1) * unit
+    unit, slack = divmod(d - 1, a - 1)
     return -((n - slack) // -unit)
 
 
@@ -183,8 +189,7 @@ def no_mono_zone_above(spec: HypergraphSpec) -> bool:
     s = spec.sigma.s
     if not spec.has_edges or s <= spec.beta:
         return False
-    unit = (s - 1) // (spec.alpha - 1)
-    return spec.n >= (spec.beta - spec.alpha + 1) * unit + s
+    return spec.n > max_sum_capped_head(spec.alpha, spec.beta, s)
 
 
 def extended_interval(spec: HypergraphSpec) -> IntInterval:
@@ -195,10 +200,7 @@ def extended_interval(spec: HypergraphSpec) -> IntInterval:
     all-monochromatic range up to ``min(n*q, n*k + beta - k*s)``.
     """
     s = spec.sigma.s
-    if not spec.alpha <= s <= spec.beta:
-        raise NotApplicableError(
-            f"needs alpha <= s <= beta, got ({spec.alpha},{s},{spec.beta})"
-        )
+    _check_window_around_s(spec.alpha, s, spec.beta)
     k = spec.beta // s
     upper = min(spec.n * spec.q, spec.n * k + spec.beta - k * s)
     return IntInterval(mono_zone_lower_bound(spec), upper)
@@ -236,8 +238,7 @@ def uncolourable_condition(spec: HypergraphSpec) -> bool:
     if s < spec.alpha <= spec.beta < r:
         return spec.n >= 2 * s - 1
     if 1 < spec.alpha <= spec.beta < s < r:
-        unit = (s - 1) // (spec.alpha - 1)
-        return spec.n >= unit * (s - spec.alpha) + 2 * s - 1
+        return spec.n >= max_sum_capped_head(spec.alpha, s - 1, s) + s
     return False
 
 
@@ -246,8 +247,8 @@ def gap_instance_params(alpha: int, beta: int, sigma: Sigma) -> tuple[int, int]:
     (alpha,beta)-spectrum is guaranteed to contain a gap.
 
     Needs ``Delta >= alpha``, ``delta <= r - beta`` and
-    ``alpha <= s <= beta``.  Returns ``q = (beta-alpha+1)*floor((Delta-1)/
-    (alpha-1)) + Delta - 1`` and ``n_min = C(beta+1, alpha-1)*(s-1) + s``.
+    ``alpha <= s <= beta``.  Returns ``q = max_sum_capped_head(alpha, beta,
+    Delta)`` and ``n_min = C(beta+1, alpha-1)*(s-1) + s``.
     """
     if sigma.delta_max < alpha:
         raise NotApplicableError(
@@ -257,10 +258,7 @@ def gap_instance_params(alpha: int, beta: int, sigma: Sigma) -> tuple[int, int]:
         raise NotApplicableError(
             f"needs smallest part <= r - beta, got {sigma.delta_min} > {sigma.r - beta}"
         )
-    if not alpha <= sigma.s <= beta:
-        raise NotApplicableError(
-            f"needs alpha <= s <= beta, got ({alpha},{sigma.s},{beta})"
-        )
-    q = (beta - alpha + 1) * ((sigma.delta_max - 1) // (alpha - 1)) + sigma.delta_max - 1
+    _check_window_around_s(alpha, sigma.s, beta)
+    q = max_sum_capped_head(alpha, beta, sigma.delta_max)
     n_min = comb(beta + 1, alpha - 1) * (sigma.s - 1) + sigma.s
     return q, n_min

@@ -224,6 +224,12 @@ class TestRecolourOps:
         out = split_to_fixed(c, 0, 3, 2)
         assert out.colour_count == c.colour_count - 1
 
+    @pytest.mark.parametrize("class_index", [-1, 2])
+    def test_split_outside_the_colouring_owns_no_colour(self, class_index):
+        c = Colouring(classes=((1, 2, 3), (4, 5, 6)))
+        with pytest.raises(InfeasibleError, match=f"in class {class_index} and nowhere"):
+            split_to_fixed(c, class_index, 5, 4)
+
     def test_mono_colouring_on_edgeless_instance(self):
         spec = spec_of(3, 1, [2, 1], 2, 2)  # q below the largest part
         for k in (1, 2, 3):

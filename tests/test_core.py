@@ -44,7 +44,8 @@ class TestSigma:
     def test_sorts_parts(self):
         assert build_sigma([1, 3, 2]).parts == (3, 2, 1)
 
-    @pytest.mark.parametrize("bad", [[], [0], [2, -1], [1.5, 2]])
+    # a bool is an int to Python, but (2,True) is no partition
+    @pytest.mark.parametrize("bad", [[], [0], [2, -1], [1.5, 2], [2, True]])
     def test_rejects_bad_parts(self, bad):
         with pytest.raises(InvalidPartitionError):
             build_sigma(bad)
@@ -319,3 +320,11 @@ class TestColouringValidation:
             HypergraphSpec(n=2, q=2, sigma=sigma, alpha=3, beta=2)
         with pytest.raises(ValueError):
             HypergraphSpec(n=0, q=2, sigma=sigma, alpha=2, beta=2)
+
+    @pytest.mark.parametrize("field", ["n", "q", "alpha", "beta"])
+    @pytest.mark.parametrize("bad", [3.5, 3.0, True, "3"])
+    def test_spec_rejects_non_integers(self, field, bad):
+        # a float n would otherwise reach spectrum and fail inside range()
+        fields = dict(n=3, q=3, sigma=build_sigma([1, 1]), alpha=2, beta=3)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            HypergraphSpec(**{**fields, field: bad})

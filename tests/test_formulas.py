@@ -1,5 +1,9 @@
 """Closed forms: frozen oracle values, domains, zones, thresholds."""
 
+import hashlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from sigma_spectra import (
@@ -26,6 +30,22 @@ from sigma_spectra.verification import exhaustive_max_sum, exhaustive_min_parts
 
 def spec_of(n, q, parts, alpha, beta):
     return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+
+
+# the closed-forms line of tools/search_digest.py, pinned: a change to the
+# closed forms or the builders that claims to move no value keeps it
+CLOSED_FORMS_SHA256 = "73aefc6fc2c8caaa49a070d1fb40ce869f6fd9c32b9bcba8c58eabd6a2338b54"
+
+
+def test_closed_forms_digest_is_pinned():
+    path = Path(__file__).resolve().parents[1] / "tools" / "search_digest.py"
+    spec = importlib.util.spec_from_file_location("search_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    digest = hashlib.sha256()
+    for line in module.closed_form_records():
+        digest.update(line)
+    assert digest.hexdigest() == CLOSED_FORMS_SHA256
 
 
 class TestIntInterval:
@@ -233,6 +253,14 @@ class TestGapInstanceParams:
         # the arithmetic would give q=3, n_min=8, but s=2 sits below alpha
         with pytest.raises(NotApplicableError):
             gap_instance_params(3, 3, build_sigma([3, 1]))
+
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_alpha_below_two_is_a_domain_error(self, alpha):
+        # the class size is max_sum_capped_head(alpha, beta, Delta), whose
+        # domain needs alpha >= 2: no division by alpha - 1 = 0 and no
+        # math.comb ValueError on a negative count
+        with pytest.raises(DomainError):
+            gap_instance_params(alpha, 2, build_sigma([2, 2]))
 
     def test_large_window_binomial_is_exact(self):
         # C(31, 2) = 465 exactly; no floating point anywhere

@@ -26,6 +26,13 @@ detail) of every suite in ``verification.SUITES``, in ``SUITES`` order.
 Equal lines mean every suite gives the same verdicts and details, so a
 change to the verification harness can be checked by it.
 
+The ``closed-forms`` line holds a SHA-256 over the value, or the exception
+type, of every public ``formulas`` function and of the ``mono_distribution``,
+``mono_colouring``, ``layered_colouring`` and ``beta_colouring`` builders
+on a fixed grid with ``alpha >= 2`` (:func:`closed_form_records`); equal
+lines mean a change to the closed forms moves no value and no error.
+``tests/test_formulas.py`` pins it.
+
     python tools/search_digest.py
 """
 
@@ -41,7 +48,7 @@ from sigma_spectra import (  # noqa: E402
     Colouring, HypergraphSpec, build_sigma, decide_k, engine, find_violation, is_valid,
     spectrum,
 )
-from sigma_spectra import formulas, validator, verification  # noqa: E402
+from sigma_spectra import constructions, formulas, validator, verification  # noqa: E402
 
 
 def record(spec, k, verdict, nodes, witness) -> bytes:
@@ -102,6 +109,52 @@ def gap_proof():
         yield spec, k, d.verdict, d.nodes, d.witness
 
 
+def closed_form_records():
+    """Each closed form's value, or the type of what it raised, as the
+    ``closed-forms`` line's SHA-256 reads them: the partition bounds at
+    2 <= a <= 5, b, d < 8, n < 13, and the rest over every sigma with
+    r <= 5, n <= 6, q <= 5, 2 <= alpha <= beta <= 5 and each k in 0..n+1
+    (0..n*q+1 for ``layered_colouring``)."""
+    def outcome(f, *args):
+        try:
+            value = f(*args)
+        except Exception as exc:
+            value = type(exc).__name__
+        # a spec's outcomes follow its own record, so they leave it out
+        shown = args[1:] if isinstance(args[0], HypergraphSpec) else args
+        return repr((f.__name__, shown, value)).encode()
+
+    for a in range(2, 6):
+        for d in range(8):
+            for b in range(8):
+                yield outcome(formulas.max_sum_capped_head, a, b, d)
+            for n in range(13):
+                for f in (formulas.min_parts_formula, formulas.min_parts_attainable,
+                          formulas.min_parts_capped_head):
+                    yield outcome(f, a, d, n)
+    windows = [(alpha, beta) for beta in range(2, 6) for alpha in range(2, beta + 1)]
+    for r in range(1, 6):
+        for parts in engine._partitions(r, r):
+            sigma = build_sigma(parts)
+            for alpha, beta in windows:
+                yield outcome(formulas.gap_instance_params, alpha, beta, sigma)
+                for n in range(1, 7):
+                    for q in range(1, 6):
+                        spec = HypergraphSpec(n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)
+                        yield str(spec).encode()
+                        for f in (formulas.mono_zone_lower_bound, formulas.mono_zone,
+                                  formulas.no_mono_zone_above, formulas.extended_interval,
+                                  formulas.zone_only_condition,
+                                  formulas.uncolourable_condition,
+                                  constructions.beta_colouring):
+                            yield outcome(f, spec)
+                        for k in range(n + 2):  # the zone lies in 1..n
+                            yield outcome(constructions.mono_distribution, spec, k)
+                            yield outcome(constructions.mono_colouring, spec, k)
+                        for k in range(n * q + 2):
+                            yield outcome(constructions.layered_colouring, spec, k)
+
+
 def main() -> None:
     witnesses = {}
     for name, decisions in (("nogap-sweep", nogap_sweep), ("nogap-family", nogap_family),
@@ -134,6 +187,10 @@ def main() -> None:
         for row in run():
             digest.update(repr((suite, row.name, row.passed, row.detail)).encode())
     print(f"verify: sha256={digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for line in closed_form_records():
+        digest.update(line)
+    print(f"closed-forms: sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":
