@@ -191,8 +191,11 @@ def recolour_whole_class(colouring: Colouring, class_index: int) -> Colouring:
 
     Keeps validity for any window with ``s >= 2`` and smallest part at least
     ``r - beta + 1``.  Only class ``class_index`` changes; the result is not
-    canonicalised.
+    canonicalised.  An index outside ``0..n-1`` raises
+    :class:`InfeasibleError`.
     """
+    if not 0 <= class_index < colouring.n:
+        raise InfeasibleError(f"class {class_index} outside 0..{colouring.n - 1}")
     z = _fresh_colour(colouring)
     return _replace_class(colouring, class_index, (z,) * colouring.q)
 

@@ -101,6 +101,8 @@ class HypergraphSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.sigma, Sigma):
+            raise ValueError(f"sigma must be a Sigma, got {self.sigma!r}")
         if self.n < 1 or self.q < 1:
             raise ValueError(f"need n >= 1 and q >= 1, got n={self.n}, q={self.q}")
         if self.alpha < 2:

@@ -15,7 +15,11 @@ class is bound, through the exact range solver, failing partial colourings
 as early as possible.  A node checks a whole window of bindings against one
 shape group at a time, and keeps the verdicts as the group's pass masks on
 that window: a binding is checked against a group at most once per family,
-and a node steps only to the bindings that pass every group it has.  The
+and a node steps only to the bindings that pass every group it has.  A
+window is kept per (partition, used colours, top count), listed from the
+lowest final colour count a node has asked of it; a node that needs a
+higher low end reads its sub-window as the bits of the bindings that end
+high enough, with the same masks, and counts its nodes by popcount.  The
 edge condition counts distinct colours only, so a verdict is keyed on the
 shape up to a colour renaming: the group's colour columns and the new
 profile's place in them.  The range solver runs once per such key.
@@ -153,15 +157,23 @@ class _Search:
     for its sorted colour columns: it maps a relation (how the new
     profile's colours sit in those columns, as sorted ints, see
     :meth:`_passing`) to the verdict, so shapes equal up to a colour
-    renaming share one.  ``_windows`` holds, for each window of final
-    colour counts a node met, its binding list and its pass masks: for
-    each shape group checked against the window, ``(known, ok)``, where
-    bit p of ``known`` says binding p was checked against the group and
-    bit p of ``ok`` that it passed.  A node ANDs the masks of its groups,
-    checking only the bindings still in the running that a group has not
-    seen, so a window's bits fill lazily.  Per :meth:`decide`, as its
-    locals, freed when it returns: n, k, the node budget and count, the
-    failure memo and the per-class colour cap.
+    renaming share one.  ``_windows`` holds one entry per (partition,
+    used colours, top count ``min(k, used + len(partition))``) a node met
+    (see :meth:`_window`): the held low end, the lowest final colour count
+    a node asked of it; the bindings that end with held..top colours; their
+    ``ends_from`` bits per end count; and the pass masks: for each shape
+    group checked against the entry, ``(known, ok)``, where bit p of
+    ``known`` says binding p was checked against the group and bit p of
+    ``ok`` that it passed.  A node at the held low end takes the whole list
+    and counts its nodes by position; one at a higher low end takes the
+    ``ends_from`` bits of its low end, the bindings its own list would
+    hold, in order, and counts each step as the popcount of those bits up
+    to it; one at a lower low end rebuilds the entry there.  A node ANDs
+    the masks of its groups, checking only the bindings still in the
+    running that a group has not seen, so an entry's bits fill lazily and
+    serve every low end.  Per :meth:`decide`, as its locals, freed when it
+    returns: n, k, the node budget and count, the failure memo and the
+    per-class colour cap.
 
     Each node receives the placed profiles as a sorted tuple of ids, at
     most ``s - 1`` copies of each (the most classes an edge shape can share
@@ -190,8 +202,9 @@ class _Search:
         self._groups: dict[tuple[int, ...], tuple] = {}
         # sorted colour columns -> relation (sorted ints) -> verdict
         self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
-        # clamped window -> (bindings, shape group -> (known, ok) pass masks)
-        self._windows: dict[tuple, tuple[tuple, dict]] = {}
+        # (partition, used, top count) -> _window's (held low end,
+        # bindings, ends_from masks, shape group -> (known, ok) pass masks)
+        self._windows: dict[tuple, tuple[int, tuple, list[int], dict]] = {}
         # _partitions(q, cap) for the largest per-class colour cap met
         self._partitions: tuple[tuple[int, ...], ...] = ()
         self._partitions_cap = 0
@@ -228,12 +241,14 @@ class _Search:
             if node_budget is not None and nodes > node_budget:
                 raise BudgetExceededError(
                     f"exceeded {node_budget} nodes deciding k={k}")
-            # the last class's window is (partition, used, k, k): every
-            # binding in it ends with exactly k colours
+            # the last class's low end and top count are both k: every
+            # binding it takes ends with exactly k colours
             if i == n:
                 return ()
-            # combinations of a sorted tuple come out sorted
-            groups = tuple(dict.fromkeys(itertools.combinations(placed, cap)))
+            # combinations of a sorted tuple come out sorted; at cap 1 placed
+            # holds each id once, so its 1-tuples are distinct already
+            groups = ([(x,) for x in placed] if cap == 1 else
+                      tuple(dict.fromkeys(itertools.combinations(placed, cap))))
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
@@ -245,13 +260,16 @@ class _Search:
                 top = used + len(partition)
                 if top < least:
                     continue
-                # least..k clamped to the counts this partition can reach
-                window = (partition, used, lo, k if k < top else top)
+                # keyed by the counts up to k this partition can reach; the
+                # entry holds the bindings that end with held..top colours,
+                # so a node with a higher low end reads its sub-window's bits
+                window = (partition, used, k if k < top else top)
                 entry = windows.get(window)
-                if entry is None:
-                    entry = windows[window] = (self._bindings(*window), {})
-                bindings, masks = entry
-                live = (1 << len(bindings)) - 1
+                if entry is None or entry[0] > lo:
+                    entry = windows[window] = self._window(window, lo, entry)
+                held, bindings, ends_from, masks = entry
+                whole = lo == held
+                live = bits = ends_from[lo]
                 # AND the groups' masks, checking only the bindings still
                 # live that a group has not seen
                 for group in groups:
@@ -263,14 +281,16 @@ class _Search:
                     live &= ok
                     if not live:
                         break
-                # every binding is a node, passing or not: a step to the
-                # next passing one counts the failing ones it skips
-                last = -1
+                # every binding of the window is a node, passing or not: a
+                # step to the next passing one counts the failing ones it
+                # skips, by position in a whole list, else by popcount
+                done = 0
                 while live:
                     low = live & -live
                     pos = low.bit_length() - 1
-                    nodes += pos - last
-                    last = pos
+                    upto = pos + 1 if whole else (bits & (2 * low - 1)).bit_count()
+                    nodes += upto - done
+                    done = upto
                     key, new_used = bindings[pos]
                     # the id joins at its sorted place, up to cap copies
                     after = placed
@@ -284,7 +304,7 @@ class _Search:
                             return (key,) + rest
                         failed[state] = None
                     live ^= low
-                nodes += len(bindings) - 1 - last
+                nodes += (len(bindings) if whole else bits.bit_count()) - done
             return None
 
         try:
@@ -323,6 +343,36 @@ class _Search:
         if cap == self._partitions_cap:
             return self._partitions
         return tuple(p for p in self._partitions if len(p) <= cap)  # still decreasing
+
+    def _window(self, window: tuple[tuple[int, ...], int, int], lo: int,
+                old: tuple | None) -> tuple[int, tuple, list[int], dict]:
+        """The entry of ``window``, (partition, used, top count hi), held at
+        low end ``lo``: ``lo``, the bindings that end with ``lo..hi``
+        colours, ``ends_from`` (bit p of ``ends_from[e]``, 0 <= e <= hi, set
+        when binding p ends with at least e colours) and the pass masks,
+        carried over from ``old``, the entry held at a higher low end, if any.
+
+        ``_bindings``' low end only prunes subtrees, so a higher low end
+        lists the same-order subsequence of those ending with at least that
+        many colours; a binding's id is unique within one list, so each old
+        position moves to the new position of its id."""
+        partition, used, hi = window
+        bindings = self._bindings(partition, used, lo, hi)
+        ends_from = [0] * (hi + 2)
+        for pos, (_, ends) in enumerate(bindings):
+            ends_from[ends] |= 1 << pos
+        for e in range(hi, -1, -1):
+            ends_from[e] |= ends_from[e + 1]
+        if old is None:
+            return lo, bindings, ends_from, {}
+        where = {key: pos for pos, (key, _) in enumerate(bindings)}
+        spots = [where[key] for key, _ in old[1]]
+
+        def spread(mask: int) -> int:
+            return sum(1 << at for p, at in enumerate(spots) if mask >> p & 1)
+
+        return lo, bindings, ends_from, {
+            group: (spread(known), spread(ok)) for group, (known, ok) in old[3].items()}
 
     def _group(self, group: tuple[int, ...]
                ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:

@@ -230,6 +230,13 @@ class TestRecolourOps:
         with pytest.raises(InfeasibleError, match=f"in class {class_index} and nowhere"):
             split_to_fixed(c, class_index, 5, 4)
 
+    @pytest.mark.parametrize("class_index", [-1, 2])
+    def test_whole_class_outside_the_colouring_is_refused(self, class_index):
+        # -1 would repaint the last class, 2 raise a bare IndexError
+        c = Colouring(classes=((1, 2, 3), (4, 5, 6)))
+        with pytest.raises(InfeasibleError, match=f"class {class_index} outside 0..1"):
+            recolour_whole_class(c, class_index)
+
     def test_mono_colouring_on_edgeless_instance(self):
         spec = spec_of(3, 1, [2, 1], 2, 2)  # q below the largest part
         for k in (1, 2, 3):

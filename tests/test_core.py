@@ -328,3 +328,10 @@ class TestColouringValidation:
         fields = dict(n=3, q=3, sigma=build_sigma([1, 1]), alpha=2, beta=3)
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             HypergraphSpec(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("bad", [(1, 1), [1, 1], None, 2])
+    def test_spec_rejects_a_sigma_that_is_not_a_sigma(self, bad):
+        # a tuple sigma would otherwise reach spectrum and fail there with
+        # AttributeError on sigma.delta_max
+        with pytest.raises(ValueError, match="sigma must be a Sigma"):
+            HypergraphSpec(n=3, q=3, sigma=bad, alpha=2, beta=2)

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,6 +344,30 @@ class TestSpectrum:
         assert len(set(search._keys)) == len(search._keys)
         assert search._ids == {key: i for i, key in enumerate(search._keys)}
 
+    @pytest.mark.parametrize("node_budget", [None, 200])
+    def test_descending_search_matches_lone_decisions(self, node_budget):
+        # one context per grid family decides its n in descending order, and
+        # each n's k in descending order.  The low ends a node asks for then
+        # fall across decisions, so entries are rebuilt lower with their
+        # masks carried over, and nodes at higher low ends read sub-windows
+        # of them, counting their nodes by popcount; an ascending spectrum
+        # rarely takes either path
+        families = {}
+        for spec in nogap_grid():
+            families.setdefault((spec.q, spec.sigma, spec.alpha, spec.beta), []).append(spec)
+        rebuilt = 0
+        for family, specs in families.items():
+            search = _Search(*family)
+            with mock.patch.object(search, "_window", wraps=search._window) as built:
+                for spec in sorted(specs, key=lambda spec: spec.n, reverse=True):
+                    for k in range(spec.num_vertices, 0, -1):
+                        shared = decide_k(spec, k, node_budget, _search=search)
+                        lone = decide_k(spec, k, node_budget)
+                        assert (shared.verdict, shared.witness, shared.nodes) == (
+                            lone.verdict, lone.witness, lone.nodes), (spec, k)
+            rebuilt += sum(call.args[-1] is not None for call in built.call_args_list)
+        assert rebuilt > 0
+
     def test_nodes_recorded_per_k(self):
         res = spectrum(GAP22)
         assert set(res.nodes_explored) == set(range(1, 11))
@@ -466,7 +491,7 @@ class TestBindingWindow:
         search = family_search(spec)
         nodes = sum(search.decide(spec.n, k, 100).nodes
                     for k in range(1, spec.num_vertices + 1))
-        bindings = [entry[0] for entry in search._windows.values()]
+        bindings = [entry[1] for entry in search._windows.values()]
         assert sum(map(len, bindings)) <= nodes
         # a partition too short to reach the window is skipped before it
         # gets a bindings call
@@ -512,11 +537,11 @@ class TestBudgetAccounting:
     def test_a_tripped_search_stops_near_its_budget(self):
         # the count is compared as each class is entered, so a search past
         # its budget stops there rather than run its proof out: 25 of the
-        # appendix k=4 proof's 336 (group, window) mask rows at a budget of 50
+        # appendix k=4 proof's 261 (group, window) mask rows at a budget of 50
         def mask_rows(budget):
             search = family_search(self.APPENDIX)
             search.decide(self.APPENDIX.n, 4, budget)
-            return sum(len(masks) for _, masks in search._windows.values())
+            return sum(len(entry[3]) for entry in search._windows.values())
         assert mask_rows(50) * 4 < mask_rows(None)
 
     # a witness returns through the call past the last class, whose entry
@@ -587,9 +612,13 @@ class TestPassMasks:
         keys = search._keys
         groups = set()
         rows = 0
-        for window, (bindings, masks) in search._windows.items():
-            assert bindings == search._bindings(*window)
+        for window, (held, bindings, ends_from, masks) in search._windows.items():
+            partition, used, hi = window
+            assert bindings == search._bindings(partition, used, held, hi)
             full = (1 << len(bindings)) - 1
+            for e in range(hi + 1):
+                assert ends_from[e] == sum(
+                    1 << pos for pos, (_, ends) in enumerate(bindings) if ends >= e)
             for group, (known, ok) in masks.items():
                 assert ok & ~known == 0 and known & ~full == 0, (window, group)
                 for pos, (key, _) in enumerate(bindings):

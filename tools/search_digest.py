@@ -1,9 +1,12 @@
 """Print one digest line per set of engine searches, to compare two checkouts.
 
 A line holds a SHA-256 over every decision's (spec, k, verdict, nodes,
-witness classes), the ``engine.range_of_keys`` calls and the range solver's
-cache misses from an empty cache.  Equal lines mean equal verdicts, node
-counts, raw witnesses and range-solver work.
+witness classes), the ``engine.range_of_keys`` calls, the range solver's
+cache misses from an empty cache and ``checks``, the (group, binding) shape
+checks the engine's mask fills make (one per bit ``_Search._passing`` is
+asked about).  Equal lines mean equal verdicts, node counts, raw witnesses,
+range-solver work and shape-check work; the counts repeat exactly, so a cut
+in them shows without timing noise.
 
 ``nogap-family`` makes the decisions of ``nogap-sweep``, in the same order,
 through one search context per family H(., q | sigma), alpha, beta, which
@@ -157,19 +160,29 @@ def closed_form_records():
 
 def main() -> None:
     witnesses = {}
+    passing = engine._Search._passing
+    checks = 0
+
+    def counted(search, group, bindings, fresh):
+        nonlocal checks
+        checks += fresh.bit_count()
+        return passing(search, group, bindings, fresh)
+
     for name, decisions in (("nogap-sweep", nogap_sweep), ("nogap-family", nogap_family),
                             ("gap-proof", gap_proof)):
         validator._range_of.cache_clear()
         digest = hashlib.sha256()
         found = witnesses[name] = []
+        checks = 0
         with mock.patch.object(engine, "range_of_keys",
-                               wraps=engine.range_of_keys) as solver:
+                               wraps=engine.range_of_keys) as solver, \
+                mock.patch.object(engine._Search, "_passing", counted):
             for spec, k, verdict, nodes, witness in decisions():
                 digest.update(record(spec, k, verdict, nodes, witness))
                 if witness is not None:
                     found.append((spec, witness))
         print(f"{name}: sha256={digest.hexdigest()} range_calls={solver.call_count} "
-              f"range_misses={validator._range_of.cache_info().misses}")
+              f"range_misses={validator._range_of.cache_info().misses} checks={checks}")
     validator._range_of.cache_clear()
     fields = []
     with mock.patch.object(validator, "range_of_keys",
