@@ -17,9 +17,9 @@ shape group at a time, and keeps the verdicts as the group's pass masks on
 that window: a binding is checked against a group at most once per family,
 and a node steps only to the bindings that pass every group it has.  A
 window is kept per (partition, used colours, top count), listed from the
-lowest final colour count a node has asked of it; a node that needs a
-higher low end reads its sub-window as the bits of the bindings that end
-high enough, with the same masks, and counts its nodes by popcount.  The
+lowest final colour count a node has asked of it; a node reads its window
+as the bits of the bindings that end with at least its low end, with the
+entry's masks, and counts its nodes by popcount.  The
 edge condition counts distinct colours only, so a verdict is keyed on the
 shape up to a colour renaming: the group's colour columns and the new
 profile's place in them.  The range solver runs once per such key.
@@ -161,19 +161,18 @@ class _Search:
     used colours, top count ``min(k, used + len(partition))``) a node met
     (see :meth:`_window`): the held low end, the lowest final colour count
     a node asked of it; the bindings that end with held..top colours; their
-    ``ends_from`` bits per end count; and the pass masks: for each shape
-    group checked against the entry, ``(known, ok)``, where bit p of
-    ``known`` says binding p was checked against the group and bit p of
-    ``ok`` that it passed.  A node at the held low end takes the whole list
-    and counts its nodes by position; one at a higher low end takes the
+    ``ends_from`` bits per end count, held..top; and the pass masks: for
+    each shape group checked against the entry, ``(known, ok)``, where bit
+    p of ``known`` says binding p was checked against the group and bit p
+    of ``ok`` that it passed.  A node at the held low end or above takes the
     ``ends_from`` bits of its low end, the bindings its own list would
     hold, in order, and counts each step as the popcount of those bits up
-    to it; one at a lower low end rebuilds the entry there.  A node ANDs
-    the masks of its groups, checking only the bindings still in the
-    running that a group has not seen, so an entry's bits fill lazily and
-    serve every low end.  Per :meth:`decide`, as its locals, freed when it
-    returns: n, k, the node budget and count, the failure memo and the
-    per-class colour cap.
+    to it; one at a lower low end rebuilds the entry there, with empty
+    masks.  A node ANDs the masks of its groups, checking only the
+    bindings still in the running that a group has not seen, so an
+    entry's bits fill lazily and serve every low end.  Per
+    :meth:`decide`, as its locals, freed when it returns: n, k, the node
+    budget and count, the failure memo and the per-class colour cap.
 
     Each node receives the placed profiles as a sorted tuple of ids, at
     most ``s - 1`` copies of each (the most classes an edge shape can share
@@ -245,10 +244,8 @@ class _Search:
             # binding it takes ends with exactly k colours
             if i == n:
                 return ()
-            # combinations of a sorted tuple come out sorted; at cap 1 placed
-            # holds each id once, so its 1-tuples are distinct already
-            groups = ([(x,) for x in placed] if cap == 1 else
-                      tuple(dict.fromkeys(itertools.combinations(placed, cap))))
+            # combinations of a sorted tuple come out sorted
+            groups = tuple(dict.fromkeys(itertools.combinations(placed, cap)))
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
@@ -262,14 +259,13 @@ class _Search:
                     continue
                 # keyed by the counts up to k this partition can reach; the
                 # entry holds the bindings that end with held..top colours,
-                # so a node with a higher low end reads its sub-window's bits
+                # and this node's window is the bits of those ending >= lo
                 window = (partition, used, k if k < top else top)
                 entry = windows.get(window)
                 if entry is None or entry[0] > lo:
-                    entry = windows[window] = self._window(window, lo, entry)
+                    entry = windows[window] = self._window(window, lo)
                 held, bindings, ends_from, masks = entry
-                whole = lo == held
-                live = bits = ends_from[lo]
+                live = bits = ends_from[lo - held]
                 # AND the groups' masks, checking only the bindings still
                 # live that a group has not seen
                 for group in groups:
@@ -282,16 +278,15 @@ class _Search:
                     if not live:
                         break
                 # every binding of the window is a node, passing or not: a
-                # step to the next passing one counts the failing ones it
-                # skips, by position in a whole list, else by popcount
+                # step to the next passing one counts the window's bindings
+                # up to it, failing ones included
                 done = 0
                 while live:
                     low = live & -live
-                    pos = low.bit_length() - 1
-                    upto = pos + 1 if whole else (bits & (2 * low - 1)).bit_count()
+                    upto = (bits & (2 * low - 1)).bit_count()
                     nodes += upto - done
                     done = upto
-                    key, new_used = bindings[pos]
+                    key, new_used = bindings[low.bit_length() - 1]
                     # the id joins at its sorted place, up to cap copies
                     after = placed
                     if placed.count(key) < cap:
@@ -304,7 +299,7 @@ class _Search:
                             return (key,) + rest
                         failed[state] = None
                     live ^= low
-                nodes += (len(bindings) if whole else bits.bit_count()) - done
+                nodes += bits.bit_count() - done
             return None
 
         try:
@@ -344,35 +339,22 @@ class _Search:
             return self._partitions
         return tuple(p for p in self._partitions if len(p) <= cap)  # still decreasing
 
-    def _window(self, window: tuple[tuple[int, ...], int, int], lo: int,
-                old: tuple | None) -> tuple[int, tuple, list[int], dict]:
+    def _window(self, window: tuple[tuple[int, ...], int, int], lo: int
+                ) -> tuple[int, tuple, list[int], dict]:
         """The entry of ``window``, (partition, used, top count hi), held at
-        low end ``lo``: ``lo``, the bindings that end with ``lo..hi``
-        colours, ``ends_from`` (bit p of ``ends_from[e]``, 0 <= e <= hi, set
-        when binding p ends with at least e colours) and the pass masks,
-        carried over from ``old``, the entry held at a higher low end, if any.
-
-        ``_bindings``' low end only prunes subtrees, so a higher low end
-        lists the same-order subsequence of those ending with at least that
-        many colours; a binding's id is unique within one list, so each old
-        position moves to the new position of its id."""
+        low end ``lo``, with no pass masks yet: ``lo``, the bindings that end
+        with ``lo..hi`` colours and ``ends_from``, where bit p of
+        ``ends_from[e - lo]``, lo <= e <= hi, is set when binding p ends with
+        at least e colours.  ``_bindings``' low end only prunes subtrees, so
+        those bits list, in order, the bindings of low end e."""
         partition, used, hi = window
         bindings = self._bindings(partition, used, lo, hi)
-        ends_from = [0] * (hi + 2)
+        ends_from = [0] * (hi - lo + 2)
         for pos, (_, ends) in enumerate(bindings):
-            ends_from[ends] |= 1 << pos
-        for e in range(hi, -1, -1):
+            ends_from[ends - lo] |= 1 << pos
+        for e in range(hi - lo, -1, -1):
             ends_from[e] |= ends_from[e + 1]
-        if old is None:
-            return lo, bindings, ends_from, {}
-        where = {key: pos for pos, (key, _) in enumerate(bindings)}
-        spots = [where[key] for key, _ in old[1]]
-
-        def spread(mask: int) -> int:
-            return sum(1 << at for p, at in enumerate(spots) if mask >> p & 1)
-
-        return lo, bindings, ends_from, {
-            group: (spread(known), spread(ok)) for group, (known, ok) in old[3].items()}
+        return lo, bindings, ends_from, {}
 
     def _group(self, group: tuple[int, ...]
                ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:

@@ -163,6 +163,24 @@ class TestKColourable:
         with pytest.raises(InstanceTooLargeError):
             spectrum(small)
 
+    def test_deep_entries_are_not_sized_by_the_colours_used(self):
+        # k = 2n: every class takes two fresh colours, so the used count
+        # climbs to 2n - 2 down the search; an entry holds one end mask per
+        # final count from its low end to its top, at most q + 2, whatever
+        # the colours already used
+        spec = spec_of(300, 2, [2], 2, 2)
+        search = family_search(spec)
+        tracemalloc.start()
+        try:
+            assert search.decide(spec.n, 2 * spec.n, None).verdict == "feasible"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(search._windows) == spec.n
+        for (_, used, hi), (held, _, ends_from, _) in search._windows.items():
+            assert len(ends_from) == hi - held + 2 <= spec.q + 2
+        assert peak < 2**19
+
     def test_900_classes_still_decided(self):
         spec = spec_of(900, 2, [2], 2, 2)
         w = k_colourable(spec, 2)
@@ -348,24 +366,29 @@ class TestSpectrum:
     def test_descending_search_matches_lone_decisions(self, node_budget):
         # one context per grid family decides its n in descending order, and
         # each n's k in descending order.  The low ends a node asks for then
-        # fall across decisions, so entries are rebuilt lower with their
-        # masks carried over, and nodes at higher low ends read sub-windows
-        # of them, counting their nodes by popcount; an ascending spectrum
-        # rarely takes either path
+        # fall across decisions, so entries are rebuilt lower, and nodes at
+        # higher low ends read sub-windows of them, counting their nodes by
+        # popcount; an ascending spectrum rarely takes either path
         families = {}
         for spec in nogap_grid():
             families.setdefault((spec.q, spec.sigma, spec.alpha, spec.beta), []).append(spec)
         rebuilt = 0
         for family, specs in families.items():
             search = _Search(*family)
-            with mock.patch.object(search, "_window", wraps=search._window) as built:
+            build = search._window
+
+            def counted(window, lo):
+                nonlocal rebuilt
+                rebuilt += window in search._windows
+                return build(window, lo)
+
+            with mock.patch.object(search, "_window", counted):
                 for spec in sorted(specs, key=lambda spec: spec.n, reverse=True):
                     for k in range(spec.num_vertices, 0, -1):
                         shared = decide_k(spec, k, node_budget, _search=search)
                         lone = decide_k(spec, k, node_budget)
                         assert (shared.verdict, shared.witness, shared.nodes) == (
                             lone.verdict, lone.witness, lone.nodes), (spec, k)
-            rebuilt += sum(call.args[-1] is not None for call in built.call_args_list)
         assert rebuilt > 0
 
     def test_nodes_recorded_per_k(self):
@@ -606,18 +629,32 @@ class TestPassMasks:
     ])
     def test_masks_agree_with_the_shape_verdicts(self, spec, node_budget):
         search = family_search(spec)
-        for k in range(1, spec.num_vertices + 1):
-            decide_k(spec, k, node_budget, _search=search)
+        # an entry rebuilt at a lower low end starts with empty masks; the
+        # one it replaces is kept here and checked with the rest
+        build = search._window
+        replaced = []
+
+        def kept(window, lo):
+            if window in search._windows:
+                replaced.append((window, search._windows[window]))
+            return build(window, lo)
+
+        with mock.patch.object(search, "_window", kept):
+            for k in range(1, spec.num_vertices + 1):
+                decide_k(spec, k, node_budget, _search=search)
         assert search._windows
+        entries = [*search._windows.items(), *replaced]
         keys = search._keys
         groups = set()
         rows = 0
-        for window, (held, bindings, ends_from, masks) in search._windows.items():
+        for window, (held, bindings, ends_from, masks) in entries:
             partition, used, hi = window
             assert bindings == search._bindings(partition, used, held, hi)
             full = (1 << len(bindings)) - 1
-            for e in range(hi + 1):
-                assert ends_from[e] == sum(
+            # one mask per end count held..hi, and the empty one past hi
+            assert len(ends_from) == hi - held + 2
+            for e in range(held, hi + 2):
+                assert ends_from[e - held] == sum(
                     1 << pos for pos, (_, ends) in enumerate(bindings) if ends >= e)
             for group, (known, ok) in masks.items():
                 assert ok & ~known == 0 and known & ~full == 0, (window, group)
@@ -629,7 +666,7 @@ class TestPassMasks:
             groups |= set(masks)
             rows += len(masks)
         assert groups == set(search._groups)
-        assert rows <= len(search._windows) * len(groups)
+        assert rows <= len(entries) * len(groups)
 
 
 def engine_verdict(search, group_keys, new_key):
