@@ -176,18 +176,13 @@ def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
     if missing:
         raise UsageError("missing spec fields: " + ", ".join(missing))
     n, r, q, sigma_parts, alpha, beta = (data[f] for f in _SPEC_FIELDS)
-    if not isinstance(sigma_parts, list) or any(
-            type(v) is not int for v in [n, r, q, alpha, beta, *sigma_parts]):
-        raise UsageError("spec fields must be integers and sigma a list of integers")
+    # Sigma and HypergraphSpec check the other fields
+    if type(r) is not int or not isinstance(sigma_parts, list):
+        raise UsageError("r must be an integer and sigma a list")
     try:
         sigma = build_sigma(sigma_parts)
-    except SigmaSpectraError as exc:
-        raise UsageError(str(exc)) from exc
-    if sigma.r != r:
-        raise UsageError(
-            f"sigma parts sum to {sigma.r} but r={r} was given"
-        )
-    try:
+        if sigma.r != r:
+            raise UsageError(f"sigma parts sum to {sigma.r} but r={r} was given")
         return HypergraphSpec(n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)
     except (ValueError, SigmaSpectraError) as exc:
         raise UsageError(str(exc)) from exc

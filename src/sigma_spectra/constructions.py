@@ -49,11 +49,15 @@ class RecolourStep:
 class WalkStep:
     """One walk step and the in-place snapshot it produced: the previous
     snapshot with only class ``step.class_index`` replaced, or the engine's
-    witness for an ``engine-fallback`` step."""
+    witness for an ``engine-fallback`` step.  ``colour_count`` is derived:
+    it reads the snapshot's colour count."""
 
     step: RecolourStep
     colouring: Colouring
-    colour_count: int
+
+    @property
+    def colour_count(self) -> int:
+        return self.colouring.colour_count
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +171,6 @@ def beta_colouring(spec: HypergraphSpec) -> Colouring:
 # ---------------------------------------------------------------------------
 
 
-def _classes_of_colour(colouring: Colouring) -> dict[int, set[int]]:
-    where: dict[int, set[int]] = {}
-    for i, cls in enumerate(colouring.classes):
-        for c in cls:
-            where.setdefault(c, set()).add(i)
-    return where
-
-
-def _fresh_colour(colouring: Colouring) -> int:
-    return max(colouring.colours_used()) + 1
-
-
 def _replace_class(colouring: Colouring, index: int,
                    new_class: tuple[int, ...]) -> Colouring:
     classes = list(colouring.classes)
@@ -196,8 +188,8 @@ def recolour_whole_class(colouring: Colouring, class_index: int) -> Colouring:
     """
     if not 0 <= class_index < colouring.n:
         raise InfeasibleError(f"class {class_index} outside 0..{colouring.n - 1}")
-    z = _fresh_colour(colouring)
-    return _replace_class(colouring, class_index, (z,) * colouring.q)
+    fresh = max(colouring.colours_used()) + 1
+    return _replace_class(colouring, class_index, (fresh,) * colouring.q)
 
 
 def split_to_fixed(
@@ -245,13 +237,15 @@ def _check_walk_spec(spec: HypergraphSpec) -> None:
 
 def _private_map(colouring: Colouring) -> dict[int, list[int]]:
     """Class index -> sorted colours appearing in that class and nowhere else."""
-    where = _classes_of_colour(colouring)
+    owner: dict[int, int | None] = {}  # None once a second class holds it
+    for i, cls in enumerate(colouring.classes):
+        for c in cls:
+            if owner.setdefault(c, i) != i:
+                owner[c] = None
     out: dict[int, list[int]] = {i: [] for i in range(colouring.n)}
-    for colour, owners in where.items():
-        if len(owners) == 1:
-            out[next(iter(owners))].append(colour)
-    for lst in out.values():
-        lst.sort()
+    for c in sorted(owner):
+        if owner[c] is not None:
+            out[owner[c]].append(c)
     return out
 
 
@@ -296,13 +290,8 @@ def spectrum_walk_steps(
         nonlocal current
         _validated(spec, after, f"{kind} on class {class_index}")
         current = after
-        steps.append(
-            WalkStep(
-                step=RecolourStep(class_index=class_index, kind=kind),
-                colouring=after,
-                colour_count=after.colour_count,
-            )
-        )
+        steps.append(WalkStep(step=RecolourStep(class_index=class_index, kind=kind),
+                              colouring=after))
 
     # the private-colour counts (2 meaning two or more) a walk looks for,
     # in order of preference

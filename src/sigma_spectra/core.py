@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 from typing import Any, Iterator, Mapping, Sequence
@@ -41,17 +41,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Sigma:
-    """A partition of ``r`` stored with its derived statistics.
+    """A partition of ``r``, built from its part sizes alone.
 
-    ``parts`` is non-increasing; ``s`` is the number of parts, ``delta_max``
-    the largest part and ``delta_min`` the smallest.
+    ``parts`` is the only argument.  It is stored sorted non-increasing, and
+    the rest is derived from it at construction: ``r`` the sum of the parts,
+    ``s`` their number, ``delta_max`` the largest and ``delta_min`` the
+    smallest.  Raises :class:`InvalidPartitionError` on an empty list or a
+    part that is not an integer >= 1 (bools included).
     """
 
     parts: tuple[int, ...]
-    r: int
-    s: int
-    delta_max: int
-    delta_min: int
+    r: int = field(init=False)
+    s: int = field(init=False)
+    delta_max: int = field(init=False)
+    delta_min: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        parts = self.parts
+        if not parts:
+            raise InvalidPartitionError("partition must have at least one part")
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
+            raise InvalidPartitionError(f"parts must be positive integers: {parts!r}")
+        ordered = tuple(sorted(parts, reverse=True))
+        for name, value in (("parts", ordered), ("r", sum(ordered)), ("s", len(ordered)),
+                            ("delta_max", ordered[0]), ("delta_min", ordered[-1])):
+            object.__setattr__(self, name, value)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
@@ -63,23 +77,9 @@ class Sigma:
 
 
 def build_sigma(parts: Sequence[int]) -> Sigma:
-    """Build a :class:`Sigma` from part sizes, sorting them non-increasing.
-
-    Raises :class:`InvalidPartitionError` on an empty list or a part that
-    is not an integer >= 1 (bools included).
-    """
-    if not parts:
-        raise InvalidPartitionError("partition must have at least one part")
-    if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
-        raise InvalidPartitionError(f"parts must be positive integers: {parts!r}")
-    ordered = tuple(sorted(parts, reverse=True))
-    return Sigma(
-        parts=ordered,
-        r=sum(ordered),
-        s=len(ordered),
-        delta_max=ordered[0],
-        delta_min=ordered[-1],
-    )
+    """The :class:`Sigma` of ``parts`` in any order; it checks the parts and
+    derives ``r``, ``s``, ``delta_max`` and ``delta_min``."""
+    return Sigma(tuple(parts))
 
 
 @dataclass(frozen=True)

@@ -102,23 +102,40 @@ class KDecision:
 class SpectrumResult:
     """All feasible colour counts of an instance, with gap structure.
 
-    ``gaps`` are the maximal runs of decided-infeasible k strictly between
-    the spectrum endpoints.  ``complete`` is False when any k hit the node
-    budget; such k are listed in ``unknown_k`` and excluded from
-    ``feasible_k``.  ``witnesses`` maps each feasible k to the search's
-    witness, as in :class:`KDecision`.
+    Built from ``feasible_k``, ``unknown_k``, ``k_max``, ``witnesses`` and
+    ``nodes_explored``; the rest is derived from them at construction.
+    ``chi`` and ``chi_bar`` are the least and largest feasible k (None when
+    none is), ``colourable`` says one is, and ``complete`` that no k hit the
+    node budget; such k are listed in ``unknown_k`` and excluded from
+    ``feasible_k``.  ``gaps`` are the maximal runs of k strictly between
+    ``chi`` and ``chi_bar`` that are neither feasible nor unknown, so an
+    undecided k interrupts a run.  ``witnesses`` maps each feasible k to
+    the search's witness, as in :class:`KDecision`.
     """
 
     feasible_k: tuple[int, ...]
     unknown_k: tuple[int, ...]
     k_max: int
-    chi: int | None
-    chi_bar: int | None
-    gaps: tuple[IntInterval, ...]
-    colourable: bool
-    complete: bool
+    chi: int | None = field(init=False)
+    chi_bar: int | None = field(init=False)
+    gaps: tuple[IntInterval, ...] = field(init=False)
+    colourable: bool = field(init=False)
+    complete: bool = field(init=False)
     witnesses: dict[int, Colouring] = field(compare=False)
     nodes_explored: dict[int, int] = field(compare=False)
+
+    def __post_init__(self) -> None:
+        chi = min(self.feasible_k, default=None)
+        chi_bar = max(self.feasible_k, default=None)
+        decided = {*self.feasible_k, *self.unknown_k}
+        runs = itertools.groupby(range(chi + 1, chi_bar) if self.feasible_k else (),
+                                 key=lambda k: k not in decided)
+        gaps = tuple(IntInterval(run[0], run[-1])
+                     for run in (list(ks) for infeasible, ks in runs if infeasible))
+        for name, value in (("chi", chi), ("chi_bar", chi_bar), ("gaps", gaps),
+                            ("colourable", bool(self.feasible_k)),
+                            ("complete", not self.unknown_k)):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -553,26 +570,10 @@ def spectrum(
     search = _Search(spec.q, spec.sigma, spec.alpha, spec.beta)
     decisions = [decide_k(spec, k, node_budget, _search=search)
                  for k in range(1, cap + 1)]
-    feasible = [d.k for d in decisions if d.verdict == "feasible"]
-    unknown = [d.k for d in decisions if d.verdict == "unknown"]
-    chi = feasible[0] if feasible else None
-    chi_bar = feasible[-1] if feasible else None
-    # maximal runs of decided-infeasible k in (chi, chi_bar); an undecided
-    # k interrupts a run
-    runs = itertools.groupby(range(chi + 1, chi_bar) if feasible else (),
-                             key=lambda k: decisions[k - 1].verdict == "infeasible")
-    gaps = tuple(IntInterval(run[0], run[-1])
-                 for run in (list(ks) for infeasible, ks in runs if infeasible))
     return SpectrumResult(
-        feasible_k=tuple(feasible),
-        unknown_k=tuple(unknown),
+        feasible_k=tuple(d.k for d in decisions if d.verdict == "feasible"),
+        unknown_k=tuple(d.k for d in decisions if d.verdict == "unknown"),
         k_max=cap,
-        chi=chi,
-        chi_bar=chi_bar,
-        gaps=gaps,
-        colourable=bool(feasible),
-        complete=not unknown,
         witnesses={d.k: d.witness for d in decisions if d.witness is not None},
         nodes_explored={d.k: d.nodes for d in decisions},
     )
-

@@ -360,6 +360,16 @@ BAD_INPUTS = {
          "--start-file", "{colouring}"],
         {"colouring": {"n": 4, "q": 3, "classes": [[0, 0, 0]] * 4}},
     ),
+    "walk-s-above-beta": (
+        ["walk", "--n", "4", "--r", "6", "--q", "3", "--sigma", "2,2,2", "--alpha", "2",
+         "--beta", "2", "--direction", "down", "--start-file", "{colouring}"],
+        {"colouring": {"n": 4, "q": 3, "classes": [[0, 0, 0]] * 4}},
+    ),
+    "walk-smallest-part-too-small": (
+        ["walk", "--n", "4", "--r", "4", "--q", "3", "--sigma", "3,1", "--alpha", "2",
+         "--beta", "2", "--direction", "down", "--start-file", "{colouring}"],
+        {"colouring": {"n": 4, "q": 3, "classes": [[0, 0, 0]] * 4}},
+    ),
     "walk-start-k-out-of-range": (
         ["walk", *GAP_FLAGS, "--direction", "down", "--start-k", "99"], {},
     ),
@@ -410,6 +420,11 @@ BAD_INPUTS = {
     "colouring-shape-mismatch": (
         ["check", *A2_FLAGS, "--colouring-file", "{colouring}"],
         {"colouring": {"n": 3, "q": 2, "classes": [[0, 1], [0, 2], [0, 3]]}},
+    ),
+    # the classes agree in length, but not with the declared q
+    "colouring-classes-not-q-long": (
+        ["check", *A2_FLAGS, "--colouring-file", "{colouring}"],
+        {"colouring": {"n": 5, "q": 3, "classes": [[0, 1]] * 5}},
     ),
     "spec-file-deeply-nested": (
         ["spectrum", "--spec-file", "{spec}"], {"spec": b"[" * 20_000},

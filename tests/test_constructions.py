@@ -1,7 +1,10 @@
 """Constructive colourings and recolouring walks."""
 
+import hashlib
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from sigma_spectra import (
     HypergraphSpec,
     InfeasibleError,
     NotApplicableError,
+    RecolourStep,
+    WalkStep,
     beta_colouring,
     build_sigma,
     canonical_colouring,
@@ -32,6 +37,22 @@ from sigma_spectra.verification import gap_cells, zone_grid
 
 def spec_of(n, q, parts, alpha, beta):
     return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+
+
+# the walks line of tools/search_digest.py, pinned: a change to the walks or
+# the recolouring moves that claims to move no step keeps it
+WALKS_SHA256 = "24bec45e37ee5ef5c00f403e7ab66efdb80d8017a281f7b0d29d51274bca4eb3"
+
+
+def test_walks_digest_is_pinned():
+    path = Path(__file__).resolve().parents[1] / "tools" / "search_digest.py"
+    spec = importlib.util.spec_from_file_location("search_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    digest = hashlib.sha256()
+    for line in module.walk_records():
+        digest.update(line)
+    assert digest.hexdigest() == WALKS_SHA256
 
 
 class TestMonoColouring:
@@ -364,6 +385,13 @@ class TestWalks:
         assert [(ws.step.kind, ws.step.class_index) for ws in steps] == [
             ("split-to-fixed", 0)]
         assert steps[0].colouring.classes == ((0, 1, 1), (0, 3, 3))
+
+    def test_a_step_reads_its_colour_count_off_its_snapshot(self):
+        after = Colouring(classes=((0, 1, 1), (0, 3, 3)))
+        with pytest.raises(TypeError):
+            WalkStep(step=RecolourStep(0, "split-to-fixed"), colouring=after,
+                     colour_count=4)
+        assert WalkStep(RecolourStep(0, "split-to-fixed"), after).colour_count == 3
 
     def test_direction_validated(self):
         res = spectrum(WALK_SPEC)

@@ -12,6 +12,7 @@ from sigma_spectra import (
     Colouring,
     HypergraphSpec,
     InvalidPartitionError,
+    Sigma,
     build_sigma,
     canonical_colouring,
     colouring_from_json,
@@ -21,6 +22,7 @@ from sigma_spectra import (
     layered_colouring,
     part_arrangements,
     profile_of,
+    spectrum,
 )
 
 
@@ -49,6 +51,21 @@ class TestSigma:
     def test_rejects_bad_parts(self, bad):
         with pytest.raises(InvalidPartitionError):
             build_sigma(bad)
+
+    def test_takes_only_its_parts_and_derives_the_rest(self):
+        # r, s and the extreme parts are read off the parts, so a hand-built
+        # Sigma cannot disagree with them (an s of 3 for (2,2) once gave the
+        # spectrum (4,5,6,7) in place of (5,))
+        with pytest.raises(TypeError):
+            Sigma(parts=(2, 2), r=4, s=3, delta_max=2, delta_min=2)
+        s = Sigma((1, 3))
+        assert (s.parts, s.r, s.s, s.delta_max, s.delta_min) == ((3, 1), 4, 2, 3, 1)
+        for bad in [(), (2, True)]:
+            with pytest.raises(InvalidPartitionError):
+                Sigma(bad)
+        by_hand = spectrum(HypergraphSpec(n=5, q=3, sigma=Sigma((2, 2)), alpha=2, beta=2))
+        assert by_hand.feasible_k == (5,)
+        assert by_hand == spectrum(spec_of(5, 3, [2, 2]))
 
 
 class TestProfiles:

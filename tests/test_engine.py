@@ -20,6 +20,7 @@ from sigma_spectra import (
     HypergraphSpec,
     InstanceTooLargeError,
     IntInterval,
+    SpectrumResult,
     WITNESS_VERTEX_LIMIT,
     build_sigma,
     brute_oracle,
@@ -250,6 +251,22 @@ class TestSpectrum:
         assert res.chi == 2 and res.chi_bar == 9
         assert res.unknown_k == (4,)
         assert res.gaps == (IntInterval(3, 3), IntInterval(5, 6), IntInterval(8, 8))
+
+    def test_a_result_derives_its_endpoints_and_gaps(self):
+        # only the decided data is given; chi, chi_bar, gaps, colourable and
+        # complete are read off it, so they cannot disagree with it
+        with pytest.raises(TypeError):
+            SpectrumResult(feasible_k=(2,), unknown_k=(), k_max=3, chi=1, chi_bar=2,
+                           gaps=(), colourable=True, complete=True, witnesses={},
+                           nodes_explored={})
+        res = SpectrumResult(feasible_k=(2, 7, 9), unknown_k=(4,), k_max=10,
+                             witnesses={}, nodes_explored={})
+        assert (res.chi, res.chi_bar, res.colourable, res.complete) == (2, 9, True, False)
+        assert res.gaps == (IntInterval(3, 3), IntInterval(5, 6), IntInterval(8, 8))
+        none = SpectrumResult(feasible_k=(), unknown_k=(), k_max=3, witnesses={},
+                              nodes_explored={})
+        assert (none.chi, none.chi_bar, none.gaps, none.colourable, none.complete) == \
+            (None, None, (), False, True)
 
     def test_deterministic_across_runs(self):
         a = spectrum(GAP22)

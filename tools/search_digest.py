@@ -36,6 +36,14 @@ on a fixed grid with ``alpha >= 2`` (:func:`closed_form_records`); equal
 lines mean a change to the closed forms moves no value and no error.
 ``tests/test_formulas.py`` pins it.
 
+The ``walks`` line holds a SHA-256 over every step of
+``constructions.spectrum_walk_steps`` on each ``nogap_grid`` spec with
+n*q <= 16, walked down from the engine's chi-bar witness and up from its chi
+witness (:func:`walk_records`): spec, direction, step kind, class index,
+colour count and the step's colouring classes.  Equal lines mean the walks
+take the same moves to the same colourings; ``tests/test_constructions.py``
+pins it.
+
     python tools/search_digest.py
 """
 
@@ -158,6 +166,20 @@ def closed_form_records():
                             yield outcome(constructions.layered_colouring, spec, k)
 
 
+def walk_records():
+    """Each step of the recolouring walks, as the ``walks`` line's SHA-256
+    reads them."""
+    for spec in verification.nogap_grid():
+        if spec.num_vertices > 16:
+            continue
+        res = spectrum(spec, node_budget=5_000_000)
+        for direction, k in (("down", res.chi_bar), ("up", res.chi)):
+            steps = constructions.spectrum_walk_steps(spec, res.witnesses[k], direction)
+            for s in steps:
+                yield repr((str(spec), direction, s.step.kind, s.step.class_index,
+                            s.colour_count, s.colouring.classes)).encode()
+
+
 def main() -> None:
     witnesses = {}
     passing = engine._Search._passing
@@ -204,6 +226,10 @@ def main() -> None:
     for line in closed_form_records():
         digest.update(line)
     print(f"closed-forms: sha256={digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for line in walk_records():
+        digest.update(line)
+    print(f"walks: sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":
