@@ -31,7 +31,8 @@ decision (n, k, budget, node count, failure memo) is local to it and freed,
 by reference counting alone, when the decision returns.  The search
 runs on profile ids, small ints interned per family: the placed profiles, the
 shape groups and the failure memo hold sorted ids, and only the witness maps
-them back to profile keys.
+them back to profile keys.  When sigma has two parts a shape group is one
+class, keyed by its id alone, and a node's placed tuple is its groups.
 """
 
 from __future__ import annotations
@@ -200,7 +201,9 @@ class _Search:
     which run in decreasing order, so a child scans from that index on; a
     parent tests the memo before it calls a child and fills it after.  The
     placed tuple's distinct ``s - 1``-element groups, sorted as it is, are
-    the shapes every child must pass with its new profile.
+    the shapes every child must pass with its new profile.  When sigma has
+    two parts the placed tuple holds each id once and is itself that list:
+    a group is then its int id, in ``_groups`` and the pass masks alike.
 
     A memo state is one flat tuple, ``(i, j, used) + placed``: class index,
     partition index and used-colour count, then the placed ids; the prefix
@@ -214,8 +217,9 @@ class _Search:
         self.q, self.sigma, self.alpha, self.beta = q, sigma, alpha, beta
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
-        # shape group -> _group's (profile keys, colour offsets, verdicts)
-        self._groups: dict[tuple[int, ...], tuple] = {}
+        # shape group (an id when sigma has two parts, else sorted ids)
+        # -> _group's (profile keys, colour offsets, verdicts)
+        self._groups: dict[int | tuple[int, ...], tuple] = {}
         # sorted colour columns -> relation (sorted ints) -> verdict
         self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
         # (partition, used, top count) -> _window's (held low end,
@@ -261,8 +265,10 @@ class _Search:
             # binding it takes ends with exactly k colours
             if i == n:
                 return ()
-            # combinations of a sorted tuple come out sorted
-            groups = tuple(dict.fromkeys(itertools.combinations(placed, cap)))
+            # at cap 1 placed holds each id once, sorted, so its ids are the
+            # groups; combinations of a sorted tuple come out sorted
+            groups = placed if cap == 1 else tuple(
+                dict.fromkeys(itertools.combinations(placed, cap)))
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
@@ -373,9 +379,10 @@ class _Search:
             ends_from[e] |= ends_from[e + 1]
         return lo, bindings, ends_from, {}
 
-    def _group(self, group: tuple[int, ...]
+    def _group(self, group: int | tuple[int, ...]
                ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:
-        """The shape data of ``group`` (sorted ids), built once per family:
+        """The shape data of ``group`` (one id when sigma has two parts,
+        else sorted ids), built once per family:
         its profile keys in key order (slot j holds the j-th), its colours'
         offsets in a list up to its largest colour, and the verdict table of
         its sorted columns, which fix the group up to a colour renaming.
@@ -390,7 +397,8 @@ class _Search:
         would do too; q - 1 would not)."""
         # key order, so a group has one slot order whatever order its ids
         # were interned in
-        shape_keys = tuple(sorted(map(self._keys.__getitem__, group)))
+        ids = (group,) if type(group) is int else group
+        shape_keys = tuple(sorted(map(self._keys.__getitem__, ids)))
         cols: dict[int, tuple[int, ...]] = {}
         for slot, key in enumerate(shape_keys):
             for c, m in key:
@@ -403,11 +411,12 @@ class _Search:
         table = self._verdicts.setdefault(columns, {})
         return self._groups.setdefault(group, (shape_keys, base, table))
 
-    def _passing(self, group: tuple[int, ...], bindings: tuple, fresh: int
+    def _passing(self, group: int | tuple[int, ...], bindings: tuple, fresh: int
                  ) -> int:
         """The bits of ``fresh`` whose bindings pass against ``group``
-        (sorted ids): every edge over the group's classes and the binding's
-        class sees alpha..beta colours.
+        (an id or sorted ids, as :meth:`_group` takes it): every edge over
+        the group's classes and the binding's class sees alpha..beta
+        colours.
 
         A verdict is solved once per family for each (sorted group columns,
         relation).  The relation is the sorted ints ``base[c] + m`` (``m``

@@ -72,6 +72,12 @@ def family_search(spec):
     return _Search(spec.q, spec.sigma, spec.alpha, spec.beta)
 
 
+def group_ids(group):
+    """The sorted profile ids of a shape group as the search keys it: when
+    sigma has two parts a group is its one id, not a 1-tuple."""
+    return (group,) if type(group) is int else group
+
+
 def assert_search_layout(w):
     """The search places class partitions (sorted colour multiplicities)
     lexicographically non-increasing in class order."""
@@ -342,19 +348,32 @@ class TestSpectrum:
 
     def test_search_state_is_keyed_on_profile_ids(self):
         # each profile key is interned once per family; the shape groups, like
-        # the placed profiles, are keyed on its id, never the key, and each
-        # group holds the one verdict table of its sorted colour columns and,
-        # in a list up to its largest colour, an offset per colour: (rank of
-        # its column among those sorted columns + 1) times q + 1, else 0
-        spec = spec_of(4, 3, [2, 2, 2], 2, 5)
+        # the placed profiles, are keyed on its id, never the key: when sigma
+        # has two parts a group is the id itself, else a sorted id tuple, in
+        # _groups and in every window's mask rows alike.  Each group holds
+        # the one verdict table of its sorted colour columns and, in a list
+        # up to its largest colour, an offset per colour: (rank of its column
+        # among those sorted columns + 1) times q + 1, else 0
+        for spec in (spec_of(4, 3, [2, 2, 2], 2, 5), spec_of(4, 3, [2, 2], 2, 3), GAP22):
+            self.assert_search_state_keyed_on_profile_ids(spec)
+
+    def assert_search_state_keyed_on_profile_ids(self, spec):
         search = family_search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
+        rows = [group for *_, masks in search._windows.values() for group in masks]
+        assert rows
+        for group in [*search._groups, *rows]:
+            if spec.sigma.s == 2:
+                assert type(group) is int, group
+            else:
+                assert type(group) is tuple and len(group) == spec.sigma.s - 1
+                assert all(type(i) is int for i in group)
+                assert list(group) == sorted(group)
         tables = set()
         offsets = {}  # table id -> column -> offset, over every group sharing it
         for group, (shape_keys, base, table) in search._groups.items():
-            assert type(group) is tuple and all(type(i) is int for i in group)
             columns = {}
             for slot, key in enumerate(shape_keys):
                 for c, m in key:
@@ -677,7 +696,7 @@ class TestPassMasks:
                 assert ok & ~known == 0 and known & ~full == 0, (window, group)
                 for pos, (key, _) in enumerate(bindings):
                     if known >> pos & 1:
-                        shape = [keys[i] for i in group] + [keys[key]]
+                        shape = [keys[i] for i in group_ids(group)] + [keys[key]]
                         assert direct_verdict(spec, shape) == bool(ok >> pos & 1), (
                             window, group, key)
             groups |= set(masks)
@@ -688,12 +707,14 @@ class TestPassMasks:
 
 def engine_verdict(search, group_keys, new_key):
     """The search's verdict on the shape of ``group_keys`` plus ``new_key``,
-    read through its verdict cache as a node's mask fill reads it."""
+    read through its verdict cache as a node's mask fill reads it, with the
+    group keyed as the search keys it (see :func:`group_ids`)."""
     for key in (*group_keys, new_key):
         if key not in search._ids:
             search._ids[key] = len(search._keys)
             search._keys.append(key)
-    group = tuple(sorted(search._ids[key] for key in group_keys))
+    ids = tuple(sorted(search._ids[key] for key in group_keys))
+    group = ids[0] if len(ids) == 1 else ids
     return search._passing(group, ((search._ids[new_key], 0),), 1) == 1
 
 
@@ -842,25 +863,22 @@ class TestGoldenNodeCounts:
 
     def test_gap_recipe_decisions(self):
         # with the appendix decisions ahead of them, in the order of the
-        # gap-proof digest
+        # gap-proof digest, which counts the same shape checks
         digest, checked = hashlib.sha256(), hashlib.sha256()
-        for k in (3, 4, 8):
-            d = decide_k(self.APPENDIX, k)
-            digest.update(SEARCH_DIGEST.record(self.APPENDIX, k, d.verdict, d.nodes,
-                                               d.witness))
-            if d.witness is not None:
-                for line in SEARCH_DIGEST.validator_records(self.APPENDIX, d.witness):
-                    checked.update(line)
         golden = {key: record for key, record in self.GOLDEN["gap-proof"].items()
                   if not key.startswith(f"{self.APPENDIX}|")}
         seen = {}
+        pairs = [(self.APPENDIX, k) for k in (3, 4, 8)]
         for alpha, beta, parts in gap_cells():
             sigma = build_sigma(parts)
             q, n = gap_instance_params(alpha, beta, sigma)
             spec = HypergraphSpec(n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)
-            for k in range(1, beta + 2):
+            pairs += [(spec, k) for k in range(1, beta + 2)]
+        with SEARCH_DIGEST.check_counter() as counter:
+            for spec, k in pairs:
                 d = decide_k(spec, k)
-                seen[f"{spec}|k={k}"] = {"verdict": d.verdict, "nodes": d.nodes}
+                if spec != self.APPENDIX:
+                    seen[f"{spec}|k={k}"] = {"verdict": d.verdict, "nodes": d.nodes}
                 digest.update(SEARCH_DIGEST.record(spec, k, d.verdict, d.nodes, d.witness))
                 if d.witness is not None:
                     for line in SEARCH_DIGEST.validator_records(spec, d.witness):
@@ -868,3 +886,5 @@ class TestGoldenNodeCounts:
         assert seen == golden
         assert digest.hexdigest() == GAP_PROOF_SHA256
         assert checked.hexdigest() == VALIDATOR_GAP_SHA256
+        # a group checked twice, or in another order, moves the count
+        assert counter.checks == 3970

@@ -4,9 +4,10 @@ A line holds a SHA-256 over every decision's (spec, k, verdict, nodes,
 witness classes), the ``engine.range_of_keys`` calls, the range solver's
 cache misses from an empty cache and ``checks``, the (group, binding) shape
 checks the engine's mask fills make (one per bit ``_Search._passing`` is
-asked about).  Equal lines mean equal verdicts, node counts, raw witnesses,
-range-solver work and shape-check work; the counts repeat exactly, so a cut
-in them shows without timing noise.
+asked about, counted by :func:`check_counter`).  Equal lines mean equal
+verdicts, node counts, raw witnesses, range-solver work and shape-check
+work; the counts repeat exactly, so a cut in them shows without timing
+noise.
 
 ``nogap-family`` makes the decisions of ``nogap-sweep``, in the same order,
 through one search context per family H(., q | sigma), alpha, beta, which
@@ -14,7 +15,8 @@ meets its specs in ascending n.  Its sha256 equals ``nogap-sweep``'s exactly
 when sharing a context across n moves no verdict, node count or witness; its
 range-solver counts are lower, as verdicts found at one n serve every n.
 ``tests/test_engine.py`` pins the ``nogap-sweep`` and ``gap-proof`` digests
-through :func:`record`, from decisions its tests already make.
+through :func:`record`, from decisions its tests already make, and the
+``gap-proof`` checks through :func:`check_counter`.
 
 The ``validator`` line holds one SHA-256 per set of engine witnesses, those
 of ``nogap-sweep`` and of ``gap-proof``, over (spec, classes, ``is_valid``,
@@ -50,7 +52,9 @@ pins it.
 import hashlib
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -65,6 +69,22 @@ from sigma_spectra import constructions, formulas, validator, verification  # no
 def record(spec, k, verdict, nodes, witness) -> bytes:
     """One decision as a line's SHA-256 reads it."""
     return repr((str(spec), k, verdict, nodes, witness and witness.classes)).encode()
+
+
+@contextmanager
+def check_counter():
+    """Count, while the block runs, the (group, binding) shape checks the
+    engine's mask fills make, one per bit ``_Search._passing`` is asked
+    about; yields the counter, whose ``checks`` is the count so far."""
+    counter = SimpleNamespace(checks=0)
+    passing = engine._Search._passing
+
+    def counted(search, group, bindings, fresh):
+        counter.checks += fresh.bit_count()
+        return passing(search, group, bindings, fresh)
+
+    with mock.patch.object(engine._Search, "_passing", counted):
+        yield counter
 
 
 def validator_records(spec, witness):
@@ -182,29 +202,21 @@ def walk_records():
 
 def main() -> None:
     witnesses = {}
-    passing = engine._Search._passing
-    checks = 0
-
-    def counted(search, group, bindings, fresh):
-        nonlocal checks
-        checks += fresh.bit_count()
-        return passing(search, group, bindings, fresh)
-
     for name, decisions in (("nogap-sweep", nogap_sweep), ("nogap-family", nogap_family),
                             ("gap-proof", gap_proof)):
         validator._range_of.cache_clear()
         digest = hashlib.sha256()
         found = witnesses[name] = []
-        checks = 0
         with mock.patch.object(engine, "range_of_keys",
                                wraps=engine.range_of_keys) as solver, \
-                mock.patch.object(engine._Search, "_passing", counted):
+                check_counter() as counter:
             for spec, k, verdict, nodes, witness in decisions():
                 digest.update(record(spec, k, verdict, nodes, witness))
                 if witness is not None:
                     found.append((spec, witness))
         print(f"{name}: sha256={digest.hexdigest()} range_calls={solver.call_count} "
-              f"range_misses={validator._range_of.cache_info().misses} checks={checks}")
+              f"range_misses={validator._range_of.cache_info().misses} "
+              f"checks={counter.checks}")
     validator._range_of.cache_clear()
     fields = []
     with mock.patch.object(validator, "range_of_keys",
