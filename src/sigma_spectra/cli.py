@@ -102,16 +102,6 @@ class CommandFailure(Exception):
     """The command ran and failed: exit 1, the message its one stderr line."""
 
 
-def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--spec-file", help="JSON file with n, r, q, sigma, alpha, beta")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--sigma", help="comma-separated part sizes, e.g. 6,6")
-    sub.add_argument("--alpha", type=int)
-    sub.add_argument("--beta", type=int)
-
-
 def _read(path: str, what: str, parse: Callable[[str], Any]) -> Any:
     """Parse a UTF-8 input file; any failure is a usage error."""
     try:
@@ -320,49 +310,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact constrained-colouring spectra of sigma-class hypergraphs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    spec_flags = argparse.ArgumentParser(add_help=False)
+    spec_flags.add_argument("--spec-file",
+                            help="JSON file with n, r, q, sigma, alpha, beta")
+    spec_flags.add_argument("--n", type=int)
+    spec_flags.add_argument("--r", type=int)
+    spec_flags.add_argument("--q", type=int)
+    spec_flags.add_argument("--sigma", help="comma-separated part sizes, e.g. 6,6")
+    spec_flags.add_argument("--alpha", type=int)
+    spec_flags.add_argument("--beta", type=int)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_non_negative_int, default=None,
+                        help="node budget per engine decision")
 
-    p_spectrum = subs.add_parser("spectrum", help="compute feasible k and gaps")
-    _add_spec_flags(p_spectrum)
+    def add(name: str, func: Callable[[argparse.Namespace, Any], Outcome],
+            summary: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, parents=parents, help=summary)
+        sub.add_argument("--output", default=None)
+        sub.set_defaults(func=func)
+        return sub
+
+    p_spectrum = add("spectrum", _cmd_spectrum, "compute feasible k and gaps",
+                     spec_flags, budget)
     p_spectrum.add_argument("--k-max", type=int, default=None)
-    p_spectrum.add_argument("--budget", type=_non_negative_int, default=None,
-                            help="node budget per k decision")
     p_spectrum.add_argument("--format", choices=("json", "csv"), default="json")
-    p_spectrum.add_argument("--output", default=None)
-    p_spectrum.set_defaults(func=_cmd_spectrum)
 
-    p_check = subs.add_parser("check", help="validate a colouring file")
-    _add_spec_flags(p_check)
+    p_check = add("check", _cmd_check, "validate a colouring file", spec_flags)
     p_check.add_argument("--colouring-file", required=True)
-    p_check.add_argument("--output", default=None)
-    p_check.set_defaults(func=_cmd_check)
 
-    p_construct = subs.add_parser("construct", help="emit a constructive colouring")
-    _add_spec_flags(p_construct)
-    p_construct.add_argument(
-        "--kind", choices=("mono", "layered", "beta", "engine"), required=True
-    )
+    p_construct = add("construct", _cmd_construct, "emit a constructive colouring",
+                      spec_flags, budget)
+    p_construct.add_argument("--kind", choices=("mono", "layered", "beta", "engine"),
+                             required=True)
     p_construct.add_argument("--k", type=int, default=None)
-    p_construct.add_argument("--budget", type=_non_negative_int, default=None)
     p_construct.add_argument("--raw", action="store_true",
                              help="emit the bare colouring file instead of a report")
-    p_construct.add_argument("--output", default=None)
-    p_construct.set_defaults(func=_cmd_construct)
 
-    p_walk = subs.add_parser("walk", help="recolouring walk, each step validated")
-    _add_spec_flags(p_walk)
+    p_walk = add("walk", _cmd_walk, "recolouring walk, each step validated",
+                 spec_flags, budget)
     p_walk.add_argument("--direction", choices=("up", "down"), required=True)
     p_walk.add_argument("--start-file", default=None)
     p_walk.add_argument("--start-k", type=int, default=None,
                         help="start from an engine colouring with this many colours")
-    p_walk.add_argument("--budget", type=_non_negative_int, default=None)
-    p_walk.add_argument("--output", default=None)
-    p_walk.set_defaults(func=_cmd_walk)
 
-    p_verify = subs.add_parser("verify", help="run a verification grid")
-    p_verify.add_argument("--suite", required=True,
-                          help=", ".join(sorted(SUITES)))
-    p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(func=_cmd_verify)
+    add("verify", _cmd_verify, "run a verification grid").add_argument(
+        "--suite", required=True, help=", ".join(sorted(SUITES)))
 
     return parser
 

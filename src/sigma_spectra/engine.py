@@ -163,13 +163,13 @@ class _Search:
     of colour bindings and the partitions of q into at most the largest
     colour cap a decision gave a class (one list; a smaller cap filters it);
     sigma keeps its own part arrangements, built on first use.  Each profile
-    key is interned to a small int when a binding list first yields it
-    (``_ids`` maps key to id, ``_keys`` id to key), so the search compares
-    and hashes ints, never nested tuples.  A shape
-    verdict says whether every edge over a group of class profiles plus one
-    new profile sees between alpha and beta colours; those profiles fix the
-    colours an edge sees, whatever n and k the whole colouring has, so the
-    verdict holds for every n and k.
+    key is interned to a small int when :meth:`_window`, the one place that
+    interns profiles, first lists a binding with it (``_ids`` maps key to
+    id, ``_keys`` id to key), so the search compares and hashes ints, never
+    nested tuples.  A shape verdict says whether every edge over a group of
+    class profiles plus one new profile sees between alpha and beta
+    colours; those profiles fix the colours an edge sees, whatever n and k
+    the whole colouring has, so the verdict holds for every n and k.
     ``_groups`` keeps, per group met, its profile keys, its colours'
     offsets (see :meth:`_group`) and the verdict table ``_verdicts`` holds
     for its sorted colour columns: it maps a relation (how the new
@@ -365,19 +365,54 @@ class _Search:
     def _window(self, window: tuple[tuple[int, ...], int, int], lo: int
                 ) -> tuple[int, tuple, list[int], dict]:
         """The entry of ``window``, (partition, used, top count hi), held at
-        low end ``lo``, with no pass masks yet: ``lo``, the bindings that end
-        with ``lo..hi`` colours and ``ends_from``, where bit p of
-        ``ends_from[e - lo]``, lo <= e <= hi, is set when binding p ends with
-        at least e colours.  ``_bindings``' low end only prunes subtrees, so
-        those bits list, in order, the bindings of low end e."""
+        low end ``lo``, with no pass masks yet: ``lo``; the canonical colour
+        bindings of the partition after ``used`` colours that end with
+        ``lo..hi`` colours, as (profile id, new used count) in generation
+        order (parts of equal size form groups, each taking old colours and
+        fresh ones, fresh colours consecutive, larger sizes first); and
+        ``ends_from``, bit p of ``ends_from[e - lo]`` set when binding p ends
+        with at least e colours, lo <= e <= hi.  The low end only prunes
+        subtrees, so those bits list, in order, the bindings of low end e."""
         partition, used, hi = window
-        bindings = self._bindings(partition, used, lo, hi)
+        groups = [(size, len(list(grp)))
+                  for size, grp in itertools.groupby(partition)]
+        ids, keys = self._ids, self._keys
+        out: list[tuple[int, int]] = []
         ends_from = [0] * (hi - lo + 2)
-        for pos, (_, ends) in enumerate(bindings):
-            ends_from[ends - lo] |= 1 << pos
+
+        def assign(gi: int, available: tuple[int, ...], fresh: int,
+                   pairs: tuple[tuple[int, int], ...]) -> None:
+            size, count = groups[gi]
+            final = gi == len(groups) - 1
+            # t old colours here leave at most used + fresh + (parts left) - t
+            # colours at the end, every later part taking a fresh one
+            most_old = used + fresh + len(partition) - len(pairs) - lo
+            for t in range(min(count, len(available), most_old), -1, -1):
+                ends = used + fresh + count - t
+                if ends > hi:
+                    break
+                new_pairs = tuple(zip(range(used + fresh, ends),
+                                      itertools.repeat(size)))
+                for olds in itertools.combinations(available, t):
+                    here = pairs + tuple(zip(olds, itertools.repeat(size))) + new_pairs
+                    if not final:
+                        assign(gi + 1, tuple(c for c in available if c not in olds),
+                               ends - used, here)
+                        continue
+                    key = tuple(sorted(here))
+                    pid = ids.get(key)
+                    if pid is None:
+                        pid = ids[key] = len(keys)
+                        keys.append(key)
+                    ends_from[ends - lo] |= 1 << len(out)
+                    out.append((pid, ends))
+
+        assign(0, tuple(range(used)), 0, ())
+        del assign  # its closure holds it, as place's does
         for e in range(hi - lo, -1, -1):
             ends_from[e] |= ends_from[e + 1]
-        return lo, bindings, ends_from, {}
+        return lo, tuple(out), ends_from, {}
+
 
     def _group(self, group: int | tuple[int, ...]
                ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:
@@ -450,52 +485,6 @@ class _Search:
             fresh ^= low
         return ok
 
-    def _bindings(self, partition: tuple[int, ...], used: int, lo: int, hi: int
-                  ) -> tuple[tuple[int, int], ...]:
-        """The canonical colour bindings of ``partition`` after ``used``
-        colours that end with ``lo..hi`` colours, as (profile id, new used
-        count), in generation order.
-
-        Parts with equal size form groups; each group takes a set of old
-        colours plus fresh ones, fresh identifiers running consecutively,
-        larger sizes first.
-        """
-        groups = [(size, len(list(grp)))
-                  for size, grp in itertools.groupby(partition)]
-        ids, keys = self._ids, self._keys
-        out: list[tuple[int, int]] = []
-
-        def assign(gi: int, available: tuple[int, ...], fresh: int,
-                   pairs: tuple[tuple[int, int], ...]) -> None:
-            size, count = groups[gi]
-            final = gi == len(groups) - 1
-            # t old colours here leave at most used + fresh + (parts left) - t
-            # colours at the end, every later part taking a fresh one
-            most_old = used + fresh + len(partition) - len(pairs) - lo
-            for t in range(min(count, len(available), most_old), -1, -1):
-                ends = used + fresh + count - t
-                if ends > hi:
-                    break
-                new_pairs = tuple(zip(range(used + fresh, ends),
-                                      itertools.repeat(size)))
-                for olds in itertools.combinations(available, t):
-                    here = pairs + tuple(zip(olds, itertools.repeat(size))) + new_pairs
-                    if not final:
-                        assign(gi + 1, tuple(c for c in available if c not in olds),
-                               ends - used, here)
-                        continue
-                    key = tuple(sorted(here))
-                    pid = ids.get(key)
-                    if pid is None:
-                        pid = ids[key] = len(keys)
-                        keys.append(key)
-                    out.append((pid, ends))
-
-        assign(0, tuple(range(used)), 0, ())
-        del assign  # its closure holds it, as place's does
-        return tuple(out)
-
-
 # The most vertices an edgeless witness is built with, and the most that an
 # edgeless spectrum's witnesses hold together (one per k); the searched ones
 # are bounded by the recursion depth instead
@@ -523,15 +512,19 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
     """Decide whether a valid colouring with exactly ``k`` colours exists.
 
     Returns verdict "unknown" instead of raising when the node budget runs
-    out.  Raises ``ValueError`` for k outside [1, n*q], and its subclass
-    :class:`InstanceTooLargeError` when the search, one frame per class,
-    outgrows Python's recursion limit (n = 900 fits the default one), or
-    when an instance without edges, every k feasible, has more than
-    ``WITNESS_VERTEX_LIMIT`` vertices for its witness.
-    ``_search`` is a search context of ``spec``'s family, shared by decisions.
+    out.  Raises ``ValueError`` for a ``k`` that is not an int in [1, n*q]
+    or a ``node_budget`` that is not None or an int >= 0 (a bool is not an
+    int here), and its subclass :class:`InstanceTooLargeError` when the
+    search, one frame per class, outgrows Python's recursion limit (n = 900
+    fits the default one), or when an instance without edges, every k
+    feasible, has more than ``WITNESS_VERTEX_LIMIT`` vertices for its
+    witness.  ``_search`` is a search context of ``spec``'s family, shared
+    by decisions.
     """
-    if not 1 <= k <= spec.num_vertices:
-        raise ValueError(f"k={k} outside [1, {spec.num_vertices}]")
+    if type(k) is not int or not 1 <= k <= spec.num_vertices:
+        raise ValueError(f"k must be an int in [1, {spec.num_vertices}], got {k!r}")
+    if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
+        raise ValueError(f"node_budget must be None or an int >= 0, got {node_budget!r}")
     if _search is None:
         _search = _Search(spec.q, spec.sigma, spec.alpha, spec.beta)
     return _search.decide(spec.n, k, node_budget)
@@ -545,7 +538,7 @@ def k_colourable(
 
     Raises :class:`BudgetExceededError` when the budget trips, keeping
     "cannot decide" distinct from "infeasible"; and, as :func:`decide_k`,
-    :class:`InstanceTooLargeError`.
+    ``ValueError`` and :class:`InstanceTooLargeError`.
     """
     decision = decide_k(spec, k, node_budget)
     if decision.verdict == "unknown":
@@ -564,14 +557,15 @@ def spectrum(
     Each k goes through :func:`decide_k` with one context of the spec's
     family, n an argument of each decision, so what holds for every n and k
     is found once; each verdict, witness and node count equals that of a
-    lone :func:`decide_k` call.  Raises :class:`InstanceTooLargeError` as
-    :func:`decide_k` does, and before any decision when an instance without
-    edges would keep more than ``SPECTRUM_WITNESS_VERTEX_LIMIT`` witness
-    vertices over its k.
+    lone :func:`decide_k` call.  Raises what :func:`decide_k` raises, and
+    before any decision ``ValueError`` for a ``k_max`` that is not None or
+    an int >= 1 and :class:`InstanceTooLargeError` when an instance
+    without edges would keep more than ``SPECTRUM_WITNESS_VERTEX_LIMIT``
+    witness vertices over its k.
     """
+    if k_max is not None and (type(k_max) is not int or k_max < 1):
+        raise ValueError(f"k_max must be None or an int >= 1, got {k_max!r}")
     cap = spec.num_vertices if k_max is None else min(k_max, spec.num_vertices)
-    if cap < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if not spec.has_edges and cap * spec.num_vertices > SPECTRUM_WITNESS_VERTEX_LIMIT:
         raise InstanceTooLargeError(
             f"{cap} witnesses of n*q={spec.num_vertices} vertices exceed the "

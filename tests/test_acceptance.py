@@ -30,15 +30,12 @@ from sigma_spectra.verification import (
     suite_uncolourable,
     suite_zone,
 )
+from support import spec_of
 
 
 def report(number, passed, text):
     print(f"CRITERION {number} {'PASS' if passed else 'FAIL'}: {text}")
     assert passed, f"criterion {number}: {text}"
-
-
-def spec_of(n, q, parts, alpha, beta):
-    return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
 
 
 def test_criterion_1_partition_bound_oracle_grid():

@@ -1,10 +1,7 @@
 """Constructive colourings and recolouring walks."""
 
-import hashlib
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -33,10 +30,7 @@ from sigma_spectra import (
 )
 from sigma_spectra.cli import main
 from sigma_spectra.verification import gap_cells, zone_grid
-
-
-def spec_of(n, q, parts, alpha, beta):
-    return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+from support import load_search_digest, spec_of
 
 
 # the walks line of tools/search_digest.py, pinned: a change to the walks or
@@ -45,14 +39,8 @@ WALKS_SHA256 = "24bec45e37ee5ef5c00f403e7ab66efdb80d8017a281f7b0d29d51274bca4eb3
 
 
 def test_walks_digest_is_pinned():
-    path = Path(__file__).resolve().parents[1] / "tools" / "search_digest.py"
-    spec = importlib.util.spec_from_file_location("search_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    digest = hashlib.sha256()
-    for line in module.walk_records():
-        digest.update(line)
-    assert digest.hexdigest() == WALKS_SHA256
+    module = load_search_digest()
+    assert module.sha256_of(module.walk_records()) == WALKS_SHA256
 
 
 class TestMonoColouring:

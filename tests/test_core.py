@@ -24,10 +24,7 @@ from sigma_spectra import (
     profile_of,
     spectrum,
 )
-
-
-def spec_of(n, q, parts, alpha=2, beta=2):
-    return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+from support import spec_of
 
 
 class TestSigma:

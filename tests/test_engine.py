@@ -2,7 +2,6 @@
 
 import gc
 import hashlib
-import importlib.util
 import itertools
 import json
 import random
@@ -36,23 +35,11 @@ from sigma_spectra.engine import _Search, _partitions
 from sigma_spectra.formulas import gap_instance_params
 from sigma_spectra.validator import range_of_keys
 from sigma_spectra.verification import gap_cells, nogap_grid
-
-
-def spec_of(n, q, parts, alpha, beta):
-    return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+from support import load_search_digest, spec_of
 
 
 A2 = spec_of(5, 2, [2, 2], 3, 3)
 GAP22 = spec_of(5, 2, [2, 2], 2, 2)
-
-
-def load_search_digest():
-    """``tools/search_digest.py``, whose lines compare two checkouts."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "search_digest.py"
-    spec = importlib.util.spec_from_file_location("search_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 SEARCH_DIGEST = load_search_digest()
@@ -435,6 +422,26 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(GAP22, k_max=0)
 
+    def test_malformed_integer_arguments_rejected(self):
+        # unchecked, a negative budget reads as "unknown" after a negative
+        # node count and a bool or float k reaches the search; each raises
+        # a ValueError that names the argument, as HypergraphSpec does
+        calls = [
+            (lambda: decide_k(GAP22, 2, node_budget=-5), "node_budget"),
+            (lambda: spectrum(GAP22, node_budget=-3), "node_budget"),
+            (lambda: k_colourable(GAP22, 2, -1), "node_budget"),
+            (lambda: decide_k(GAP22, 2, node_budget=True), "node_budget"),
+            (lambda: decide_k(GAP22, True), "k"),
+            (lambda: decide_k(GAP22, 2.0), "k"),
+            (lambda: spectrum(GAP22, k_max=True), "k_max"),
+            (lambda: spectrum(GAP22, k_max=2.5), "k_max"),
+        ]
+        for call, name in calls:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                call()
+        # a budget of 0 is still a budget: the first node trips it
+        assert decide_k(GAP22, 2, node_budget=0).nodes == 1
+
 
 def all_bindings(partition, used):
     """Every canonical binding of ``partition`` after ``used`` colours, as
@@ -536,7 +543,7 @@ class TestBindingWindow:
                     top = used + len(partition)
                     for lo in range(-1, top + 2):
                         for hi in range(lo - 1, top + 2):
-                            window = search._bindings(partition, used, lo, hi)
+                            window = search._window((partition, used, hi), lo)[1]
                             assert tuple(
                                 (search._keys[i], new_used) for i, new_used in window
                             ) == tuple(
@@ -685,7 +692,7 @@ class TestPassMasks:
         rows = 0
         for window, (held, bindings, ends_from, masks) in entries:
             partition, used, hi = window
-            assert bindings == search._bindings(partition, used, held, hi)
+            assert bindings == search._window(window, held)[1]
             full = (1 << len(bindings)) - 1
             # one mask per end count held..hi, and the empty one past hi
             assert len(ends_from) == hi - held + 2

@@ -1,14 +1,9 @@
 """Closed forms: frozen oracle values, domains, zones, thresholds."""
 
-import hashlib
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from sigma_spectra import (
     DomainError,
-    HypergraphSpec,
     IntInterval,
     MonoDistribution,
     NotApplicableError,
@@ -26,10 +21,7 @@ from sigma_spectra import (
     zone_only_condition,
 )
 from sigma_spectra.verification import exhaustive_max_sum, exhaustive_min_parts
-
-
-def spec_of(n, q, parts, alpha, beta):
-    return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+from support import load_search_digest, spec_of
 
 
 # the closed-forms line of tools/search_digest.py, pinned: a change to the
@@ -38,14 +30,8 @@ CLOSED_FORMS_SHA256 = "73aefc6fc2c8caaa49a070d1fb40ce869f6fd9c32b9bcba8c58eabd6a
 
 
 def test_closed_forms_digest_is_pinned():
-    path = Path(__file__).resolve().parents[1] / "tools" / "search_digest.py"
-    spec = importlib.util.spec_from_file_location("search_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    digest = hashlib.sha256()
-    for line in module.closed_form_records():
-        digest.update(line)
-    assert digest.hexdigest() == CLOSED_FORMS_SHA256
+    module = load_search_digest()
+    assert module.sha256_of(module.closed_form_records()) == CLOSED_FORMS_SHA256
 
 
 class TestIntInterval:

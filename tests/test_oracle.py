@@ -6,9 +6,7 @@ from pathlib import Path
 import pytest
 
 from sigma_spectra import (
-    HypergraphSpec,
     InstanceTooLargeError,
-    build_sigma,
     brute_oracle,
     brute_spectrum,
     count_edges,
@@ -17,10 +15,7 @@ from sigma_spectra import (
 )
 from sigma_spectra.oracle import SIZE_CAP
 from sigma_spectra.verification import nogap_grid
-
-
-def spec_of(n, q, parts, alpha, beta):
-    return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+from support import spec_of
 
 
 class TestEnumerateEdges:

@@ -1,6 +1,7 @@
 """Verification suites on a wrong answer: a closed form, a decision or a
 construction that the suites import is replaced by a faulty one, and the
-suite must report it as FAIL rows that name the problem, never raise."""
+suite must report it as FAIL rows that name the problem, never raise.  On
+the right answers every row of every suite is pinned by its digest."""
 
 import dataclasses
 
@@ -10,6 +11,7 @@ from sigma_spectra import Colouring, verification
 from sigma_spectra.cli import main
 from sigma_spectra.engine import decide_k
 from sigma_spectra.formulas import max_sum_capped_head
+from support import load_search_digest
 
 
 def max_sum_off_by_one(a, b, d):
@@ -58,3 +60,13 @@ def test_verify_exits_1_with_fail_lines_on_a_failing_suite(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert any(line.startswith("FAIL  bounds a=2 d=2") for line in out.splitlines())
     assert "FAILED:" in out
+
+
+# the verify line of tools/search_digest.py, pinned: a change to the suites
+# that claims to move no verdict or detail keeps it
+VERIFY_SHA256 = "99c813f21a32bf5ced57482d1c35d21a8c01bac46c4e013dfb2c64721efc3a25"
+
+
+def test_verify_digest_is_pinned():
+    module = load_search_digest()
+    assert module.sha256_of(module.verify_records()) == VERIFY_SHA256

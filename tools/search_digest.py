@@ -29,7 +29,8 @@ beside the engine digests.
 The ``verify`` line holds a SHA-256 over every row (suite, name, passed,
 detail) of every suite in ``verification.SUITES``, in ``SUITES`` order.
 Equal lines mean every suite gives the same verdicts and details, so a
-change to the verification harness can be checked by it.
+change to the verification harness can be checked by it;
+``tests/test_verification.py`` pins it.
 
 The ``closed-forms`` line holds a SHA-256 over the value, or the exception
 type, of every public ``formulas`` function and of the ``mono_distribution``,
@@ -64,6 +65,14 @@ from sigma_spectra import (  # noqa: E402
     spectrum,
 )
 from sigma_spectra import constructions, formulas, validator, verification  # noqa: E402
+
+
+def sha256_of(lines) -> str:
+    """The hex SHA-256 over ``lines``, byte strings, in order."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line)
+    return digest.hexdigest()
 
 
 def record(spec, k, verdict, nodes, witness) -> bytes:
@@ -186,6 +195,14 @@ def closed_form_records():
                             yield outcome(constructions.layered_colouring, spec, k)
 
 
+def verify_records():
+    """Each row of every verification suite, in ``SUITES`` order, as the
+    ``verify`` line's SHA-256 reads them."""
+    for suite, run in verification.SUITES.items():
+        for row in run():
+            yield repr((suite, row.name, row.passed, row.detail)).encode()
+
+
 def walk_records():
     """Each step of the recolouring walks, as the ``walks`` line's SHA-256
     reads them."""
@@ -222,26 +239,14 @@ def main() -> None:
     with mock.patch.object(validator, "range_of_keys",
                            wraps=validator.range_of_keys) as solver:
         for name in ("nogap-sweep", "gap-proof"):
-            digest = hashlib.sha256()
-            for spec, witness in witnesses[name]:
-                for line in validator_records(spec, witness):
-                    digest.update(line)
-            fields.append(f"{name}_sha256={digest.hexdigest()}")
+            lines = (line for spec, witness in witnesses[name]
+                     for line in validator_records(spec, witness))
+            fields.append(f"{name}_sha256={sha256_of(lines)}")
     print(f"validator: {' '.join(fields)} range_calls={solver.call_count} "
           f"range_misses={validator._range_of.cache_info().misses}")
-    digest = hashlib.sha256()
-    for suite, run in verification.SUITES.items():
-        for row in run():
-            digest.update(repr((suite, row.name, row.passed, row.detail)).encode())
-    print(f"verify: sha256={digest.hexdigest()}")
-    digest = hashlib.sha256()
-    for line in closed_form_records():
-        digest.update(line)
-    print(f"closed-forms: sha256={digest.hexdigest()}")
-    digest = hashlib.sha256()
-    for line in walk_records():
-        digest.update(line)
-    print(f"walks: sha256={digest.hexdigest()}")
+    print(f"verify: sha256={sha256_of(verify_records())}")
+    print(f"closed-forms: sha256={sha256_of(closed_form_records())}")
+    print(f"walks: sha256={sha256_of(walk_records())}")
 
 
 if __name__ == "__main__":
