@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
+from operator import itemgetter
 from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InvalidPartitionError
@@ -158,24 +160,34 @@ class Colouring:
     """An assignment of colours to all vertices, one tuple per class.
 
     Vertices within a class are interchangeable, so each class is stored
-    sorted by colour.  Colours are small non-negative integers.
+    sorted by colour.  Colours are small non-negative integers.  Any
+    malformed ``classes`` raises ``ValueError``.
     """
 
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.classes:
+        classes = self.classes
+        if not classes:
             raise ValueError("a colouring needs at least one class")
-        q = len(self.classes[0])
-        if q == 0 or any(len(cls) != q for cls in self.classes):
+        try:
+            q = len(classes[0])
+            sizes = set(map(len, classes))
+        except TypeError:
+            raise ValueError("classes must be a sequence of colour sequences, got "
+                             f"{reprlib.repr(classes)}") from None
+        if q == 0 or len(sizes) != 1:
             raise ValueError("all classes must hold the same positive vertex count")
-        for cls in self.classes:
-            if any(not isinstance(c, int) or isinstance(c, bool) or c < 0
-                   for c in cls):
-                raise ValueError("colours must be non-negative integers")
-        object.__setattr__(
-            self, "classes", tuple(tuple(sorted(cls)) for cls in self.classes)
-        )
+        # plain ints (the library's own colourings) skip the per-colour test;
+        # the sort then finds each class's least colour
+        if set(map(type, itertools.chain.from_iterable(classes))) != {int} and any(
+                not isinstance(c, int) or isinstance(c, bool)
+                for c in itertools.chain.from_iterable(classes)):
+            raise ValueError("colours must be non-negative integers")
+        ordered = tuple(map(tuple, map(sorted, classes)))
+        if min(map(itemgetter(0), ordered)) < 0:
+            raise ValueError("colours must be non-negative integers")
+        object.__setattr__(self, "classes", ordered)
 
     @property
     def n(self) -> int:

@@ -18,8 +18,11 @@ the classes of a shape share no colour the union is disjoint and the
 shape's range is the sum of each class's own range.  One class's range
 for a part of ``a`` vertices is plain: as few colours as its largest
 multiplicities need to reach ``a``, as many as ``min(a, number of
-colours)``.  The validator takes that sum for every colour-disjoint
-shape, and the solver only for shapes whose classes share a colour.
+colours)``.  That row of ranges depends only on the class's
+multiplicities, so it is cached per multiplicity pattern (a partition of
+the class size), however many colourings are checked.  The validator takes
+that sum for every colour-disjoint shape, and the solver only for shapes
+whose classes share a colour.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import ClassProfile, Colouring, HypergraphSpec, profile_of
 from .errors import DimensionMismatchError, InfeasibleShapeError
@@ -245,7 +248,7 @@ def _check_dimensions(spec: HypergraphSpec, colouring: Colouring) -> None:
         )
 
 
-def _class_ranges(mults: list[int], top: int) -> list[tuple[int, int]]:
+def _class_ranges(mults: Sequence[int], top: int) -> list[tuple[int, int]]:
     """Per part size ``a`` in ``0..top``, the range of an ``a``-vertex pick
     from a class with colour multiplicities ``mults`` (largest first): as
     few colours as the largest multiplicities it takes to reach ``a``, as
@@ -260,13 +263,22 @@ def _class_ranges(mults: list[int], top: int) -> list[tuple[int, int]]:
     return ranges
 
 
+@cache
+def _class_row(mults: tuple[int, ...], top: int, width: int) -> tuple[int, ...]:
+    """:func:`_class_ranges` packed, one int ``lo << width | hi`` per part
+    size.  Cached: a row depends only on the multiplicity pattern (a
+    partition of the class size), never on which colours the class holds."""
+    return tuple([lo << width | hi for lo, hi in _class_ranges(mults, top)])
+
+
 def _first_violation(spec: HypergraphSpec, colouring: Colouring
                      ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
     """The first shape, in shape order, whose colour range leaves the window:
     (class tuple, parts, the offending distinct-colour count), or None.
 
-    Each class's profile key, colour mask (over the colouring's colours
-    renamed densely) and packed per-part ranges are built once per call.  A
+    Each class's profile key and colour mask (over the colouring's colours
+    renamed densely) are built once per call, and its packed per-part ranges
+    are read off :func:`_class_row`, cached per multiplicity pattern.  A
     shape whose classes share no colour takes the sum of its classes'
     ranges, both ends in one sum of packed ints (no end exceeds the edge
     size r, so they never carry into each other); any other goes to
@@ -279,6 +291,7 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
         return None
     width = spec.r.bit_length()
     low_bits = (1 << width) - 1
+    top = spec.sigma.delta_max
     dense: dict[int, int] = {}
     keys, masks, ranges = [], [], []
     for cls in colouring.classes:
@@ -287,11 +300,10 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
         mask = 0
         for c, _ in key:
             mask |= 1 << dense.setdefault(c, len(dense))
-        mults = sorted([m for _, m in key], reverse=True)
+        mults = tuple(sorted([m for _, m in key], reverse=True))
         keys.append(key)
         masks.append(mask)
-        ranges.append([lo << width | hi for lo, hi in
-                       _class_ranges(mults, spec.sigma.delta_max)])
+        ranges.append(_class_row(mults, top, width))
     alpha, beta = spec.alpha, spec.beta
     arrangements = spec.sigma.arrangements
     for class_tuple in itertools.combinations(range(spec.n), spec.sigma.s):
@@ -307,7 +319,7 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
             if rows is None:
                 lo, hi = range_of_keys(shape, parts)
             else:
-                total = sum(map(list.__getitem__, rows, parts))
+                total = sum(map(tuple.__getitem__, rows, parts))
                 lo, hi = total >> width, total & low_bits
             if lo < alpha:
                 return class_tuple, parts, lo

@@ -3,6 +3,7 @@
 
 import functools
 import importlib.util
+import sys
 from pathlib import Path
 
 from sigma_spectra import HypergraphSpec, build_sigma
@@ -13,11 +14,23 @@ def spec_of(n, q, parts, alpha=2, beta=2):
 
 
 @functools.cache
-def load_search_digest():
-    """``tools/search_digest.py``, whose lines compare two checkouts; loaded
-    once, however many test modules ask for it."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "search_digest.py"
-    spec = importlib.util.spec_from_file_location("search_digest", path)
+def _load(relative):
+    """The repository's script at ``relative``, loaded as a module once,
+    however many test modules ask for it."""
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the module runs
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_search_digest():
+    """``tools/search_digest.py``, whose lines compare two checkouts."""
+    return _load("tools/search_digest.py")
+
+
+def load_bench_workloads():
+    """``bench/workloads.py``, the benchmark's seeded jobs."""
+    return _load("bench/workloads.py")

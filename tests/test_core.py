@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import re
 import time
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,6 +327,63 @@ class TestColouringValidation:
     def test_rejects_negative_colours(self):
         with pytest.raises(ValueError):
             Colouring(classes=((0, -1),))
+
+    @pytest.mark.parametrize("bad", [5, ((0, 1), 5), (None,), ((0, 1), None)])
+    def test_rejects_classes_that_are_not_sequences(self, bad):
+        # these once failed inside len() or an index with a bare TypeError
+        with pytest.raises(ValueError, match="classes must be a sequence of colour "
+                                             "sequences, got "):
+            Colouring(classes=bad)
+
+
+class Shade(IntEnum):
+    LIGHT = 1
+    DARK = 3
+
+
+NEGATIVE = "colours must be non-negative integers"
+RAGGED = "all classes must hold the same positive vertex count"
+LONG = 10**5 - 1  # colours ahead of the one bad colour of a long class
+
+
+class TestColouringInputContract:
+    """Every input gets the same verdict and message whichever path checks
+    its colours: classes of plain ints skip the per-colour type test."""
+
+    @pytest.mark.parametrize("classes, message", [
+        (((True, 2),), NEGATIVE),
+        (((-1, 2),), NEGATIVE),
+        (((1.0, 2),), NEGATIVE),
+        ((("a", "b"),), NEGATIVE),
+        (((0, 1), (1, True)), NEGATIVE),
+        (((0, 1), (2, -3)), NEGATIVE),
+        (((0, 1), (0,)), RAGGED),
+        (((), ()), RAGGED),
+        ((), "a colouring needs at least one class"),
+        (((*range(LONG), -1),), NEGATIVE),
+        (((*range(LONG), True),), NEGATIVE),
+        (((*range(LONG), 1.0),), NEGATIVE),
+        (((*range(LONG), "a"),), NEGATIVE),
+        (((*range(LONG), None),), NEGATIVE),
+    ])
+    def test_rejects(self, classes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Colouring(classes=classes)
+
+    def test_accepts_int_enum_colours(self):
+        c = Colouring(classes=((Shade.DARK, 0, Shade.LIGHT), (2, 2, Shade.LIGHT)))
+        assert c.classes == ((0, 1, 3), (1, 2, 2))
+        assert c.classes[0][2] is Shade.DARK
+
+    def test_stores_lists_as_sorted_tuples(self):
+        c = Colouring(classes=[[2, 0, 1], [1, 1, 0]])
+        assert c.classes == ((0, 1, 2), (0, 1, 1))
+        assert type(c.classes) is tuple
+        assert all(type(cls) is tuple for cls in c.classes)
+
+    def test_accepts_a_long_class_of_plain_ints(self):
+        c = Colouring(classes=((*range(LONG, -1, -1),),))
+        assert c.classes == (tuple(range(LONG + 1)),)
 
     def test_spec_rejects_bad_window(self):
         sigma = build_sigma([1, 1])

@@ -20,13 +20,16 @@ from sigma_spectra import (
     profile_of,
     selection_achieving,
 )
+from sigma_spectra import validator
 from sigma_spectra.engine import _partitions
 from sigma_spectra.validator import (
     _class_ranges,
+    _class_row,
     _first_violation,
     _range_of,
     range_of_keys,
 )
+from support import load_bench_workloads
 
 
 def prof(counts):
@@ -423,3 +426,57 @@ class TestDisjointSum:
         assert peak < 100_000
         assert found == per_shape_first_violation(spec, colouring)
         assert (witness is None) == is_valid(spec, colouring)
+
+
+def picked_range(mults, a):
+    """Independent oracle: the fewest and most colours over every
+    ``a``-vertex pick from a class with colour multiplicities ``mults``."""
+    vertices = [c for c, m in enumerate(mults) for _ in range(m)]
+    counts = {len(set(pick)) for pick in itertools.combinations(vertices, a)}
+    return min(counts), max(counts)
+
+
+class TestClassRows:
+    """The validator reads each class's packed range row off a cache keyed
+    by the class's multiplicity pattern, never by its colours."""
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_rows_match_the_ranges_and_every_pick(self, q):
+        for mults in _partitions(q, q):
+            for top in range(1, q + 1):
+                for width in (top.bit_length(), 2 * q.bit_length() + 1):
+                    row = _class_row(mults, top, width)
+                    unpacked = [(v >> width, v & ((1 << width) - 1)) for v in row]
+                    assert unpacked == _class_ranges(mults, top), (mults, top, width)
+                    assert unpacked == [picked_range(mults, a)
+                                        for a in range(top + 1)], (mults, top)
+
+    def test_certify_walk_caches_only_multiplicity_patterns(self, monkeypatch):
+        # after the certify-walk jobs, each cached row belongs to a pattern
+        # (a partition of q, largest first) and the spec's delta_max and
+        # packing width, so the cache cannot grow with the colourings seen
+        first_violation, row = validator._first_violation, validator._class_row
+        asked, specs = set(), []
+
+        def violation(spec, colouring):
+            specs.append(spec)
+            return first_violation(spec, colouring)
+
+        def recorded(*key):
+            spec = specs[-1]
+            mults, top, width = key
+            assert list(mults) == sorted(mults, reverse=True) and min(mults) >= 1
+            assert sum(mults) == spec.q, (key, str(spec))
+            assert (top, width) == (spec.sigma.delta_max, spec.r.bit_length())
+            asked.add(key)
+            return row(*key)
+
+        monkeypatch.setattr(validator, "_first_violation", violation)
+        monkeypatch.setattr(validator, "_class_row", recorded)
+        row.cache_clear()
+        jobs = load_bench_workloads().certify_walk(1)
+        assert len(jobs) == 13
+        for job in jobs:
+            assert job.verify(job.run()) == []
+        assert specs and asked
+        assert row.cache_info().currsize == len(asked)
