@@ -335,6 +335,30 @@ class TestColouringValidation:
                                              "sequences, got "):
             Colouring(classes=bad)
 
+    def test_spec_rejects_bad_window(self):
+        sigma = build_sigma([1, 1])
+        with pytest.raises(ValueError):
+            HypergraphSpec(n=2, q=2, sigma=sigma, alpha=1, beta=2)
+        with pytest.raises(ValueError):
+            HypergraphSpec(n=2, q=2, sigma=sigma, alpha=3, beta=2)
+        with pytest.raises(ValueError):
+            HypergraphSpec(n=0, q=2, sigma=sigma, alpha=2, beta=2)
+
+    @pytest.mark.parametrize("field", ["n", "q", "alpha", "beta"])
+    @pytest.mark.parametrize("bad", [3.5, 3.0, True, "3"])
+    def test_spec_rejects_non_integers(self, field, bad):
+        # a float n would otherwise reach spectrum and fail inside range()
+        fields = dict(n=3, q=3, sigma=build_sigma([1, 1]), alpha=2, beta=3)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            HypergraphSpec(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("bad", [(1, 1), [1, 1], None, 2])
+    def test_spec_rejects_a_sigma_that_is_not_a_sigma(self, bad):
+        # a tuple sigma would otherwise reach spectrum and fail there with
+        # AttributeError on sigma.delta_max
+        with pytest.raises(ValueError, match="sigma must be a Sigma"):
+            HypergraphSpec(n=3, q=3, sigma=bad, alpha=2, beta=2)
+
 
 class Shade(IntEnum):
     LIGHT = 1
@@ -384,27 +408,3 @@ class TestColouringInputContract:
     def test_accepts_a_long_class_of_plain_ints(self):
         c = Colouring(classes=((*range(LONG, -1, -1),),))
         assert c.classes == (tuple(range(LONG + 1)),)
-
-    def test_spec_rejects_bad_window(self):
-        sigma = build_sigma([1, 1])
-        with pytest.raises(ValueError):
-            HypergraphSpec(n=2, q=2, sigma=sigma, alpha=1, beta=2)
-        with pytest.raises(ValueError):
-            HypergraphSpec(n=2, q=2, sigma=sigma, alpha=3, beta=2)
-        with pytest.raises(ValueError):
-            HypergraphSpec(n=0, q=2, sigma=sigma, alpha=2, beta=2)
-
-    @pytest.mark.parametrize("field", ["n", "q", "alpha", "beta"])
-    @pytest.mark.parametrize("bad", [3.5, 3.0, True, "3"])
-    def test_spec_rejects_non_integers(self, field, bad):
-        # a float n would otherwise reach spectrum and fail inside range()
-        fields = dict(n=3, q=3, sigma=build_sigma([1, 1]), alpha=2, beta=3)
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            HypergraphSpec(**{**fields, field: bad})
-
-    @pytest.mark.parametrize("bad", [(1, 1), [1, 1], None, 2])
-    def test_spec_rejects_a_sigma_that_is_not_a_sigma(self, bad):
-        # a tuple sigma would otherwise reach spectrum and fail there with
-        # AttributeError on sigma.delta_max
-        with pytest.raises(ValueError, match="sigma must be a Sigma"):
-            HypergraphSpec(n=3, q=3, sigma=bad, alpha=2, beta=2)
