@@ -178,11 +178,10 @@ class Colouring:
                              f"{reprlib.repr(classes)}") from None
         if q == 0 or len(sizes) != 1:
             raise ValueError("all classes must hold the same positive vertex count")
-        # plain ints (the library's own colourings) skip the per-colour test;
-        # the sort then finds each class's least colour
-        if set(map(type, itertools.chain.from_iterable(classes))) != {int} and any(
-                not isinstance(c, int) or isinstance(c, bool)
-                for c in itertools.chain.from_iterable(classes)):
+        # bool cannot be subclassed, so the set of colour types decides the
+        # test; the sort then finds each class's least colour
+        types = set(map(type, itertools.chain.from_iterable(classes)))
+        if bool in types or not all(issubclass(t, int) for t in types):
             raise ValueError("colours must be non-negative integers")
         ordered = tuple(map(tuple, map(sorted, classes)))
         if min(map(itemgetter(0), ordered)) < 0:

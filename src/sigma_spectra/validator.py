@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import ClassProfile, Colouring, HypergraphSpec, profile_of
 from .errors import DimensionMismatchError, InfeasibleShapeError
@@ -248,27 +248,22 @@ def _check_dimensions(spec: HypergraphSpec, colouring: Colouring) -> None:
         )
 
 
-def _class_ranges(mults: Sequence[int], top: int) -> list[tuple[int, int]]:
+@cache
+def _class_row(mults: tuple[int, ...], top: int, width: int) -> tuple[int, ...]:
     """Per part size ``a`` in ``0..top``, the range of an ``a``-vertex pick
-    from a class with colour multiplicities ``mults`` (largest first): as
-    few colours as the largest multiplicities it takes to reach ``a``, as
-    many as ``min(a, number of colours)``."""
-    ranges = [(0, 0)]
+    from a class with colour multiplicities ``mults`` (largest first),
+    packed as one int ``lo << width | hi``: as few colours as the largest
+    multiplicities it takes to reach ``a``, as many as ``min(a, number of
+    colours)``.  Cached: a row depends only on the multiplicity pattern (a
+    partition of the class size), never on which colours the class holds."""
+    row = [0]
     touched = held = 0
     for a in range(1, top + 1):
         while held < a:
             held += mults[touched]
             touched += 1
-        ranges.append((touched, min(a, len(mults))))
-    return ranges
-
-
-@cache
-def _class_row(mults: tuple[int, ...], top: int, width: int) -> tuple[int, ...]:
-    """:func:`_class_ranges` packed, one int ``lo << width | hi`` per part
-    size.  Cached: a row depends only on the multiplicity pattern (a
-    partition of the class size), never on which colours the class holds."""
-    return tuple([lo << width | hi for lo, hi in _class_ranges(mults, top)])
+        row.append(touched << width | min(a, len(mults)))
+    return tuple(row)
 
 
 def _first_violation(spec: HypergraphSpec, colouring: Colouring

@@ -18,7 +18,9 @@ def _load(relative):
     """The repository's script at ``relative``, loaded as a module once,
     however many test modules ask for it."""
     path = Path(__file__).resolve().parents[1] / relative
-    spec = importlib.util.spec_from_file_location(path.stem, path)
+    # a name of its own, so a module another test imported as ``workloads``
+    # is never replaced
+    spec = importlib.util.spec_from_file_location(f"_repo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up by name while the module runs
     sys.modules[spec.name] = module

@@ -371,8 +371,9 @@ LONG = 10**5 - 1  # colours ahead of the one bad colour of a long class
 
 
 class TestColouringInputContract:
-    """Every input gets the same verdict and message whichever path checks
-    its colours: classes of plain ints skip the per-colour type test."""
+    """The colour test reads the set of colour types, not each colour: a
+    bad colour anywhere, even last in a long class, is refused with the
+    contract's message, and int subclasses other than bool are accepted."""
 
     @pytest.mark.parametrize("classes, message", [
         (((True, 2),), NEGATIVE),
