@@ -154,6 +154,9 @@ def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
         data = _read(args.spec_file, "spec file", json.loads)
         if not isinstance(data, dict):
             raise UsageError("spec file must hold a JSON object")
+        unknown = sorted(set(data) - set(_SPEC_FIELDS))
+        if unknown:
+            raise UsageError("unknown spec fields: " + ", ".join(map(repr, unknown)))
         prefix = ""
     else:
         if args.sigma is not None:

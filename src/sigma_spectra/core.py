@@ -371,8 +371,9 @@ def colouring_to_json(colouring: Colouring) -> str:
 
 def colouring_from_json(text: str) -> Colouring:
     data = json.loads(text)
-    if not isinstance(data, dict) or not {"n", "q", "classes"} <= set(data):
-        raise DimensionMismatchError("colouring JSON needs fields n, q, classes")
+    # no other field, as schemas/colouring.schema.json has it
+    if not isinstance(data, dict) or set(data) != {"n", "q", "classes"}:
+        raise DimensionMismatchError("colouring JSON needs exactly the fields n, q, classes")
     if type(data["n"]) is not int or type(data["q"]) is not int:
         raise DimensionMismatchError("fields 'n' and 'q' must be integers")
     classes = data["classes"]

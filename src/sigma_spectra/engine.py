@@ -31,7 +31,9 @@ decision (n, k, budget, node count, failure memo) is local to it and freed,
 by reference counting alone, when the decision returns.  The search
 runs on profile ids, small ints interned per family: the placed profiles, the
 shape groups and the failure memo hold sorted ids, and only the witness maps
-them back to profile keys.  When sigma has two parts a shape group is one
+them back to profile keys.  The used-colour count and the last partition are
+functions of the placed ids, so the memo keeps, per class index, the set of
+placed tuples that failed there.  When sigma has two parts a shape group is one
 class, keyed by its id alone, and a node's placed tuple is its groups.
 """
 
@@ -161,7 +163,8 @@ class _Search:
     State lives as long as it stays true.  Per family, across every n and k:
     the profile id tables, the shape groups, the verdict tables, the windows
     of colour bindings and the partitions of q into at most the largest
-    colour cap a decision gave a class (one list; a smaller cap filters it);
+    colour cap a decision gave a class (one list, with each partition's
+    length beside it; a smaller cap filters it);
     sigma keeps its own part arrangements, built on first use.  Each profile
     key is interned to a small int when :meth:`_window`, the one place that
     interns profiles, first lists a binding with it (``_ids`` maps key to
@@ -190,27 +193,28 @@ class _Search:
     bindings still in the running that a group has not seen, so an
     entry's bits fill lazily and serve every low end.  Per
     :meth:`decide`, as its locals, freed when it returns: n, k, the node
-    budget and count, the failure memo and the per-class colour cap.
+    budget and count, the failure memo, the per-class colour cap and the
+    entries met, keyed by the int ``used * P + j`` for partition j of P, so
+    a node reaches its entry by one int-keyed read, not a window key.
 
     Each node receives the placed profiles as a sorted tuple of ids, at
     most ``s - 1`` copies of each (the most classes an edge shape can share
-    with the future).  It is the failure memo's profile part: whether a
-    prefix can complete depends only on it, how many classes remain, the
-    last partition (the non-increase rule) and the used-colour count.  The
-    memo holds that partition as its index in the decision's partitions,
-    which run in decreasing order, so a child scans from that index on; a
-    parent tests the memo before it calls a child and fills it after.  The
+    with the future).  Whether a prefix can complete depends only on it
+    and on how many classes remain.  The used-colour count and the last
+    partition (the non-increase rule) are functions of it, as each placed
+    class's profile is in the tuple: fresh colours are consecutive, so the
+    prefix uses exactly the colours from 0 to the largest it placed, and
+    partitions are non-increasing in class order, so the last is the least
+    placed one.  So the failure memo maps a class index to the placed
+    tuples that failed there, the tuples a parent builds for its child,
+    which it tests before the call and adds after a failure, in a dict used
+    as a set (smaller than a set from a few thousand entries up), made at
+    the class's first failure.  The decision's partitions run in decreasing
+    order, so a child scans from its parent's partition index on.  The
     placed tuple's distinct ``s - 1``-element groups, sorted as it is, are
     the shapes every child must pass with its new profile.  When sigma has
     two parts the placed tuple holds each id once and is itself that list:
     a group is then its int id, in ``_groups`` and the pass masks alike.
-
-    A memo state is one flat tuple, ``(i, j, used) + placed``: class index,
-    partition index and used-colour count, then the placed ids; the prefix
-    has a fixed length, so states never collide, and no placed tuple is
-    kept for the memo.  The memo is a dict used as a set: from a few
-    thousand states to about 80,000 (the benchmark's largest memos hold
-    27,403) Python 3.11 gives a dict the smaller table.
     """
 
     def __init__(self, q: int, sigma: Sigma, alpha: int, beta: int):
@@ -225,8 +229,10 @@ class _Search:
         # (partition, used, top count) -> _window's (held low end,
         # bindings, ends_from masks, shape group -> (known, ok) pass masks)
         self._windows: dict[tuple, tuple[int, tuple, list[int], dict]] = {}
-        # _partitions(q, cap) for the largest per-class colour cap met
+        # _partitions(q, cap) for the largest per-class colour cap met, and
+        # their lengths
         self._partitions: tuple[tuple[int, ...], ...] = ()
+        self._lengths: tuple[int, ...] = ()
         self._partitions_cap = 0
 
     def decide(self, n: int, k: int, node_budget: int | None) -> KDecision:
@@ -245,9 +251,14 @@ class _Search:
         max_new = min(self.q, k)
         if self.sigma.delta_max > self.beta:
             max_new = min(max_new, self.beta)
-        partitions = self._capped_partitions(max_new)
+        partitions, lengths = self._capped_partitions(max_new)
         windows = self._windows
-        failed: dict[tuple, None] = {}
+        count = len(partitions)
+        # failed[i]: the placed tuples that failed at class i, as a dict used
+        # as a set; rows[used * count + j]: the entry of partitions[j] after
+        # used colours
+        failed: dict[int, dict[tuple[int, ...], None]] = {}
+        rows: dict[int, tuple] = {}
         nodes = 0
 
         def place(i: int, j: int, used: int,
@@ -255,8 +266,9 @@ class _Search:
             """Profile ids of classes ``i..`` that complete the prefix with
             exactly k colours, or None when no completion exists; the class
             takes ``partitions[j]`` or a later one.  The caller tests the
-            failure memo first and fills it on None.  The count, which only
-            grows, meets the budget here and when the decision ends."""
+            failure memo, ``placed in failed[i]``, first and adds ``placed``
+            to it on None.  The count, which only grows, meets the budget
+            here and when the decision ends."""
             nonlocal nodes
             if node_budget is not None and nodes > node_budget:
                 raise BudgetExceededError(
@@ -272,21 +284,27 @@ class _Search:
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
+            # no dict until a child fails
+            fails, base = failed.get(i + 1, ()), used * count
             # partitions run in decreasing order, so scanning from j keeps
-            # the class partitions non-increasing
-            for j in range(j, len(partitions)):
-                partition = partitions[j]
-                # a binding ends with at most used + len(partition) colours
-                top = used + len(partition)
-                if top < least:
+            # the class partitions non-increasing; a binding ends with at
+            # most used + len(partition) colours
+            short = least - used
+            for j in range(j, count):
+                if lengths[j] < short:
                     continue
-                # keyed by the counts up to k this partition can reach; the
-                # entry holds the bindings that end with held..top colours,
-                # and this node's window is the bits of those ending >= lo
-                window = (partition, used, k if k < top else top)
-                entry = windows.get(window)
+                # the entry holds the bindings that end with held..top
+                # colours, and this node's window is the bits of those
+                # ending >= lo
+                entry = rows.get(base + j)
                 if entry is None or entry[0] > lo:
-                    entry = windows[window] = self._window(window, lo)
+                    # keyed by the counts up to k this partition can reach
+                    top = used + lengths[j]
+                    window = (partitions[j], used, k if k < top else top)
+                    entry = windows.get(window)
+                    if entry is None or entry[0] > lo:
+                        entry = windows[window] = self._window(window, lo)
+                    rows[base + j] = entry
                 held, bindings, ends_from, masks = entry
                 live = bits = ends_from[lo - held]
                 # AND the groups' masks, checking only the bindings still
@@ -315,12 +333,13 @@ class _Search:
                     if placed.count(key) < cap:
                         at = bisect.bisect(placed, key)
                         after = placed[:at] + (key,) + placed[at:]
-                    state = (i + 1, j, new_used) + after
-                    if state not in failed:
+                    if after not in fails:
                         rest = place(i + 1, j, new_used, after)
                         if rest is not None:
                             return (key,) + rest
-                        failed[state] = None
+                        if not fails:
+                            fails = failed[i + 1] = {}
+                        fails[after] = None
                     live ^= low
                 nodes += bits.bit_count() - done
             return None
@@ -346,9 +365,11 @@ class _Search:
         return KDecision(k=k, verdict="infeasible" if found is None else "feasible",
                          witness=witness, nodes=nodes)
 
-    def _capped_partitions(self, cap: int) -> tuple[tuple[int, ...], ...]:
-        """``_partitions(q, cap)``, read off the one list the context holds,
-        which it widens to ``cap`` first if ``cap`` is the largest met."""
+    def _capped_partitions(self, cap: int
+                           ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``_partitions(q, cap)`` and their lengths, read off the one list
+        the context holds, which it widens to ``cap`` first if ``cap`` is the
+        largest met."""
         if cap > self._partitions_cap:
             # the partitions into exactly m parts are those of q - m into at
             # most m parts, one added to each part and padded with ones
@@ -357,10 +378,12 @@ class _Search:
                      for m in range(self._partitions_cap + 1, cap + 1)
                      for p in _partitions(self.q - m, m)]
             self._partitions = tuple(sorted(wider + list(self._partitions), reverse=True))
+            self._lengths = tuple(map(len, self._partitions))
             self._partitions_cap = cap
         if cap == self._partitions_cap:
-            return self._partitions
-        return tuple(p for p in self._partitions if len(p) <= cap)  # still decreasing
+            return self._partitions, self._lengths
+        kept = tuple(p for p in self._partitions if len(p) <= cap)  # still decreasing
+        return kept, tuple(map(len, kept))
 
     def _window(self, window: tuple[tuple[int, ...], int, int], lo: int
                 ) -> tuple[int, tuple, list[int], dict]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable
 
 from .core import ClassProfile, Colouring, HypergraphSpec, profile_of
@@ -95,6 +95,28 @@ def _touch_sets(key: tuple[tuple[int, int], ...], part: int) -> tuple[int, ...]:
     )
 
 
+def _descend(touch: list[tuple[int, ...]], future: list[int],
+             memo: list[dict[int, tuple[int, int]]], j: int, seen: int
+             ) -> tuple[int, int]:
+    """The (fewest, most) colours classes ``j..`` add beyond ``seen``,
+    kept in ``memo[j]`` by ``seen``; see :func:`_solver`."""
+    known = memo[j].get(seen)
+    if known is not None:
+        return known
+    # picks that leave the same colours to later classes share a descent
+    added: dict[int, list[int]] = {}
+    later = future[j + 1]
+    for pick in touch[j]:
+        added.setdefault((seen | pick) & later, []).append((pick & ~seen).bit_count())
+    lows, highs = [], []
+    for after, news in added.items():
+        lo, hi = _descend(touch, future, memo, j + 1, after)
+        lows.append(min(news) + lo)
+        highs.append(max(news) + hi)
+    known = memo[j][seen] = min(lows), max(highs)
+    return known
+
+
 def _solver(
     keys: tuple[tuple[tuple[int, int], ...], ...],
     parts: tuple[int, ...],
@@ -103,31 +125,17 @@ def _solver(
     0, 1, ..., each colour a bit of a mask.  ``solve(j, seen)`` is the
     (fewest, most) colours classes ``j..`` add beyond ``seen``.
     ``future[j]`` holds the colours of classes ``j..``; ``seen`` keeps only
-    those a later class sees.
+    those a later class sees.  The memo is a dict per class, not a cache on
+    a closure that calls itself, so a solve is freed by reference counting.
     """
     s = len(parts)
     future = [0] * (s + 1)
     for j in range(s - 1, -1, -1):
         future[j] = future[j + 1] | sum(1 << c for c, _ in keys[j])
     touch = [_touch_sets(key, part) for key, part in zip(keys, parts)]
-
-    @cache
-    def solve(j: int, seen: int) -> tuple[int, int]:
-        if j == s:
-            return 0, 0
-        # picks that leave the same colours to later classes share a descent
-        added: dict[int, list[int]] = {}
-        later = future[j + 1]
-        for pick in touch[j]:
-            added.setdefault((seen | pick) & later, []).append((pick & ~seen).bit_count())
-        lows, highs = [], []
-        for after, news in added.items():
-            lo, hi = solve(j + 1, after)
-            lows.append(min(news) + lo)
-            highs.append(max(news) + hi)
-        return min(lows), max(highs)
-
-    return solve, future
+    # past the last class nothing is seen and nothing added
+    memo: list[dict[int, tuple[int, int]]] = [{} for _ in parts] + [{0: (0, 0)}]
+    return partial(_descend, touch, future, memo), future
 
 
 @lru_cache(maxsize=None)

@@ -334,6 +334,12 @@ BAD_INPUTS = {
                   "alpha": 3, "beta": 3}},
     ),
     "spec-file-not-an-object": (["spectrum", "--spec-file", "{spec}"], {"spec": [1, 2]}),
+    # a seventh field would be dropped without a word
+    "spec-file-unknown-field": (
+        ["spectrum", "--spec-file", "{spec}"],
+        {"spec": {"n": 3, "r": 4, "q": 2, "sigma": [2, 2],
+                  "alpha": 2, "beta": 2, "k_max": 5}},
+    ),
     "spec-file-not-utf8": (
         ["spectrum", "--spec-file", "{spec}"], {"spec": b"\xff\xfe{}"},
     ),
@@ -416,6 +422,13 @@ BAD_INPUTS = {
         ["check", "--n", "1", "--r", "4", "--q", "2", "--sigma", "2,2",
          "--alpha", "2", "--beta", "2", "--colouring-file", "{colouring}"],
         {"colouring": {"n": True, "q": 2, "classes": [[0, 1]]}},
+    ),
+    # the schema forbids other fields; the colouring is otherwise valid
+    "colouring-unknown-field": (
+        ["check", "--n", "3", "--r", "4", "--q", "2", "--sigma", "2,2",
+         "--alpha", "2", "--beta", "2", "--colouring-file", "{colouring}"],
+        {"colouring": {"n": 3, "q": 2, "classes": [[0, 1], [0, 1], [2, 2]],
+                       "extra": 1}},
     ),
     "colouring-shape-mismatch": (
         ["check", *A2_FLAGS, "--colouring-file", "{colouring}"],

@@ -310,6 +310,14 @@ class TestColouringJson:
         with pytest.raises(ValueError):
             colouring_from_json(payload)
 
+    @pytest.mark.parametrize("extra", [{"extra": 1}, {"k": 2, "n ": 3}, {"a\nb": None}])
+    def test_loader_rejects_fields_the_schema_forbids(self, extra):
+        # the schema sets additionalProperties false
+        payload = {"n": 1, "q": 2, "classes": [[0, 1]]}
+        assert colouring_from_json(json.dumps(payload)).classes == ((0, 1),)
+        with pytest.raises(ValueError, match="exactly the fields n, q, classes"):
+            colouring_from_json(json.dumps({**payload, **extra}))
+
     def test_within_class_order_is_normalised(self):
         c = colouring_from_json('{"n": 1, "q": 3, "classes": [[2, 0, 1]]}')
         assert c.classes == ((0, 1, 2),)

@@ -1,22 +1,27 @@
 """Print one digest line per set of engine searches, to compare two checkouts.
 
-A line holds a SHA-256 over every decision's (spec, k, verdict, nodes,
-witness classes), the ``engine.range_of_keys`` calls, the range solver's
-cache misses from an empty cache and ``checks``, the (group, binding) shape
-checks the engine's mask fills make (one per bit ``_Search._passing`` is
-asked about, counted by :func:`check_counter`).  Equal lines mean equal
-verdicts, node counts, raw witnesses, range-solver work and shape-check
-work; the counts repeat exactly, so a cut in them shows without timing
-noise.
+An engine line holds ``decisions=``, a SHA-256 over every decision's
+(spec, k, verdict, witness classes); ``nodes=``, the total node count and a
+SHA-256 over the per-k node counts in decision order, as ``total:sha256``
+(both fields from :class:`EngineDigest`); the ``engine.range_of_keys``
+calls, the range solver's cache misses from an empty cache and ``checks``,
+the (group, binding) shape checks the engine's mask fills make (one per bit
+``_Search._passing`` is asked about, counted by :func:`check_counter`).
+Equal ``decisions=`` fields mean equal verdicts and raw witnesses, whatever
+the node counts; equal lines mean equal node counts, range-solver work and
+shape-check work too.  The counts repeat exactly, so a cut in them shows
+without timing noise, and a change that cuts nodes alone keeps every
+``decisions=`` field.
 
 ``nogap-family`` makes the decisions of ``nogap-sweep``, in the same order,
 through one search context per family H(., q | sigma), alpha, beta, which
-meets its specs in ascending n.  Its sha256 equals ``nogap-sweep``'s exactly
-when sharing a context across n moves no verdict, node count or witness; its
-range-solver counts are lower, as verdicts found at one n serve every n.
-``tests/test_engine.py`` pins the ``nogap-sweep`` and ``gap-proof`` digests
-through :func:`record`, from decisions its tests already make, and the
-``gap-proof`` checks through :func:`check_counter`.
+meets its specs in ascending n.  Its ``decisions=`` and ``nodes=`` equal
+``nogap-sweep``'s exactly when sharing a context across n moves no verdict,
+node count or witness; its range-solver counts are lower, as verdicts found
+at one n serve every n.  ``tests/test_engine.py`` pins both fields of the
+``nogap-sweep`` and ``gap-proof`` lines through :class:`EngineDigest`, from
+decisions its tests already make, and the ``gap-proof`` checks through
+:func:`check_counter`.
 
 The ``validator`` line holds one SHA-256 per set of engine witnesses, those
 of ``nogap-sweep`` and of ``gap-proof``, over (spec, classes, ``is_valid``,
@@ -77,9 +82,23 @@ def sha256_of(lines) -> str:
     return digest.hexdigest()
 
 
-def record(spec, k, verdict, nodes, witness) -> bytes:
-    """One decision as a line's SHA-256 reads it."""
-    return repr((str(spec), k, verdict, nodes, witness and witness.classes)).encode()
+class EngineDigest:
+    """The ``decisions=`` and ``nodes=`` fields of an engine line, fed one
+    decision at a time in decision order."""
+
+    def __init__(self):
+        self.decisions, self.nodes, self.total = hashlib.sha256(), hashlib.sha256(), 0
+
+    def update(self, spec, k, verdict, nodes, witness) -> None:
+        self.decisions.update(
+            repr((str(spec), k, verdict, witness and witness.classes)).encode())
+        self.nodes.update(f"{nodes}\n".encode())
+        self.total += nodes
+
+    def fields(self) -> tuple[str, str]:
+        """The two fields' values: the decisions sha256, and the total node
+        count and the per-k nodes sha256 as ``total:sha256``."""
+        return self.decisions.hexdigest(), f"{self.total}:{self.nodes.hexdigest()}"
 
 
 @contextmanager
@@ -224,16 +243,18 @@ def main() -> None:
     for name, decisions in (("nogap-sweep", nogap_sweep), ("nogap-family", nogap_family),
                             ("gap-proof", gap_proof)):
         validator._range_of.cache_clear()
-        digest = hashlib.sha256()
+        digest = EngineDigest()
         found = witnesses[name] = []
         with mock.patch.object(engine, "range_of_keys",
                                wraps=engine.range_of_keys) as solver, \
                 check_counter() as counter:
             for spec, k, verdict, nodes, witness in decisions():
-                digest.update(record(spec, k, verdict, nodes, witness))
+                digest.update(spec, k, verdict, nodes, witness)
                 if witness is not None:
                     found.append((spec, witness))
-        print(f"{name}: sha256={digest.hexdigest()} range_calls={solver.call_count} "
+        decided, counted = digest.fields()
+        print(f"{name}: decisions={decided} nodes={counted} "
+              f"range_calls={solver.call_count} "
               f"range_misses={validator._range_of.cache_info().misses} "
               f"checks={counter.checks}")
     validator._range_of.cache_clear()
