@@ -246,6 +246,9 @@ def _cmd_construct(args: argparse.Namespace, spec: HypergraphSpec) -> Outcome:
     if (args.k is None) != (args.kind == "beta"):
         raise UsageError(f"--kind {args.kind} needs --k" if args.k is None
                          else "--kind beta takes no --k")
+    # a count no colouring of the spec can have is malformed for every kind
+    if args.k is not None and not 1 <= args.k <= spec.num_vertices:
+        raise UsageError(f"--k must be in [1, {spec.num_vertices}], got {args.k}")
     if args.kind == "engine":
         colouring = _engine_colouring(spec, args.k, args.budget)
     else:

@@ -283,8 +283,11 @@ def count_edges(spec: HypergraphSpec) -> int:
 # the refined cells gives the same tuple, so no colour order is ever chosen.
 # The only branching is over which class comes next among those with the
 # least tuple.  Classes with equal content give equal branches, and so do
-# tied private classes, whose colours no other class (a copy included)
-# holds: they trade places, colours and all, by a symmetry fixing the rest.
+# tied private classes with as many copies each: a class is private when
+# no class but its own copies holds its colours, and two such classes with
+# equal copy counts trade places, copies and colours and all, by a symmetry
+# fixing the rest.  Once one copy is placed its colours sit in cells, so
+# its next copy's tuple is less than any private class not yet started.
 
 
 def _place(
@@ -320,8 +323,11 @@ def canonical_colouring(colouring: Colouring) -> Colouring:
     colour permutation, a class permutation, or within-class reordering.
     """
     counts = {cls: Counter(cls) for cls in colouring.classes}
+    copies = Counter(colouring.classes)
     holders = Counter(c for cls in colouring.classes for c in set(cls))
-    private = {cls for cls in counts if all(holders[c] == 1 for c in cls)}
+    # a class whose colours only its own copies hold, to its copy count
+    private = {cls: m for cls, m in copies.items()
+               if all(holders[c] == m for c in cls)}
     best: tuple[tuple[int, ...], ...] = ()
 
     def extend(remaining: tuple[tuple[int, ...], ...],
@@ -334,10 +340,12 @@ def canonical_colouring(colouring: Colouring) -> Colouring:
             return
         options = {cls: _place(counts[cls], cells) for cls in set(remaining)}
         least = min(key for key, _ in options.values())
-        tied_private = False
+        tied_private = set()  # the copy counts of private classes tried
         for cls, (key, refined) in options.items():
-            if key == least and not (cls in private and tied_private):
-                tied_private |= cls in private
+            m = private.get(cls)
+            if key == least and m not in tied_private:
+                if m:
+                    tied_private.add(m)
                 i = remaining.index(cls)
                 extend(remaining[:i] + remaining[i + 1:], refined,
                        prefix + (key,))

@@ -5,13 +5,12 @@ from each.  Within one class, picking ``a`` vertices can touch a colour set
 ``S`` iff ``|S| <= a <= sum of S's multiplicities``; only which colours are
 touched matters, never how the count splits beyond feasibility.  The solver
 walks the classes once, tracking only the part of the running colour union
-that future classes can still see, so results memoise well across the many
-shapes sharing profile data.  A range never depends on what the colours are
-called, so the cache keys a shape by its colour columns (which slots hold
-each colour, how often), not by the names; shapes equal up to a colour
-renaming share one solve.  The solver numbers the columns densely and keeps
-colours as bits of an integer mask.  One pass gives both range ends, and
-``selection_achieving`` reads its pick off the same solver.
+that future classes can still see, and gives both range ends in one pass;
+``selection_achieving`` reads its pick off the same solver.  The range cache
+keys a shape by the raw profile keys and parts its caller passes; only a
+miss renames the colours densely, in sorted order, to bits of an integer
+mask.  Shapes equal up to a colour renaming are merged before the cache,
+in the engine's per-family verdict tables.
 
 An edge's colours are the union of what its classes contribute, so when
 the classes of a shape share no colour the union is disjoint and the
@@ -30,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import ClassProfile, Colouring, HypergraphSpec, profile_of
 from .errors import DimensionMismatchError, InfeasibleShapeError
@@ -42,6 +41,9 @@ __all__ = [
     "find_violation",
     "selection_achieving",
 ]
+
+# a class's profile key: its (colour, multiplicity) pairs
+ProfileKey = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -59,31 +61,8 @@ class EdgeWitness:
     distinct_colours: int
 
 
-def _normalise(
-    profiles: tuple[tuple[tuple[int, int], ...], ...],
-    parts: tuple[int, ...],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Cache key: the shape's colour columns and its parts, slot by slot.
-
-    Slots are ordered by (part, number of colours, profile).  Each colour
-    becomes one column, the flat tuple ``(slot, mult, slot, mult, ...)`` of
-    the slots holding it; the columns are sorted and the names dropped.  A
-    colour renaming keeps every column, so shapes that differ only by one
-    get the same key unless it reorders slots tied on part and colour count.
-    The range is the same either way: it is invariant under any renaming and
-    under permuting (profile, part) slots together.
-    """
-    slots = sorted(zip(parts, map(len, profiles), profiles))
-    columns: dict[int, tuple[int, ...]] = {}
-    get = columns.get
-    for j, (_part, _width, prof) in enumerate(slots):
-        for colour, mult in prof:
-            columns[colour] = get(colour, ()) + (j, mult)
-    return tuple(sorted(columns.values())), tuple([slot[0] for slot in slots])
-
-
 @cache
-def _touch_sets(key: tuple[tuple[int, int], ...], part: int) -> tuple[int, ...]:
+def _touch_sets(key: ProfileKey, part: int) -> tuple[int, ...]:
     """The colour sets, as bit masks, that a ``part``-vertex pick from a
     class with profile ``key`` can touch: at most ``part`` colours holding
     at least ``part`` vertices.  Cached: keys of dense colours repeat."""
@@ -117,10 +96,8 @@ def _descend(touch: list[tuple[int, ...]], future: list[int],
     return known
 
 
-def _solver(
-    keys: tuple[tuple[tuple[int, int], ...], ...],
-    parts: tuple[int, ...],
-) -> tuple[Callable[[int, int], tuple[int, int]], list[int]]:
+def _solver(keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
+            ) -> tuple[Callable[[int, int], tuple[int, int]], list[int]]:
     """One DP for both range ends over profile keys with dense colours
     0, 1, ..., each colour a bit of a mask.  ``solve(j, seen)`` is the
     (fewest, most) colours classes ``j..`` add beyond ``seen``.
@@ -138,34 +115,27 @@ def _solver(
     return partial(_descend, touch, future, memo), future
 
 
+def _dense(keys: Sequence[ProfileKey]) -> tuple[list[int], tuple[ProfileKey, ...]]:
+    """The colours of profile ``keys`` in sorted order, and the keys with
+    each colour renamed to its place in that order (the solver's dense
+    colours)."""
+    colours = sorted({c for key in keys for c, _ in key})
+    dense = {c: i for i, c in enumerate(colours)}
+    return colours, tuple([tuple([(dense[c], m) for c, m in key]) for key in keys])
+
+
 @lru_cache(maxsize=None)
-def _range_of(
-    columns: tuple[tuple[int, ...], ...],
-    parts: tuple[int, ...],
-) -> tuple[int, int]:
-    """The range of the shape keyed by :func:`_normalise`; colour ``c`` is
-    the ``c``-th column."""
-    keys: list[list[tuple[int, int]]] = [[] for _ in parts]
-    for c, column in enumerate(columns):
-        pairs = iter(column)
-        for j, mult in zip(pairs, pairs):
-            keys[j].append((c, mult))
-    return _solver(tuple(map(tuple, keys)), parts)[0](0, 0)
+def _range_of(profile_keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
+              ) -> tuple[int, int]:
+    """The (fewest, most) distinct colours over picks of ``parts[j]``
+    vertices from the class with profile key ``profile_keys[j]``, raw
+    (colour, mult) pairs; no validation.  Keyed by the shape as passed, so
+    only a miss renames its colours (:func:`_dense`) and solves."""
+    return _solver(_dense(profile_keys)[1], parts)[0](0, 0)
 
 
-def range_of_keys(
-    profile_keys: tuple[tuple[tuple[int, int], ...], ...],
-    parts: tuple[int, ...],
-) -> tuple[int, int]:
-    """Range over raw profile keys ((colour, mult) tuples); no validation.
-
-    Shared fast path for the validator and the engine; one pass, both ends.
-    Each call normalises its shape before the cache lookup, hits included.
-    The engine calls it only on a miss of its own verdict cache, keyed per
-    family on the shape up to a colour renaming; the validator, once per
-    edge shape whose classes share a colour.
-    """
-    return _range_of(*_normalise(profile_keys, parts))
+# the name the validator and the engine call the range through
+range_of_keys = _range_of
 
 
 def _check_shape(
@@ -196,7 +166,7 @@ def edge_colour_range(
     return range_of_keys(tuple(p.key() for p in profiles), tuple(parts))
 
 
-def _pick(key: tuple[tuple[int, int], ...], touched: int, part: int,
+def _pick(key: ProfileKey, touched: int, part: int,
           colours: list[int]) -> dict[int, int]:
     """A ``part``-vertex pick touching exactly the colours of mask
     ``touched``: one vertex per colour, then padding in colour order.
@@ -224,10 +194,7 @@ def selection_achieving(
     """
     _check_shape(profiles, parts)
     # the solver wants dense colours; the picks name the real ones
-    colours = sorted({c for p in profiles for c in p.counts})
-    dense = {c: i for i, c in enumerate(colours)}
-    keys = tuple(tuple(sorted((dense[c], m) for c, m in p.counts.items()))
-                 for p in profiles)
+    colours, keys = _dense([p.key() for p in profiles])
     solve, future = _solver(keys, tuple(parts))
     # Swapping one picked vertex moves the union by at most one colour, so
     # every count between a state's two ends is reachable: each class takes

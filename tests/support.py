@@ -13,6 +13,10 @@ def spec_of(n, q, parts, alpha=2, beta=2):
     return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
 
 
+# the appendix gap fixture H(n=7,q=6|sigma=(6,6)), alpha=beta=3: k=4 is a gap
+APPENDIX = spec_of(7, 6, [6, 6], 3, 3)
+
+
 @functools.cache
 def _load(relative):
     """The repository's script at ``relative``, loaded as a module once,

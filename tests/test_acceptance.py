@@ -30,7 +30,7 @@ from sigma_spectra.verification import (
     suite_uncolourable,
     suite_zone,
 )
-from support import spec_of
+from support import APPENDIX, spec_of
 
 
 def report(number, passed, text):
@@ -60,7 +60,7 @@ def test_criterion_2_gap_fixture_reproduction():
     decision also visits exactly the nodes the benchmark's golden file pins
     (read here, never written).
     """
-    spec = spec_of(7, 6, [6, 6], 3, 3)
+    spec = APPENDIX
     budget = 50_000_000
     golden = json.loads(
         (Path(__file__).resolve().parents[1] / "bench" / "golden.json")

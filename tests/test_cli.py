@@ -179,9 +179,10 @@ class TestConstructCommand:
         assert "zone" in err
 
     def test_layered_past_one_singleton_per_class_exits_1(self, capsys):
-        # edgeless (n < s): beta - k*s = 2 extras, but only one class
+        # edgeless (n < s): beta - k*s = 2 extras, but only one class; k=3
+        # is within n*q, so the builder, not the argument check, refuses it
         code, _, err = run(capsys, [
-            "construct", "--n", "1", "--r", "3", "--q", "2", "--sigma", "1,1,1",
+            "construct", "--n", "1", "--r", "3", "--q", "3", "--sigma", "1,1,1",
             "--alpha", "2", "--beta", "5", "--kind", "layered", "--k", "3"])
         assert code == 1
         assert err.startswith("construction failed:")
@@ -385,6 +386,12 @@ BAD_INPUTS = {
     "beta-with-k": (["construct", *GAP_FLAGS, "--kind", "beta", "--k", "4"], {}),
     "engine-k-zero": (
         ["construct", *GAP_FLAGS, "--kind", "engine", "--k", "0"], {},
+    ),
+    "mono-k-zero": (["construct", *GAP_FLAGS, "--kind", "mono", "--k", "0"], {}),
+    "mono-k-negative": (["construct", *GAP_FLAGS, "--kind", "mono", "--k", "-3"], {}),
+    # k past n*q = 10 vertices
+    "layered-k-past-the-vertices": (
+        ["construct", *GAP_FLAGS, "--kind", "layered", "--k", "99999"], {},
     ),
     # the engine search recurses once per class, too deep for n=1000
     "engine-too-many-classes": (

@@ -30,7 +30,7 @@ from sigma_spectra import (
 )
 from sigma_spectra.cli import main
 from sigma_spectra.verification import gap_cells, zone_grid
-from support import load_search_digest, spec_of
+from support import APPENDIX, load_search_digest, spec_of
 
 
 # the walks line of tools/search_digest.py, pinned: a change to the walks or
@@ -99,7 +99,7 @@ class TestLayeredColouring:
 
     def test_requires_window_around_s(self):
         with pytest.raises(NotApplicableError):
-            layered_colouring(spec_of(7, 6, [6, 6], 3, 3), 7)
+            layered_colouring(APPENDIX, 7)
 
     def test_class_too_small_for_palette(self):
         # k = floor(8/2) = 4 distinct colours cannot fit in q = 3

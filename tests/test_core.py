@@ -175,6 +175,13 @@ small_colourings = st.integers(1, 4).flatmap(
     )
 )
 
+# up to seven copies of at most three classes: classes repeat, and a class
+# whose colours no other base class holds is private to its copies
+copied_colourings = st.integers(1, 4).flatmap(
+    lambda q: st.lists(st.lists(st.integers(0, 5), min_size=q, max_size=q),
+                       min_size=1, max_size=3)
+).flatmap(lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=7))
+
 
 class TestCanonicalForm:
     @given(small_colourings)
@@ -184,7 +191,8 @@ class TestCanonicalForm:
         can = canonical_colouring(c)
         assert canonical_colouring(can) == can
 
-    @given(small_colourings, st.randoms(use_true_random=False))
+    @given(st.one_of(small_colourings, copied_colourings),
+           st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_invariant_under_symmetries(self, classes, rng):
         c = Colouring(classes=tuple(tuple(cls) for cls in classes))
@@ -269,20 +277,28 @@ class TestCanonicalForm:
             ((0, 0, 0),) * 4 + ((1, 1, 1),) * 3
             + ((1, 2, 2), (3, 3, 3), (3, 3, 3), (4, 4, 4)),
         ),
-    ], ids=["layered", "layered-singletons", "paired", "mono"])
+        (  # private copies: two of one class, three of another
+            ((0,), (0,), (1,), (1,), (1,)),
+            ((0,), (0,), (0,), (1,), (1,)),
+        ),
+    ], ids=["layered", "layered-singletons", "paired", "mono", "copies"])
     def test_structured_canonical_forms(self, classes, expected):
         assert canonical_colouring(Colouring(classes=classes)).classes == expected
 
     def test_private_classes_are_not_branched_in_every_order(self):
-        # nine classes, each with its own two colours: tying them in all 9!
-        # orders took seconds, one order of the interchangeable ones does
-        spec = spec_of(9, 4, [1, 1], beta=4)
-        layered = layered_colouring(spec, 18)
-        scrambled = Colouring(classes=tuple(
-            tuple(40 - c for c in cls) for cls in reversed(layered.classes)))
-        start = time.perf_counter()
-        assert canonical_colouring(scrambled) == layered
-        assert time.perf_counter() - start < 0.5
+        # both forms are canonical; tying the interchangeable classes (or
+        # pairs of classes) in every order of them took seconds
+        for classes in (
+            # nine classes, each with its own two colours
+            layered_colouring(spec_of(9, 4, [1, 1], beta=4), 18).classes,
+            # eight pairs of equal classes, each pair over its own two colours
+            tuple(tuple((i // 2) * 2 + j // 2 for j in range(4)) for i in range(16)),
+        ):
+            scrambled = Colouring(classes=tuple(
+                tuple(40 - c for c in cls) for cls in reversed(classes)))
+            start = time.perf_counter()
+            assert canonical_colouring(scrambled).classes == classes
+            assert time.perf_counter() - start < 0.5
 
 
 class TestColouringJson:

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from sigma_spectra import (
     BudgetExceededError,
-    HypergraphSpec,
     InstanceTooLargeError,
     IntInterval,
     SpectrumResult,
@@ -32,10 +31,9 @@ from sigma_spectra import (
 )
 from sigma_spectra import engine, validator
 from sigma_spectra.engine import _Search, _partitions
-from sigma_spectra.formulas import gap_instance_params
 from sigma_spectra.validator import range_of_keys
-from sigma_spectra.verification import gap_cells, nogap_grid
-from support import load_search_digest, spec_of
+from sigma_spectra.verification import nogap_grid
+from support import APPENDIX, load_search_digest, spec_of
 
 
 A2 = spec_of(5, 2, [2, 2], 3, 3)
@@ -98,13 +96,11 @@ class TestKColourable:
             k_colourable(A2, 11)
 
     def test_budget_raises_not_misreports(self):
-        big = spec_of(7, 6, [6, 6], 3, 3)
         with pytest.raises(BudgetExceededError):
-            k_colourable(big, 4, node_budget=50)
+            k_colourable(APPENDIX, 4, node_budget=50)
 
     def test_unknown_verdict_distinct_from_infeasible(self):
-        big = spec_of(7, 6, [6, 6], 3, 3)
-        d = decide_k(big, 4, node_budget=50)
+        d = decide_k(APPENDIX, 4, node_budget=50)
         assert d.verdict == "unknown"
         assert d.witness is None
 
@@ -224,16 +220,14 @@ class TestSpectrum:
         assert res.feasible_k == (2,)
 
     def test_budget_marks_incomplete(self):
-        big = spec_of(7, 6, [6, 6], 3, 3)
-        res = spectrum(big, k_max=4, node_budget=100)
+        res = spectrum(APPENDIX, k_max=4, node_budget=100)
         assert not res.complete
         assert 4 in res.unknown_k
 
     def test_unknown_k_never_reported_as_gap(self):
         # 3 and 8 decide quickly; 4..7 trip a small budget, so no run in
         # between is proven and no gap may be claimed
-        big = spec_of(7, 6, [6, 6], 3, 3)
-        res = spectrum(big, k_max=8, node_budget=2_000)
+        res = spectrum(APPENDIX, k_max=8, node_budget=2_000)
         assert 3 in res.feasible_k and 8 in res.feasible_k
         assert set(res.unknown_k) >= {5, 6, 7}
         for gap in res.gaps:
@@ -590,8 +584,6 @@ class TestBudgetAccounting:
     exactly when the whole count passes it, and a tripped count reads
     ``budget + 1``."""
 
-    APPENDIX = spec_of(7, 6, [6, 6], 3, 3)
-
     def assert_budgets(self, spec, k, budgets):
         """``budgets`` maps the unbudgeted node count to the budgets tried."""
         whole = decide_k(spec, k)
@@ -607,7 +599,7 @@ class TestBudgetAccounting:
             self.assert_budgets(GAP22, k, lambda total: range(total + 2))
 
     def test_appendix_k4_budgets(self):
-        self.assert_budgets(self.APPENDIX, 4, lambda total: [
+        self.assert_budgets(APPENDIX, 4, lambda total: [
             0, 1, 2, 5, 17, 123, 1_001, 9_999, 77_777, total - 1, total])
 
     def test_a_tripped_search_stops_near_its_budget(self):
@@ -615,8 +607,8 @@ class TestBudgetAccounting:
         # its budget stops there rather than run its proof out: 25 of the
         # appendix k=4 proof's 261 (group, window) mask rows at a budget of 50
         def mask_rows(budget):
-            search = family_search(self.APPENDIX)
-            search.decide(self.APPENDIX.n, 4, budget)
+            search = family_search(APPENDIX)
+            search.decide(APPENDIX.n, 4, budget)
             return sum(len(entry[3]) for entry in search._windows.values())
         assert mask_rows(50) * 4 < mask_rows(None)
 
@@ -637,19 +629,17 @@ class TestDecisionLifetime:
     reference counting when the decision returns, not left in reference
     cycles for the collector."""
 
-    APPENDIX = spec_of(7, 6, [6, 6], 3, 3)
-
     def test_a_decision_leaves_nothing_for_the_collector(self):
         # the first proof fills the process-wide range-solver cache; the
         # second, with the collector off, leaves its memo of 27,403 states and
         # its context to the collector if any cycle holds them
-        decide_k(self.APPENDIX, 4)
+        decide_k(APPENDIX, 4)
         gc.collect()
         gc.disable()
         try:
             tracemalloc.start()
             try:
-                d = decide_k(self.APPENDIX, 4)
+                d = decide_k(APPENDIX, 4)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -909,8 +899,6 @@ class TestGoldenNodeCounts:
         (Path(__file__).resolve().parents[1] / "bench" / "golden.json")
         .read_text(encoding="utf-8")
     )
-    APPENDIX = spec_of(7, 6, [6, 6], 3, 3)
-
     def test_small_nogap_spectra(self):
         golden = self.GOLDEN["nogap-sweep"]
         specs = [spec for spec in nogap_grid() if spec.num_vertices <= 12]
@@ -931,18 +919,12 @@ class TestGoldenNodeCounts:
         # gap-proof digest, which counts the same shape checks
         digest, checked = SEARCH_DIGEST.EngineDigest(), hashlib.sha256()
         golden = {key: record for key, record in self.GOLDEN["gap-proof"].items()
-                  if not key.startswith(f"{self.APPENDIX}|")}
+                  if not key.startswith(f"{APPENDIX}|")}
         seen = {}
-        pairs = [(self.APPENDIX, k) for k in (3, 4, 8)]
-        for alpha, beta, parts in gap_cells():
-            sigma = build_sigma(parts)
-            q, n = gap_instance_params(alpha, beta, sigma)
-            spec = HypergraphSpec(n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)
-            pairs += [(spec, k) for k in range(1, beta + 2)]
         with SEARCH_DIGEST.check_counter() as counter:
-            for spec, k in pairs:
+            for spec, k in SEARCH_DIGEST.gap_proof_pairs():
                 d = decide_k(spec, k)
-                if spec != self.APPENDIX:
+                if spec != APPENDIX:
                     seen[f"{spec}|k={k}"] = {"verdict": d.verdict, "nodes": d.nodes}
                 digest.update(spec, k, d.verdict, d.nodes, d.witness)
                 if d.witness is not None:

@@ -21,7 +21,7 @@ from sigma_spectra import (
     zone_only_condition,
 )
 from sigma_spectra.verification import exhaustive_max_sum, exhaustive_min_parts
-from support import load_search_digest, spec_of
+from support import APPENDIX, load_search_digest, spec_of
 
 
 # the closed-forms line of tools/search_digest.py, pinned: a change to the
@@ -133,11 +133,11 @@ class TestMonoZone:
         assert mono_zone_lower_bound(spec) == -(-spec.n // (spec.sigma.s - 1))
 
     def test_s_below_alpha_is_empty(self):
-        assert mono_zone(spec_of(7, 6, [6, 6], 3, 3)) == IntInterval.empty()
+        assert mono_zone(APPENDIX) == IntInterval.empty()
 
     def test_lower_bound_needs_s_at_least_alpha(self):
         with pytest.raises(NotApplicableError):
-            mono_zone_lower_bound(spec_of(7, 6, [6, 6], 3, 3))
+            mono_zone_lower_bound(APPENDIX)
 
     @pytest.mark.parametrize("counts, message", [
         ((), "must be positive"),
@@ -181,7 +181,7 @@ class TestExtendedInterval:
 
     def test_not_applicable_outside_window(self):
         with pytest.raises(NotApplicableError):
-            extended_interval(spec_of(7, 6, [6, 6], 3, 3))
+            extended_interval(APPENDIX)
 
 
 class TestZoneOnlyCondition:

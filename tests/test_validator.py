@@ -1,6 +1,7 @@
 """Edge colour ranges, validity decisions and violation witnesses."""
 
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -28,7 +29,7 @@ from sigma_spectra.validator import (
     _range_of,
     range_of_keys,
 )
-from support import load_bench_workloads
+from support import APPENDIX, load_bench_workloads
 
 
 def prof(counts):
@@ -166,36 +167,46 @@ def renamed(keys, names):
 
 
 class TestRangeCacheKey:
-    """The range cache keys a shape by its colour columns, not its names."""
+    """The range cache keys a shape by its raw profile keys and parts; the
+    range itself never depends on the colour names or the slot order."""
 
-    def test_colour_swap_shares_one_solve(self):
+    def test_the_same_raw_shape_solves_once(self):
         _range_of.cache_clear()
-        one = range_of_keys((((0, 3),), ((1, 2), (2, 1))), (1, 1))
-        other = range_of_keys((((0, 3),), ((1, 1), (2, 2))), (1, 1))
-        assert one == other
+        keys = (((0, 3),), ((0, 2), (1, 1)))
+        copy = tuple(tuple(list(key)) for key in keys)  # equal, not identical
+        assert range_of_keys(keys, (1, 1)) == range_of_keys(copy, (1, 1)) == (1, 2)
         assert _range_of.cache_info().misses == 1
+
+    def test_huge_colours_solve_as_their_dense_copy(self):
+        # a miss renames the colours densely before they become mask bits:
+        # a bit per raw colour would need integers of 10**9 bits here
+        huge = (((10**9, 2), (10**9 + 7, 1)), ((10**9 + 7, 2), (10**9 + 9, 1)))
+        dense = (((0, 2), (1, 1)), ((1, 2), (2, 1)))
+        _range_of.cache_clear()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            got = range_of_keys(huge, (2, 2))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == range_of_keys(dense, (2, 2)) == (2, 3)
+        assert peak < 100_000
+        assert elapsed < 0.5
 
     @given(raw_shapes(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_renaming_and_slot_order_keep_the_range(self, shape, data):
         keys, parts = shape
-        _range_of.cache_clear()  # replays must see the same misses
         base = range_of_keys(keys, parts)
         colours = sorted({c for key in keys for c, _ in key})
         names = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(colours),
                                    max_size=len(colours), unique=True))
-        misses = _range_of.cache_info().misses
-        # keeping the names' order keeps the slot order: the very same key
         monotone = renamed(keys, dict(zip(colours, sorted(names))))
         assert range_of_keys(monotone, parts) == base
-        assert _range_of.cache_info().misses == misses
-        # any renaming keeps every column; only slots tied on part and
-        # colour count may trade places
         any_names = renamed(keys, dict(zip(colours, names)))
         assert range_of_keys(any_names, parts) == base
-        slots = [(a, len(key)) for key, a in zip(keys, parts)]
-        if len(set(slots)) == len(slots):
-            assert _range_of.cache_info().misses == misses
         order = data.draw(st.permutations(range(len(parts))))
         assert range_of_keys(tuple(any_names[i] for i in order),
                              tuple(parts[i] for i in order)) == base
@@ -240,9 +251,8 @@ def a2_colouring(n):
 
 class TestIsValid:
     def test_balanced_three_colour_classes(self):
-        spec = HypergraphSpec(n=7, q=6, sigma=build_sigma([6, 6]), alpha=3, beta=3)
         cls = (0, 0, 1, 1, 2, 2)
-        assert is_valid(spec, Colouring(classes=(cls,) * 7))
+        assert is_valid(APPENDIX, Colouring(classes=(cls,) * 7))
 
     def test_shared_plus_private_pattern(self):
         spec = HypergraphSpec(n=5, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=3)
@@ -273,9 +283,8 @@ class TestFindViolation:
                    zip(w.per_class_choice, w.part_assignment))
 
     def test_too_many_colours_witness(self):
-        spec = HypergraphSpec(n=7, q=6, sigma=build_sigma([6, 6]), alpha=3, beta=3)
         classes = ((0, 1, 2, 3, 3, 3),) + ((4, 4, 4, 4, 4, 4),) * 6
-        w = find_violation(spec, Colouring(classes=classes))
+        w = find_violation(APPENDIX, Colouring(classes=classes))
         assert w is not None
         assert w.distinct_colours >= 4
 

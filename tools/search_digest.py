@@ -157,7 +157,10 @@ def nogap_family():
             yield spec, k, d.verdict, d.nodes, d.witness
 
 
-def gap_proof():
+def gap_proof_pairs():
+    """The (spec, k) decisions of the ``gap-proof`` line, in order: the
+    appendix fixture at k = 3, 4 and 8, then each gap recipe's instance at
+    k = 1..beta+1."""
     appendix = HypergraphSpec(n=7, q=6, sigma=build_sigma([6, 6]), alpha=3, beta=3)
     pairs = [(appendix, k) for k in (3, 4, 8)]
     for alpha, beta, parts in verification.gap_cells():
@@ -165,7 +168,11 @@ def gap_proof():
         q, n = formulas.gap_instance_params(alpha, beta, sigma)
         spec = HypergraphSpec(n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)
         pairs += [(spec, k) for k in range(1, beta + 2)]
-    for spec, k in pairs:
+    return pairs
+
+
+def gap_proof():
+    for spec, k in gap_proof_pairs():
         d = decide_k(spec, k, 50_000_000)
         yield spec, k, d.verdict, d.nodes, d.witness
 
