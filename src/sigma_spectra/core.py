@@ -282,12 +282,15 @@ def count_edges(spec: HypergraphSpec) -> int:
 # multiplicity stay together as one new cell.  Every map consistent with
 # the refined cells gives the same tuple, so no colour order is ever chosen.
 # The only branching is over which class comes next among those with the
-# least tuple.  Classes with equal content give equal branches, and so do
-# tied private classes with as many copies each: a class is private when
-# no class but its own copies holds its colours, and two such classes with
-# equal copy counts trade places, copies and colours and all, by a symmetry
-# fixing the rest.  Once one copy is placed its colours sit in cells, so
-# its next copy's tuple is less than any private class not yet started.
+# least tuple; classes with equal content give equal branches.  Classes
+# meet when they share a colour, and each component is canonicalised on its
+# own.  A class holding a placed colour gets an identifier below every
+# unplaced colour's, so its tuple is less than any class of fresh colours.
+# A half-placed component has a remaining class that shares a placed
+# colour, so the least image places each component whole, then the least
+# image of the rest, shifted.  So the forms go in increasing order, but a
+# form goes before its proper prefixes: its next class holds a placed
+# colour, while the prefix's successor starts on fresh colours.
 
 
 def _place(
@@ -321,36 +324,41 @@ def canonical_colouring(colouring: Colouring) -> Colouring:
 
     Idempotent, and equal for any two colourings that differ only by a
     colour permutation, a class permutation, or within-class reordering.
+    The search keeps its branches on a stack, so it has no class-count limit.
     """
+    link: dict[int, int] = {}  # colour -> a colour of its component
+
+    def root(c: int) -> int:
+        while link.setdefault(c, c) != c:
+            link[c] = c = link[link[c]]
+        return c
+
+    for cls in colouring.classes:
+        for c in cls:
+            link[root(c)] = root(cls[0])
+    components: dict[int, list[tuple[int, ...]]] = {}
+    for cls in colouring.classes:
+        components.setdefault(root(cls[0]), []).append(cls)
+    if len(components) > 1:
+        sentinel = (colouring.n * colouring.q,)  # after every class tuple
+        forms = (canonical_colouring(Colouring(tuple(part))) for part in components.values())
+        merged, shift = [], 0  # shift: the colours of the forms before
+        for form in sorted(forms, key=lambda form: form.classes + (sentinel,)):
+            merged += (tuple(c + shift for c in cls) for cls in form.classes)
+            shift += form.colour_count
+        return Colouring(classes=tuple(merged))
     counts = {cls: Counter(cls) for cls in colouring.classes}
-    copies = Counter(colouring.classes)
-    holders = Counter(c for cls in colouring.classes for c in set(cls))
-    # a class whose colours only its own copies hold, to its copy count
-    private = {cls: m for cls, m in copies.items()
-               if all(holders[c] == m for c in cls)}
     best: tuple[tuple[int, ...], ...] = ()
-
-    def extend(remaining: tuple[tuple[int, ...], ...],
-               cells: tuple[tuple[int, ...], ...],
-               prefix: tuple[tuple[int, ...], ...]) -> None:
-        nonlocal best
-        if not remaining:
-            if not best or prefix < best:
-                best = prefix
-            return
-        options = {cls: _place(counts[cls], cells) for cls in set(remaining)}
+    stack = [(Counter(colouring.classes), (), ())]  # classes left, cells, placed
+    while stack:
+        left, cells, placed = stack.pop()
+        if not left:
+            best = min(best, placed) if best else placed
+            continue
+        options = {cls: _place(counts[cls], cells) for cls in left}
         least = min(key for key, _ in options.values())
-        tied_private = set()  # the copy counts of private classes tried
-        for cls, (key, refined) in options.items():
-            m = private.get(cls)
-            if key == least and m not in tied_private:
-                if m:
-                    tied_private.add(m)
-                i = remaining.index(cls)
-                extend(remaining[:i] + remaining[i + 1:], refined,
-                       prefix + (key,))
-
-    extend(colouring.classes, (), ())
+        stack += [(left - Counter((cls,)), refined, placed + (key,))
+                  for cls, (key, refined) in options.items() if key == least]
     return Colouring(classes=best)
 
 

@@ -335,6 +335,14 @@ BAD_INPUTS = {
                   "alpha": 3, "beta": 3}},
     ),
     "spec-file-not-an-object": (["spectrum", "--spec-file", "{spec}"], {"spec": [1, 2]}),
+    "spec-file-r-not-int": (
+        ["spectrum", "--spec-file", "{spec}"],
+        {"spec": {"n": 3, "r": "4", "q": 2, "sigma": [2, 2], "alpha": 2, "beta": 2}},
+    ),
+    "spec-file-sigma-not-a-list": (
+        ["spectrum", "--spec-file", "{spec}"],
+        {"spec": {"n": 3, "r": 4, "q": 2, "sigma": "2,2", "alpha": 2, "beta": 2}},
+    ),
     # a seventh field would be dropped without a word
     "spec-file-unknown-field": (
         ["spectrum", "--spec-file", "{spec}"],

@@ -26,7 +26,7 @@ from sigma_spectra import (
     profile_of,
     spectrum,
 )
-from support import spec_of
+from support import load_search_digest, spec_of
 
 
 class TestSigma:
@@ -182,6 +182,25 @@ copied_colourings = st.integers(1, 4).flatmap(
                        min_size=1, max_size=3)
 ).flatmap(lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=7))
 
+# disjoint unions of up to three small colourings, the i-th over colours
+# 3i..3i+2, so each part's classes meet only each other
+disjoint_unions = st.integers(1, 3).flatmap(
+    lambda q: st.lists(st.lists(st.lists(st.integers(0, 2), min_size=q, max_size=q),
+                                min_size=1, max_size=3),
+                       min_size=1, max_size=3)
+).map(lambda parts: [[c + 3 * i for c in cls] for i, part in enumerate(parts)
+                     for cls in part])
+
+
+# the canonical line of tools/search_digest.py, pinned: a change to the
+# canonical form that claims to move no form keeps it
+CANONICAL_SHA256 = "7737336e1e638b907dc181131e5a5da2b90702d359d7f37d67fabc8dc26f7398"
+
+
+def test_canonical_digest_is_pinned():
+    module = load_search_digest()
+    assert module.sha256_of(module.canonical_records()) == CANONICAL_SHA256
+
 
 class TestCanonicalForm:
     @given(small_colourings)
@@ -191,7 +210,7 @@ class TestCanonicalForm:
         can = canonical_colouring(c)
         assert canonical_colouring(can) == can
 
-    @given(st.one_of(small_colourings, copied_colourings),
+    @given(st.one_of(small_colourings, copied_colourings, disjoint_unions),
            st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_invariant_under_symmetries(self, classes, rng):
@@ -286,19 +305,29 @@ class TestCanonicalForm:
         assert canonical_colouring(Colouring(classes=classes)).classes == expected
 
     def test_private_classes_are_not_branched_in_every_order(self):
-        # both forms are canonical; tying the interchangeable classes (or
+        # every form is canonical; tying the interchangeable classes (or
         # pairs of classes) in every order of them took seconds
         for classes in (
             # nine classes, each with its own two colours
             layered_colouring(spec_of(9, 4, [1, 1], beta=4), 18).classes,
             # eight pairs of equal classes, each pair over its own two colours
             tuple(tuple((i // 2) * 2 + j // 2 for j in range(4)) for i in range(16)),
+            # six pairs (a,a,a,b), (a,b,b,b), each pair over its own two colours
+            tuple(cls for a in range(0, 12, 2)
+                  for cls in ((a, a, a, a + 1), (a, a + 1, a + 1, a + 1))),
+            # 300 classes, each with its own two colours
+            layered_colouring(spec_of(300, 4, [1, 1], beta=4), 600).classes,
         ):
             scrambled = Colouring(classes=tuple(
-                tuple(40 - c for c in cls) for cls in reversed(classes)))
+                tuple(1000 - c for c in cls) for cls in reversed(classes)))
             start = time.perf_counter()
             assert canonical_colouring(scrambled).classes == classes
             assert time.perf_counter() - start < 0.5
+
+    def test_many_classes_need_no_deep_recursion(self):
+        # the search once recursed once per class
+        copies = Colouring(classes=((0, 0),) * 1500)
+        assert copies.canonical() == copies
 
 
 class TestColouringJson:

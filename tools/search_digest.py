@@ -54,6 +54,15 @@ colour count and the step's colouring classes.  Equal lines mean the walks
 take the same moves to the same colourings; ``tests/test_constructions.py``
 pins it.
 
+The ``canonical`` line holds a SHA-256 over (input classes, canonical
+classes) for a seeded set of colourings (:func:`canonical_records`): 4,000
+random ones with n <= 7 and q <= 4, every other one made of copies of at
+most three base classes; one two-colour palette per class at n = 2..40;
+pairs (a,a,a,b), (a,b,b,b), each over its own two colours, at n <= 10; and
+chains (i, i+1) at n <= 12, the last three with classes shuffled and
+colours renamed.  Equal lines mean ``core.canonical_colouring`` gives the
+same forms; ``tests/test_core.py`` pins it.
+
     python tools/search_digest.py
 """
 
@@ -68,8 +77,8 @@ from unittest import mock
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sigma_spectra import (  # noqa: E402
-    Colouring, HypergraphSpec, build_sigma, decide_k, engine, find_violation, is_valid,
-    spectrum,
+    Colouring, HypergraphSpec, build_sigma, canonical_colouring, decide_k, engine,
+    find_violation, is_valid, spectrum,
 )
 from sigma_spectra import constructions, formulas, validator, verification  # noqa: E402
 
@@ -245,6 +254,35 @@ def walk_records():
                             s.colour_count, s.colouring.classes)).encode()
 
 
+def canonical_records():
+    """Each colouring of the ``canonical`` line's set with its canonical
+    form, as the line's SHA-256 reads them."""
+    rng = random.Random("canonical")
+    inputs = []
+    for i in range(4000):
+        q = rng.randint(1, 4)
+        base = [tuple(rng.randrange(6) for _ in range(q)) for _ in range(rng.randint(1, 3))]
+        inputs.append(tuple(rng.choice(base) if i % 2 else
+                            tuple(rng.randrange(6) for _ in range(q))
+                            for _ in range(rng.randint(1, 7))))
+    structured = []
+    for n in range(2, 41):  # class i holds a of colour 2i and 4 - a of 2i + 1
+        counts = [rng.randint(1, 3) for _ in range(n)]
+        structured.append(tuple((2 * i,) * a + (2 * i + 1,) * (4 - a)
+                                for i, a in enumerate(counts)))
+    structured += [tuple(cls for a in range(0, n, 2)
+                         for cls in ((a, a, a, a + 1), (a, a + 1, a + 1, a + 1)))
+                   for n in range(2, 11, 2)]
+    structured += [tuple((i, i + 1) for i in range(n)) for n in range(1, 13)]
+    for classes in structured:
+        colours = sorted({c for cls in classes for c in cls})
+        rename = dict(zip(colours, rng.sample(colours, len(colours))))
+        inputs.append(tuple(tuple(rename[c] for c in cls)
+                            for cls in rng.sample(classes, len(classes))))
+    for classes in inputs:
+        yield repr((classes, canonical_colouring(Colouring(classes=classes)).classes)).encode()
+
+
 def main() -> None:
     witnesses = {}
     for name, decisions in (("nogap-sweep", nogap_sweep), ("nogap-family", nogap_family),
@@ -279,6 +317,7 @@ def main() -> None:
     print(f"verify: sha256={sha256_of(verify_records())}")
     print(f"closed-forms: sha256={sha256_of(closed_form_records())}")
     print(f"walks: sha256={sha256_of(walk_records())}")
+    print(f"canonical: sha256={sha256_of(canonical_records())}")
 
 
 if __name__ == "__main__":
