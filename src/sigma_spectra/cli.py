@@ -161,7 +161,7 @@ def _spec_from_args(args: argparse.Namespace) -> HypergraphSpec:
     else:
         if args.sigma is not None:
             try:
-                data["sigma"] = [int(p) for p in args.sigma.split(",") if p != ""]
+                data["sigma"] = [int(p) for p in args.sigma.split(",")]
             except ValueError as exc:
                 raise UsageError(f"cannot parse --sigma {args.sigma!r}") from exc
         prefix = "--"

@@ -132,6 +132,10 @@ class HypergraphSpec:
         )
 
 
+# a class's profile key: its (colour, multiplicity) pairs, sorted by colour
+ProfileKey = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class ClassProfile:
     """Colour multiplicities within one class: the sufficient statistic.
@@ -150,7 +154,7 @@ class ClassProfile:
         if sum(self.counts.values()) != self.total:
             raise ValueError("profile multiplicities must sum to the class size")
 
-    def key(self) -> tuple[tuple[int, int], ...]:
+    def key(self) -> ProfileKey:
         """Hashable form: (colour, multiplicity) pairs sorted by colour."""
         return tuple(sorted(self.counts.items()))
 
@@ -207,14 +211,18 @@ class Colouring:
         return canonical_colouring(self)
 
 
+def _profile_key(cls: tuple[int, ...]) -> ProfileKey:
+    """The profile key of a sorted class: each colour's vertices are one
+    run, so a pair per run."""
+    return tuple([(c, len(list(run))) for c, run in itertools.groupby(cls)])
+
+
 def profile_of(colouring: Colouring, class_index: int) -> ClassProfile:
     """Colour multiplicities of one class of ``colouring``."""
     if not 0 <= class_index < colouring.n:
         raise IndexError(f"class index {class_index} out of range 0..{colouring.n - 1}")
-    counts: dict[int, int] = {}
-    for c in colouring.classes[class_index]:
-        counts[c] = counts.get(c, 0) + 1
-    return ClassProfile(counts=counts, total=colouring.q)
+    return ClassProfile(counts=dict(_profile_key(colouring.classes[class_index])),
+                        total=colouring.q)
 
 
 def part_arrangements(sigma: Sigma) -> tuple[tuple[int, ...], ...]:
@@ -347,7 +355,7 @@ def canonical_colouring(colouring: Colouring) -> Colouring:
             merged += (tuple(c + shift for c in cls) for cls in form.classes)
             shift += form.colour_count
         return Colouring(classes=tuple(merged))
-    counts = {cls: Counter(cls) for cls in colouring.classes}
+    counts = {cls: dict(_profile_key(cls)) for cls in colouring.classes}
     best: tuple[tuple[int, ...], ...] = ()
     stack = [(Counter(colouring.classes), (), ())]  # classes left, cells, placed
     while stack:

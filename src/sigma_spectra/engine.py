@@ -12,29 +12,7 @@ the search only visits canonical prefixes:
 
 Every edge shape whose classes are all bound is checked as soon as its last
 class is bound, through the exact range solver, failing partial colourings
-as early as possible.  A node checks a whole window of bindings against one
-shape group at a time, and keeps the verdicts as the group's pass masks on
-that window: a binding is checked against a group at most once per family,
-and a node steps only to the bindings that pass every group it has.  A
-window is kept per (partition, used colours, top count), listed from the
-lowest final colour count a node has asked of it; a node reads its window
-as the bits of the bindings that end with at least its low end, with the
-entry's masks, and counts its nodes by popcount.  The
-edge condition counts distinct colours only, so a verdict is keyed on the
-shape up to a colour renaming: the group's colour columns and the new
-profile's place in them.  The range solver runs once per such key.
-
-A search context (:class:`_Search`) keeps, per family H(., q | sigma) with
-its alpha and beta, only what holds for every n and k, sized by the profiles
-and shapes the search met, never by the n*q vertices; what belongs to one
-decision (n, k, budget, node count, failure memo) is local to it and freed,
-by reference counting alone, when the decision returns.  The search
-runs on profile ids, small ints interned per family: the placed profiles, the
-shape groups and the failure memo hold sorted ids, and only the witness maps
-them back to profile keys.  The used-colour count and the last partition are
-functions of the placed ids, so the memo keeps, per class index, the set of
-placed tuples that failed there.  When sigma has two parts a shape group is one
-class, keyed by its id alone, and a node's placed tuple is its groups.
+as early as possible.
 """
 
 from __future__ import annotations
@@ -43,7 +21,7 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Colouring, HypergraphSpec, Sigma
+from .core import Colouring, HypergraphSpec, ProfileKey, Sigma
 # canonical_colouring is unused here; bench/tracing.py wraps it by this name
 from .core import canonical_colouring  # noqa: F401
 from .errors import BudgetExceededError, InstanceTooLargeError
@@ -153,92 +131,52 @@ class SpectrumResult:
         }
 
 
-ProfileKey = tuple[tuple[int, int], ...]
-
-
 class _Search:
     """Exact-k feasibility searches over class profiles, one context per family
     H(., q | sigma) with its alpha and beta; n is an argument of a decision.
 
-    State lives as long as it stays true.  Per family, across every n and k:
-    the profile id tables, the shape groups, the verdict tables, the windows
-    of colour bindings and the partitions of q into at most the largest
-    colour cap a decision gave a class (one list, with each partition's
-    length beside it; a smaller cap filters it);
-    sigma keeps its own part arrangements, built on first use.  Each profile
-    key is interned to a small int when :meth:`_window`, the one place that
-    interns profiles, first lists a binding with it (``_ids`` maps key to
-    id, ``_keys`` id to key), so the search compares and hashes ints, never
-    nested tuples.  A shape verdict says whether every edge over a group of
-    class profiles plus one new profile sees between alpha and beta
-    colours; those profiles fix the colours an edge sees, whatever n and k
-    the whole colouring has, so the verdict holds for every n and k.
-    ``_groups`` keeps, per group met, its profile keys, its colours'
-    offsets (see :meth:`_group`) and the verdict table ``_verdicts`` holds
-    for its sorted colour columns: it maps a relation (how the new
-    profile's colours sit in those columns, as sorted ints, see
-    :meth:`_passing`) to the verdict, so shapes equal up to a colour
-    renaming share one.  ``_windows`` holds one entry per (partition,
-    used colours, top count ``min(k, used + len(partition))``) a node met
-    (see :meth:`_window`): the held low end, the lowest final colour count
-    a node asked of it; the bindings that end with held..top colours; their
-    ``ends_from`` bits per end count, held..top; and the pass masks: for
-    each shape group checked against the entry, ``(known, ok)``, where bit
-    p of ``known`` says binding p was checked against the group and bit p
-    of ``ok`` that it passed.  A node at the held low end or above takes the
-    ``ends_from`` bits of its low end, the bindings its own list would
-    hold, in order, and counts each step as the popcount of those bits up
-    to it; one at a lower low end rebuilds the entry there, with empty
-    masks.  A node ANDs the masks of its groups, checking only the
-    bindings still in the running that a group has not seen, so an
-    entry's bits fill lazily and serve every low end.  Per
-    :meth:`decide`, as its locals, freed when it returns: n, k, the node
-    budget and count, the failure memo, the per-class colour cap and the
-    entries met, keyed by the int ``used * P + j`` for partition j of P, so
-    a node reaches its entry by one int-keyed read, not a window key.
+    State lives as long as it stays true.  Per family, across every n and k,
+    sized by the profiles and shapes the search met, never by the n*q
+    vertices:
 
-    Each node receives the placed profiles as a sorted tuple of ids, at
-    most ``s - 1`` copies of each (the most classes an edge shape can share
-    with the future).  Whether a prefix can complete depends only on it
-    and on how many classes remain.  The used-colour count and the last
-    partition (the non-increase rule) are functions of it, as each placed
-    class's profile is in the tuple: fresh colours are consecutive, so the
-    prefix uses exactly the colours from 0 to the largest it placed, and
-    partitions are non-increasing in class order, so the last is the least
-    placed one.  So the failure memo maps a class index to the placed
-    tuples that failed there, the tuples a parent builds for its child,
-    which it tests before the call and adds after a failure, in a dict used
-    as a set (smaller than a set from a few thousand entries up), made at
-    the class's first failure.  The decision's partitions run in decreasing
-    order, so a child scans from its parent's partition index on.  The
-    placed tuple's distinct ``s - 1``-element groups, sorted as it is, are
-    the shapes every child must pass with its new profile.  When sigma has
-    two parts the placed tuple holds each id once and is itself that list:
-    a group is then its int id, in ``_groups`` and the pass masks alike.
+    * the profile ids: :meth:`_window`, the one place that interns profiles,
+      gives each profile key a small int when it first lists a binding with
+      it (``_ids`` maps key to id, ``_keys`` id to key), so the search
+      compares and hashes ints, never nested tuples, and only the witness
+      maps ids back to keys;
+    * the shape groups and their verdict tables (:meth:`_group`).  A verdict
+      says whether every edge over a group of class profiles plus one new
+      profile sees between alpha and beta colours; those profiles fix the
+      colours an edge sees, whatever n and k the whole colouring has, so it
+      holds for every n and k;
+    * the window entries (:meth:`_window`);
+    * the partitions of q into at most the largest colour cap a decision
+      gave a class, one list with each partition's length beside it (a
+      smaller cap filters it); sigma keeps its own part arrangements, built
+      on first use.
+
+    Per :meth:`decide`, as its locals, freed by reference counting alone
+    when it returns: n, k, the node budget and count, the failure memo, the
+    per-class colour cap and the window entries the decision met.
     """
 
     def __init__(self, q: int, sigma: Sigma, alpha: int, beta: int):
         self.q, self.sigma, self.alpha, self.beta = q, sigma, alpha, beta
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
-        # shape group (an id when sigma has two parts, else sorted ids)
-        # -> _group's (profile keys, colour offsets, verdicts)
+        # shape group -> _group's (profile keys, colour offsets, verdicts)
         self._groups: dict[int | tuple[int, ...], tuple] = {}
         # sorted colour columns -> relation (sorted ints) -> verdict
         self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
-        # (partition, used, top count) -> _window's (held low end,
-        # bindings, ends_from masks, shape group -> (known, ok) pass masks)
+        # window -> _window's entry
         self._windows: dict[tuple, tuple[int, tuple, list[int], dict]] = {}
-        # _partitions(q, cap) for the largest per-class colour cap met, and
-        # their lengths
         self._partitions: tuple[tuple[int, ...], ...] = ()
         self._lengths: tuple[int, ...] = ()
         self._partitions_cap = 0
 
     def decide(self, n: int, k: int, node_budget: int | None) -> KDecision:
         """Decide exactly ``k`` colours on ``n`` classes; "unknown" when the
-        budget trips.  The failure memo and the search closure die when it
-        returns; the context keeps only what holds for every n and k."""
+        budget trips."""
         if n < self.sigma.s or self.q < self.sigma.delta_max:  # no edges
             return KDecision(k=k, verdict="feasible",
                              witness=_trivial_colouring(n, self.q, k), nodes=0)
@@ -254,10 +192,23 @@ class _Search:
         partitions, lengths = self._capped_partitions(max_new)
         windows = self._windows
         count = len(partitions)
-        # failed[i]: the placed tuples that failed at class i, as a dict used
-        # as a set; rows[used * count + j]: the entry of partitions[j] after
-        # used colours
+        # The failure memo.  A node receives the placed profiles as a sorted
+        # tuple of ids, at most s - 1 copies of each (the most classes an edge
+        # shape can share with the future), and whether the prefix can
+        # complete depends only on that tuple and on how many classes remain.
+        # The used-colour count and the last partition (where the next class
+        # scans from) are functions of the tuple, as each placed class's
+        # profile is in it: fresh colours are consecutive, so the prefix uses
+        # exactly the colours from 0 to the largest it placed, and partitions
+        # are non-increasing in class order, so the last is the least placed
+        # one.  So failed[i] holds the placed tuples that failed at class i,
+        # the tuples a parent builds for its child, which it tests before the
+        # call and adds after a failure: a dict used as a set (smaller than a
+        # set from a few thousand entries up), made at the class's first
+        # failure.
         failed: dict[int, dict[tuple[int, ...], None]] = {}
+        # rows[used * count + j]: the window entry of partitions[j] after used
+        # colours, reached by one int-keyed read
         rows: dict[int, tuple] = {}
         nodes = 0
 
@@ -265,10 +216,8 @@ class _Search:
                   placed: tuple[int, ...]) -> tuple[int, ...] | None:
             """Profile ids of classes ``i..`` that complete the prefix with
             exactly k colours, or None when no completion exists; the class
-            takes ``partitions[j]`` or a later one.  The caller tests the
-            failure memo, ``placed in failed[i]``, first and adds ``placed``
-            to it on None.  The count, which only grows, meets the budget
-            here and when the decision ends."""
+            takes ``partitions[j]`` or a later one.  The node count, which
+            only grows, meets the budget here and when the decision ends."""
             nonlocal nodes
             if node_budget is not None and nodes > node_budget:
                 raise BudgetExceededError(
@@ -277,14 +226,12 @@ class _Search:
             # binding it takes ends with exactly k colours
             if i == n:
                 return ()
-            # at cap 1 placed holds each id once, sorted, so its ids are the
-            # groups; combinations of a sorted tuple come out sorted
+            # the shape groups every child must pass, as _group takes them
             groups = placed if cap == 1 else tuple(
                 dict.fromkeys(itertools.combinations(placed, cap)))
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
-            # no dict until a child fails
             fails, base = failed.get(i + 1, ()), used * count
             # partitions run in decreasing order, so scanning from j keeps
             # the class partitions non-increasing; a binding ends with at
@@ -293,12 +240,8 @@ class _Search:
             for j in range(j, count):
                 if lengths[j] < short:
                     continue
-                # the entry holds the bindings that end with held..top
-                # colours, and this node's window is the bits of those
-                # ending >= lo
                 entry = rows.get(base + j)
                 if entry is None or entry[0] > lo:
-                    # keyed by the counts up to k this partition can reach
                     top = used + lengths[j]
                     window = (partitions[j], used, k if k < top else top)
                     entry = windows.get(window)
@@ -307,8 +250,6 @@ class _Search:
                     rows[base + j] = entry
                 held, bindings, ends_from, masks = entry
                 live = bits = ends_from[lo - held]
-                # AND the groups' masks, checking only the bindings still
-                # live that a group has not seen
                 for group in groups:
                     known, ok = masks.get(group, (0, 0))
                     fresh = live & ~known
@@ -387,15 +328,32 @@ class _Search:
 
     def _window(self, window: tuple[tuple[int, ...], int, int], lo: int
                 ) -> tuple[int, tuple, list[int], dict]:
-        """The entry of ``window``, (partition, used, top count hi), held at
-        low end ``lo``, with no pass masks yet: ``lo``; the canonical colour
-        bindings of the partition after ``used`` colours that end with
-        ``lo..hi`` colours, as (profile id, new used count) in generation
-        order (parts of equal size form groups, each taking old colours and
-        fresh ones, fresh colours consecutive, larger sizes first); and
-        ``ends_from``, bit p of ``ends_from[e - lo]`` set when binding p ends
-        with at least e colours, lo <= e <= hi.  The low end only prunes
-        subtrees, so those bits list, in order, the bindings of low end e."""
+        """The entry of ``window`` held at low end ``lo``, with no pass masks
+        yet.  A window is (partition, used colours, top count ``hi``), the
+        top count being ``min(k, used + len(partition))``, the most colours
+        up to k its bindings can end with; the context keeps one entry per
+        window a node met, ``(lo, bindings, ends_from, masks)``:
+
+        * ``lo``, the held low end: the lowest final colour count a node has
+          asked of the window;
+        * the canonical colour bindings of the partition after ``used``
+          colours that end with ``lo..hi`` colours, as (profile id, new used
+          count) in generation order (parts of equal size form groups, each
+          taking old colours and fresh ones, fresh colours consecutive,
+          larger sizes first);
+        * ``ends_from``: bit p of ``ends_from[e - lo]`` is set when binding p
+          ends with at least e colours, lo <= e <= hi.  The low end only
+          prunes subtrees, so those bits list, in order, the bindings of low
+          end e;
+        * ``masks``: for each shape group checked against the entry,
+          ``(known, ok)``, where bit p of ``known`` says binding p was
+          checked against the group and bit p of ``ok`` that it passed.
+
+        A node at the held low end or above takes the ``ends_from`` bits of
+        its low end, the bindings its own list would hold; one at a lower low
+        end rebuilds the entry there.  A node ANDs the masks of its groups,
+        checking only the bindings still live that a group has not seen, so
+        an entry's bits fill lazily and serve every low end."""
         partition, used, hi = window
         groups = [(size, len(list(grp)))
                   for size, grp in itertools.groupby(partition)]
@@ -436,14 +394,19 @@ class _Search:
             ends_from[e] |= ends_from[e + 1]
         return lo, tuple(out), ends_from, {}
 
-
     def _group(self, group: int | tuple[int, ...]
                ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:
-        """The shape data of ``group`` (one id when sigma has two parts,
-        else sorted ids), built once per family:
-        its profile keys in key order (slot j holds the j-th), its colours'
-        offsets in a list up to its largest colour, and the verdict table of
-        its sorted columns, which fix the group up to a colour renaming.
+        """The shape data of ``group``, built once per family: its profile
+        keys in key order (slot j holds the j-th), its colours' offsets in a
+        list up to its largest colour, and the verdict table of its sorted
+        columns, which fix the group up to a colour renaming.
+
+        A node's shape groups are the distinct ``s - 1``-element
+        combinations of its placed tuple, each sorted as a combination of a
+        sorted tuple is; every child must pass them all with its new
+        profile.  When sigma has two parts the placed tuple holds each id
+        once and is itself that list, so a group is its int id, here and in
+        the pass masks alike; otherwise it is a tuple of sorted ids.
 
         A colour's column is ``(slot, mult, slot, mult, ...)`` over the
         group's slots that hold it.  Its offset ``base[c]`` is ``(rank + 1)
@@ -471,10 +434,9 @@ class _Search:
 
     def _passing(self, group: int | tuple[int, ...], bindings: tuple, fresh: int
                  ) -> int:
-        """The bits of ``fresh`` whose bindings pass against ``group``
-        (an id or sorted ids, as :meth:`_group` takes it): every edge over
-        the group's classes and the binding's class sees alpha..beta
-        colours.
+        """The bits of ``fresh`` whose bindings pass against ``group``:
+        every edge over the group's classes and the binding's class sees
+        alpha..beta colours.
 
         A verdict is solved once per family for each (sorted group columns,
         relation).  The relation is the sorted ints ``base[c] + m`` (``m``

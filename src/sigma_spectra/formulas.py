@@ -90,9 +90,6 @@ class MonoDistribution:
     def num_colours(self) -> int:
         return len(self.counts)
 
-    def head_sum(self, head: int) -> int:
-        return sum(self.counts[:head])
-
 
 def _check_cap_domain(a: int, d: int) -> None:
     if not 2 <= a <= d:

@@ -11,17 +11,6 @@ keys a shape by the raw profile keys and parts its caller passes; only a
 miss renames the colours densely, in sorted order, to bits of an integer
 mask.  Shapes equal up to a colour renaming are merged before the cache,
 in the engine's per-family verdict tables.
-
-An edge's colours are the union of what its classes contribute, so when
-the classes of a shape share no colour the union is disjoint and the
-shape's range is the sum of each class's own range.  One class's range
-for a part of ``a`` vertices is plain: as few colours as its largest
-multiplicities need to reach ``a``, as many as ``min(a, number of
-colours)``.  That row of ranges depends only on the class's
-multiplicities, so it is cached per multiplicity pattern (a partition of
-the class size), however many colourings are checked.  The validator takes
-that sum for every colour-disjoint shape, and the solver only for shapes
-whose classes share a colour.
 """
 
 from __future__ import annotations
@@ -31,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from typing import Callable, Sequence
 
-from .core import ClassProfile, Colouring, HypergraphSpec, profile_of
+from .core import ClassProfile, Colouring, HypergraphSpec, ProfileKey, _profile_key
 from .errors import DimensionMismatchError, InfeasibleShapeError
 
 __all__ = [
@@ -41,10 +30,6 @@ __all__ = [
     "find_violation",
     "selection_achieving",
 ]
-
-# a class's profile key: its (colour, multiplicity) pairs
-ProfileKey = tuple[tuple[int, int], ...]
-
 
 @dataclass(frozen=True)
 class EdgeWitness:
@@ -193,9 +178,16 @@ def selection_achieving(
     materialise witnesses once a violating range is known.
     """
     _check_shape(profiles, parts)
+    return _selection([p.key() for p in profiles], tuple(parts), target)
+
+
+def _selection(keys: Sequence[ProfileKey], parts: tuple[int, ...], target: int
+               ) -> tuple[dict[int, int], ...]:
+    """:func:`selection_achieving` on profile keys of a shape already
+    checked."""
     # the solver wants dense colours; the picks name the real ones
-    colours, keys = _dense([p.key() for p in profiles])
-    solve, future = _solver(keys, tuple(parts))
+    colours, keys = _dense(keys)
+    solve, future = _solver(keys, parts)
     # Swapping one picked vertex moves the union by at most one colour, so
     # every count between a state's two ends is reachable: each class takes
     # the first colour set after which the rest can still reach target.
@@ -230,7 +222,8 @@ def _class_row(mults: tuple[int, ...], top: int, width: int) -> tuple[int, ...]:
     packed as one int ``lo << width | hi``: as few colours as the largest
     multiplicities it takes to reach ``a``, as many as ``min(a, number of
     colours)``.  Cached: a row depends only on the multiplicity pattern (a
-    partition of the class size), never on which colours the class holds."""
+    partition of the class size), never on which colours the class holds,
+    so the cache stays bounded however many colourings are checked."""
     row = [0]
     touched = held = 0
     for a in range(1, top + 1):
@@ -242,16 +235,19 @@ def _class_row(mults: tuple[int, ...], top: int, width: int) -> tuple[int, ...]:
 
 
 def _first_violation(spec: HypergraphSpec, colouring: Colouring
-                     ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+                     ) -> tuple[tuple[int, ...], tuple[int, ...], int,
+                                tuple[ProfileKey, ...]] | None:
     """The first shape, in shape order, whose colour range leaves the window:
-    (class tuple, parts, the offending distinct-colour count), or None.
+    (class tuple, parts, the offending distinct-colour count, the classes'
+    profile keys), or None.
 
-    Each class's profile key and colour mask (over the colouring's colours
-    renamed densely) are built once per call, and its packed per-part ranges
-    are read off :func:`_class_row`, cached per multiplicity pattern.  A
-    shape whose classes share no colour takes the sum of its classes'
+    Each class's profile key, colour mask (over the colouring's colours
+    renamed densely) and packed per-part ranges (:func:`_class_row`) are
+    built once per call.  An edge's colours are the union of what its
+    classes contribute, so when the classes of a shape share no colour the
+    union is disjoint and the shape's range is the sum of its classes'
     ranges, both ends in one sum of packed ints (no end exceeds the edge
-    size r, so they never carry into each other); any other goes to
+    size r, so they never carry into each other); any other shape goes to
     :func:`range_of_keys`.  The shapes of a spec never ask for more vertices
     than a class holds, so the checks of :func:`edge_colour_range` are
     skipped.
@@ -265,8 +261,7 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
     dense: dict[int, int] = {}
     keys, masks, ranges = [], [], []
     for cls in colouring.classes:
-        # cls is sorted, so each colour's vertices are one run
-        key = tuple([(c, len(list(run))) for c, run in itertools.groupby(cls)])
+        key = _profile_key(cls)
         mask = 0
         for c, _ in key:
             mask |= 1 << dense.setdefault(c, len(dense))
@@ -291,10 +286,9 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
             else:
                 total = sum(map(tuple.__getitem__, rows, parts))
                 lo, hi = total >> width, total & low_bits
-            if lo < alpha:
-                return class_tuple, parts, lo
-            if hi > beta:
-                return class_tuple, parts, hi
+            if lo < alpha or hi > beta:
+                return (class_tuple, parts, lo if lo < alpha else hi,
+                        tuple(keys[i] for i in class_tuple))
     return None
 
 
@@ -314,13 +308,10 @@ def find_violation(spec: HypergraphSpec, colouring: Colouring) -> EdgeWitness | 
     found = _first_violation(spec, colouring)
     if found is None:
         return None
-    class_tuple, parts, bad = found
-    choice = selection_achieving(
-        [profile_of(colouring, i) for i in class_tuple], parts, bad
-    )
+    class_tuple, parts, bad, keys = found
     return EdgeWitness(
         class_tuple=class_tuple,
-        part_assignment=tuple(parts),
-        per_class_choice=choice,
+        part_assignment=parts,
+        per_class_choice=_selection(keys, parts, bad),
         distinct_colours=bad,
     )

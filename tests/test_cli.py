@@ -388,6 +388,15 @@ BAD_INPUTS = {
     "walk-start-k-out-of-range": (
         ["walk", *GAP_FLAGS, "--direction", "down", "--start-k", "99"], {},
     ),
+    # an empty part would be dropped, leaving a partition of r
+    "sigma-empty-inner-part": (
+        ["spectrum", "--n", "3", "--r", "2", "--q", "2", "--sigma", "1,,1",
+         "--alpha", "2", "--beta", "2"], {},
+    ),
+    "sigma-empty-last-part": (
+        ["spectrum", "--n", "3", "--r", "4", "--q", "2", "--sigma", "2,2,",
+         "--alpha", "2", "--beta", "2"], {},
+    ),
     "layered-without-k": (["construct", *GAP_FLAGS, "--kind", "layered"], {}),
     "engine-without-k": (["construct", *GAP_FLAGS, "--kind", "engine"], {}),
     # the beta construction takes no k and would ignore it

@@ -60,7 +60,7 @@ class TestMonoColouring:
         spec = spec_of(9, 1, [1, 1, 1, 1], 3, 4)
         dist = mono_distribution(spec, 8)
         assert sum(dist.counts) == 9 and dist.num_colours == 8
-        assert dist.head_sum(spec.alpha - 1) <= spec.sigma.s - 1
+        assert sum(dist.counts[:spec.alpha - 1]) <= spec.sigma.s - 1
         c = mono_colouring(spec, 8)
         assert is_valid(spec, c) and c.colour_count == 8
 

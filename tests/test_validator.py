@@ -22,6 +22,7 @@ from sigma_spectra import (
     selection_achieving,
 )
 from sigma_spectra import validator
+from sigma_spectra.core import _profile_key
 from sigma_spectra.engine import _partitions
 from sigma_spectra.validator import (
     _class_row,
@@ -357,11 +358,12 @@ def per_shape_first_violation(spec, colouring):
     """The plain rule: every shape through ``range_of_keys``, in shape order."""
     keys = [profile_of(colouring, i).key() for i in range(spec.n)]
     for class_tuple, parts in edge_shapes(spec):
-        lo, hi = range_of_keys(tuple(keys[i] for i in class_tuple), parts)
+        shape = tuple(keys[i] for i in class_tuple)
+        lo, hi = range_of_keys(shape, parts)
         if lo < spec.alpha:
-            return class_tuple, parts, lo
+            return class_tuple, parts, lo, shape
         if hi > spec.beta:
-            return class_tuple, parts, hi
+            return class_tuple, parts, hi, shape
     return None
 
 
@@ -384,6 +386,33 @@ def palette_colourings(draw):
         base = (i + 1) * 10**9 if private else 0
         classes.append(tuple(base + draw(st.integers(0, 3)) for _ in range(q)))
     return spec, Colouring(classes=tuple(classes))
+
+
+class TestWitnessFromKeys:
+    """``find_violation`` reads its witness off the profile keys the
+    validity check built, never through ``ClassProfile``."""
+
+    def test_builds_no_class_profile(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a ClassProfile was built")
+
+        monkeypatch.setattr(ClassProfile, "__post_init__", refuse)
+        spec = HypergraphSpec(n=3, q=3, sigma=build_sigma([2, 1]), alpha=2, beta=2)
+        colouring = Colouring(classes=((0, 1, 2), (0, 1, 2), (0, 0, 0)))
+        w = find_violation(spec, colouring)
+        assert w is not None and w.distinct_colours == 3
+
+    @given(palette_colourings())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_selection_achieving_on_profile_of(self, case):
+        spec, colouring = case
+        for i, cls in enumerate(colouring.classes):
+            assert profile_of(colouring, i).key() == _profile_key(cls)
+        w = find_violation(spec, colouring)
+        if w is not None:
+            profiles = [profile_of(colouring, i) for i in w.class_tuple]
+            assert w.per_class_choice == selection_achieving(
+                profiles, w.part_assignment, w.distinct_colours)
 
 
 def unpacked(row, width):
