@@ -17,7 +17,7 @@ import json
 import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from operator import itemgetter
 from typing import Any, Iterator, Mapping, Sequence
@@ -215,6 +215,19 @@ def _profile_key(cls: tuple[int, ...]) -> ProfileKey:
     """The profile key of a sorted class: each colour's vertices are one
     run, so a pair per run."""
     return tuple([(c, len(list(run))) for c, run in itertools.groupby(cls)])
+
+
+@cache
+def _touch_sets(key: ProfileKey, part: int) -> tuple[int, ...]:
+    """The colour sets, as bit masks, that a ``part``-vertex pick from a
+    class with profile ``key`` can touch: at most ``part`` colours holding
+    at least ``part`` vertices.  Cached: keys of dense colours repeat."""
+    return tuple(
+        sum(1 << c for c, _ in combo)
+        for size in range(1, min(part, len(key)) + 1)
+        for combo in itertools.combinations(key, size)
+        if sum(m for _, m in combo) >= part
+    )
 
 
 def profile_of(colouring: Colouring, class_index: int) -> ClassProfile:

@@ -11,8 +11,8 @@ the search only visits canonical prefixes:
   consecutive and handed to larger multiplicities first.
 
 Every edge shape whose classes are all bound is checked as soon as its last
-class is bound, through the exact range solver, failing partial colourings
-as early as possible.
+class is bound, by exact tests on integer colour masks (see
+:meth:`_Search._group`), failing partial colourings as early as possible.
 """
 
 from __future__ import annotations
@@ -20,13 +20,16 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, getitem
 
-from .core import Colouring, HypergraphSpec, ProfileKey, Sigma
-# canonical_colouring is unused here; bench/tracing.py wraps it by this name
+from .core import Colouring, HypergraphSpec, ProfileKey, Sigma, _touch_sets
+# canonical_colouring and range_of_keys are unused here; bench/tracing.py
+# wraps them by these names
 from .core import canonical_colouring  # noqa: F401
 from .errors import BudgetExceededError, InstanceTooLargeError
 from .formulas import IntInterval
-from .validator import range_of_keys
+from .validator import range_of_keys  # noqa: F401
 
 __all__ = [
     "SpectrumResult",
@@ -37,6 +40,17 @@ __all__ = [
     "WITNESS_VERTEX_LIMIT",
     "SPECTRUM_WITNESS_VERTEX_LIMIT",
 ]
+
+
+def _hall_terms(masks: list[int], parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``(A, M)`` for each subset J of the classes with colour masks
+    ``masks`` that give ``parts`` vertices to an edge: A the parts of the
+    classes outside J, M the union of J's colours.  The most colours an edge
+    can see is the least ``A + |M|`` (see :meth:`_Search._group`)."""
+    terms = [(0, 0)]
+    for mask, part in zip(masks, parts):
+        terms = [(A + part, M) for A, M in terms] + [(A, M | mask) for A, M in terms]
+    return terms
 
 
 def _partitions(q: int, most: int) -> tuple[tuple[int, ...], ...]:
@@ -139,13 +153,14 @@ class _Search:
     sized by the profiles and shapes the search met, never by the n*q
     vertices:
 
-    * the profile ids: :meth:`_window`, the one place that interns profiles,
-      gives each profile key a small int when it first lists a binding with
-      it (``_ids`` maps key to id, ``_keys`` id to key), so the search
-      compares and hashes ints, never nested tuples, and only the witness
-      maps ids back to keys;
-    * the shape groups and their verdict tables (:meth:`_group`).  A verdict
-      says whether every edge over a group of class profiles plus one new
+    * the profile ids: :meth:`_intern`, called only where :meth:`_window`
+      lists a binding, gives each profile key a small int when first met
+      (``_ids`` maps key to id, ``_keys`` id to key, ``_heavy`` id to its
+      colour masks), so the search compares and hashes ints, never nested
+      tuples, and only the witness maps ids back to keys;
+    * the shape groups, with their halves of the shape tests and, when
+      alpha >= 3, their verdict tables (:meth:`_group`).  A verdict says
+      whether every edge over a group of class profiles plus one new
       profile sees between alpha and beta colours; those profiles fix the
       colours an edge sees, whatever n and k the whole colouring has, so it
       holds for every n and k;
@@ -164,9 +179,10 @@ class _Search:
         self.q, self.sigma, self.alpha, self.beta = q, sigma, alpha, beta
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
-        # shape group -> _group's (profile keys, colour offsets, verdicts)
+        self._heavy: list[tuple[int, ...]] = []
+        # shape group -> _group's (tests, profile keys, colour offsets, verdicts)
         self._groups: dict[int | tuple[int, ...], tuple] = {}
-        # sorted colour columns -> relation (sorted ints) -> verdict
+        # alpha >= 3: sorted colour columns -> relation (sorted ints) -> verdict
         self._verdicts: dict[tuple[tuple[int, ...], ...], dict[tuple, bool]] = {}
         # window -> _window's entry
         self._windows: dict[tuple, tuple[int, tuple, list[int], dict]] = {}
@@ -357,7 +373,7 @@ class _Search:
         partition, used, hi = window
         groups = [(size, len(list(grp)))
                   for size, grp in itertools.groupby(partition)]
-        ids, keys = self._ids, self._keys
+        ids = self._ids
         out: list[tuple[int, int]] = []
         ends_from = [0] * (hi - lo + 2)
 
@@ -383,8 +399,7 @@ class _Search:
                     key = tuple(sorted(here))
                     pid = ids.get(key)
                     if pid is None:
-                        pid = ids[key] = len(keys)
-                        keys.append(key)
+                        pid = self._intern(key)
                     ends_from[ends - lo] |= 1 << len(out)
                     out.append((pid, ends))
 
@@ -394,81 +409,154 @@ class _Search:
             ends_from[e] |= ends_from[e + 1]
         return lo, tuple(out), ends_from, {}
 
-    def _group(self, group: int | tuple[int, ...]
-               ) -> tuple[tuple[ProfileKey, ...], list[int], dict]:
-        """The shape data of ``group``, built once per family: its profile
-        keys in key order (slot j holds the j-th), its colours' offsets in a
-        list up to its largest colour, and the verdict table of its sorted
-        columns, which fix the group up to a colour renaming.
+    def _intern(self, key: ProfileKey) -> int:
+        """A new id for profile ``key``, and its colour masks: ``heavy[a]``
+        holds the colours of multiplicity at least a, for a = 0..delta_max,
+        so ``heavy[1]`` is the profile's colour set."""
+        pid = self._ids[key] = len(self._keys)
+        self._keys.append(key)
+        self._heavy.append(tuple(sum(1 << c for c, m in key if m >= a)
+                                 for a in range(self.sigma.delta_max + 1)))
+        return pid
+
+    def _group(self, group: int | tuple[int, ...]) -> tuple:
+        """The shape data of ``group``, built once per family: ``(tests,
+        profile keys, offsets, table)``, the group's half of each shape test
+        and, when alpha >= 3, what keys its verdict table.
 
         A node's shape groups are the distinct ``s - 1``-element
         combinations of its placed tuple, each sorted as a combination of a
         sorted tuple is; every child must pass them all with its new
         profile.  When sigma has two parts the placed tuple holds each id
         once and is itself that list, so a group is its int id, here and in
-        the pass masks alike; otherwise it is a tuple of sorted ids.
+        the pass masks alike; otherwise it is a tuple of sorted ids.  Its
+        profile keys are in key order, slot j holding the j-th; an
+        arrangement of sigma's parts gives its first parts to the slots in
+        order and its last, a, to the new class.
 
-        A colour's column is ``(slot, mult, slot, mult, ...)`` over the
-        group's slots that hold it.  Its offset ``base[c]`` is ``(rank + 1)
-        * (q + 1)``, rank being the column's place among the sorted columns
-        that key the table, so every group sharing the table gives a column
-        one offset; a colour the group lacks reads 0, inside the list or past
-        its end.  ``base[c] + m`` for a multiplicity 1 <= m <= q names
-        (column, m) by one int, distinct for distinct pairs (a width of q
-        would do too; q - 1 would not)."""
+        Per arrangement, two exact tests.  An edge sees one colour c only if
+        every class holds at least its part of c, so when alpha >= 2 a
+        binding fails if ``mono & heavy_new[a]``, ``mono`` being the AND of
+        the slots' ``heavy[part]`` (:meth:`_intern`).  A pick of a_j
+        vertices from class j can touch any a_j of its colours C_j (a_j <= q
+        pads it), so the most colours an edge sees is a bipartite
+        b-matching: by the deficiency form of Hall's theorem, the least over
+        subsets J of the classes of ``sum(a_j, j not in J) + |union(C_j, j
+        in J)|``.  J holds the new class or not, so over the group's ``(A,
+        M)`` terms (:func:`_hall_terms`) a binding passes when ``h = min(A +
+        |M|) + a`` is at most beta or some ``A + |M | C_new|`` is.
+        ``tests`` keeps per arrangement ``(a, mono, terms)``, terms as
+        ``(beta - A, M)``: none when h <= beta, else those a new class could
+        meet.  Arrangements every binding passes are dropped.
+
+        When alpha >= 3 an edge must also not see 2..alpha-1 colours.  That
+        verdict goes in a table per family keyed by the group's sorted
+        colour columns, which fix it up to a colour renaming.  A colour's
+        column is ``(slot, mult, slot, mult, ...)`` over the slots that hold
+        it.  Its offset ``base[c]`` is ``(rank + 1) * (q + 1)``, rank being
+        the column's place among the sorted columns that key the table, so
+        every group sharing the table gives a column one offset; a colour
+        the group lacks reads 0, inside the list or past its end.  ``base[c]
+        + m`` for a multiplicity 1 <= m <= q names (column, m) by one int,
+        distinct for distinct pairs (a width of q would do too; q - 1 would
+        not)."""
+        ids = (group,) if type(group) is int else group
         # key order, so a group has one slot order whatever order its ids
         # were interned in
-        ids = (group,) if type(group) is int else group
-        shape_keys = tuple(sorted(map(self._keys.__getitem__, ids)))
-        cols: dict[int, tuple[int, ...]] = {}
-        for slot, key in enumerate(shape_keys):
-            for c, m in key:
-                cols[c] = cols.get(c, ()) + (slot, m)
-        columns = tuple(sorted(cols.values()))
-        base = [0] * (max(cols, default=-1) + 1)
-        for c, column in cols.items():
-            # equal columns share the rank of the first of them
-            base[c] = (columns.index(column) + 1) * (self.q + 1)
-        table = self._verdicts.setdefault(columns, {})
-        return self._groups.setdefault(group, (shape_keys, base, table))
+        slots = sorted(ids, key=self._keys.__getitem__)
+        shape_keys = tuple(map(self._keys.__getitem__, slots))
+        heavy = list(map(self._heavy.__getitem__, slots))
+        beta = self.beta
+        tests = {}
+        for *parts, a in self.sigma.arrangements:
+            mono = reduce(and_, map(getitem, heavy, parts), -1) if self.alpha >= 2 else 0
+            hall = _hall_terms([marks[1] for marks in heavy], parts)
+            terms = ()
+            if min(A + M.bit_count() for A, M in hall) + a > beta:
+                # room -1 when no term is left: no new class fits
+                terms = tuple((beta - A, M) for A, M in hall
+                              if A + M.bit_count() <= beta) or ((-1, 0),)
+            if mono or terms:
+                tests[a, mono, terms] = None
+        base = table = None
+        if self.alpha >= 3:
+            cols: dict[int, tuple[int, ...]] = {}
+            for slot, key in enumerate(shape_keys):
+                for c, m in key:
+                    cols[c] = cols.get(c, ()) + (slot, m)
+            columns = tuple(sorted(cols.values()))
+            base = [0] * (max(cols, default=-1) + 1)
+            for c, column in cols.items():
+                # equal columns share the rank of the first of them
+                base[c] = (columns.index(column) + 1) * (self.q + 1)
+            table = self._verdicts.setdefault(columns, {})
+        return self._groups.setdefault(group, (tuple(tests), shape_keys, base, table))
 
     def _passing(self, group: int | tuple[int, ...], bindings: tuple, fresh: int
                  ) -> int:
         """The bits of ``fresh`` whose bindings pass against ``group``:
         every edge over the group's classes and the binding's class sees
-        alpha..beta colours.
+        alpha..beta colours, by :meth:`_group`'s tests.
 
-        A verdict is solved once per family for each (sorted group columns,
-        relation).  The relation is the sorted ints ``base[c] + m`` (``m``
-        past the list's end) over the colours c of the new profile with
-        multiplicity m (see :meth:`_group`): it pairs each colour with its
-        column in the group (empty when new to it) and its multiplicity, and
-        within one table offsets are injective in the column, so two
-        relations are equal exactly when those pairs are.  Equal keys give a
-        colour renaming that carries one shape onto the other, group slot j
-        to slot j and new class to new class; arrangements hand out parts by
-        slot, so the verdicts are equal.  A verdict is False at the first
-        arrangement an edge fails.
+        When alpha >= 3 a binding that passes them reads the low end's
+        verdict from the table, solved on a miss by :meth:`_no_small_edge`.
+        The relation is the sorted ints ``base[c] + m`` (``m`` past the
+        list's end) over the colours c of the new profile with multiplicity
+        m: it pairs each colour with its column in the group (empty when new
+        to it) and its multiplicity, and within one table offsets are
+        injective in the column, so two relations are equal exactly when
+        those pairs are.  Equal keys give a colour renaming that carries
+        one shape onto the other, group slot j to slot j and new class to
+        new class; arrangements hand out parts by slot, so the verdicts are
+        equal.
         """
-        shape_keys, base, table = self._groups.get(group) or self._group(group)
-        keys = self._keys
-        ok, size = 0, len(base)
+        tests, shape_keys, base, table = self._groups.get(group) or self._group(group)
+        if not tests and table is None:
+            return fresh
+        heavy_of, keys = self._heavy, self._keys
+        ok, size = 0, len(base or ())
         while fresh:
             low = fresh & -fresh
             key = bindings[low.bit_length() - 1][0]
-            relation = tuple(sorted([base[c] + m if c < size else m
-                                     for c, m in keys[key]]))
-            verdict = table.get(relation)
-            if verdict is None:
-                shape = shape_keys + (keys[key],)
-                verdict = table[relation] = all(
-                    self.alpha <= lo and hi <= self.beta
-                    for lo, hi in (range_of_keys(shape, parts)
-                                   for parts in self.sigma.arrangements))
-            if verdict:
-                ok |= low
+            heavy = heavy_of[key]
+            colours = heavy[1]
+            for a, mono, terms in tests:
+                if mono & heavy[a]:
+                    break
+                for room, M in terms:
+                    if (M | colours).bit_count() <= room:
+                        break
+                else:
+                    if terms:  # no term fits: an edge sees more than beta
+                        break
+            else:
+                if table is None:
+                    ok |= low
+                else:
+                    relation = tuple(sorted([base[c] + m if c < size else m
+                                             for c, m in keys[key]]))
+                    verdict = table.get(relation)
+                    if verdict is None:
+                        verdict = table[relation] = self._no_small_edge(
+                            shape_keys + (keys[key],))
+                    if verdict:
+                        ok |= low
             fresh ^= low
         return ok
+
+    def _no_small_edge(self, shape_keys: tuple[ProfileKey, ...]) -> bool:
+        """Whether no edge over classes with these profile keys sees fewer
+        than alpha colours, in any arrangement of sigma's parts: the unions
+        of one touch set per class (:func:`_touch_sets`), kept while they
+        hold fewer than alpha colours, all die before the last class."""
+        for parts in self.sigma.arrangements:
+            unions = {0}
+            for key, part in zip(shape_keys, parts):
+                unions = {u | t for u in unions for t in _touch_sets(key, part)
+                          if (u | t).bit_count() < self.alpha}
+            if unions:
+                return False
+        return True
 
 # The most vertices an edgeless witness is built with, and the most that an
 # edgeless spectrum's witnesses hold together (one per k); the searched ones

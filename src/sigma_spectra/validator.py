@@ -9,8 +9,7 @@ that future classes can still see, and gives both range ends in one pass;
 ``selection_achieving`` reads its pick off the same solver.  The range cache
 keys a shape by the raw profile keys and parts its caller passes; only a
 miss renames the colours densely, in sorted order, to bits of an integer
-mask.  Shapes equal up to a colour renaming are merged before the cache,
-in the engine's per-family verdict tables.
+mask.  The engine checks its shapes without the solver.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from typing import Callable, Sequence
 
-from .core import ClassProfile, Colouring, HypergraphSpec, ProfileKey, _profile_key
+from .core import (
+    ClassProfile, Colouring, HypergraphSpec, ProfileKey, _profile_key, _touch_sets,
+)
 from .errors import DimensionMismatchError, InfeasibleShapeError
 
 __all__ = [
@@ -44,19 +45,6 @@ class EdgeWitness:
     part_assignment: tuple[int, ...]
     per_class_choice: tuple[dict[int, int], ...]
     distinct_colours: int
-
-
-@cache
-def _touch_sets(key: ProfileKey, part: int) -> tuple[int, ...]:
-    """The colour sets, as bit masks, that a ``part``-vertex pick from a
-    class with profile ``key`` can touch: at most ``part`` colours holding
-    at least ``part`` vertices.  Cached: keys of dense colours repeat."""
-    return tuple(
-        sum(1 << c for c, _ in combo)
-        for size in range(1, min(part, len(key)) + 1)
-        for combo in itertools.combinations(key, size)
-        if sum(m for _, m in combo) >= part
-    )
 
 
 def _descend(touch: list[tuple[int, ...]], future: list[int],
@@ -119,7 +107,7 @@ def _range_of(profile_keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
     return _solver(_dense(profile_keys)[1], parts)[0](0, 0)
 
 
-# the name the validator and the engine call the range through
+# the name the validator calls the range through
 range_of_keys = _range_of
 
 

@@ -323,26 +323,30 @@ class TestSpectrum:
 
     def test_shape_groups_stored_sorted(self):
         # a group kept in placement order gives the same verdicts and
-        # nodes, but builds its columns again under each of its orders
+        # nodes, but builds its tests again under each of its orders
         spec = spec_of(4, 3, [2, 2, 2], 2, 5)
         search = family_search(spec)
         for k in range(1, spec.num_vertices + 1):
             decide_k(spec, k, _search=search)
         assert search._groups
-        for group, (shape_keys, _base, _table) in search._groups.items():
+        for group, (_tests, shape_keys, _base, _table) in search._groups.items():
             assert list(group) == sorted(group)
             # slot j holds the j-th profile key in key order
             assert shape_keys == tuple(sorted(search._keys[i] for i in group))
 
     def test_search_state_is_keyed_on_profile_ids(self):
-        # each profile key is interned once per family; the shape groups, like
-        # the placed profiles, are keyed on its id, never the key: when sigma
-        # has two parts a group is the id itself, else a sorted id tuple, in
-        # _groups and in every window's mask rows alike.  Each group holds
-        # the one verdict table of its sorted colour columns and, in a list
-        # up to its largest colour, an offset per colour: (rank of its column
-        # among those sorted columns + 1) times q + 1, else 0
-        for spec in (spec_of(4, 3, [2, 2, 2], 2, 5), spec_of(4, 3, [2, 2], 2, 3), GAP22):
+        # each profile key is interned once per family, with its colour masks
+        # by least multiplicity; the shape groups, like the placed profiles,
+        # are keyed on its id, never the key: when sigma has two parts a
+        # group is the id itself, else a sorted id tuple, in _groups and in
+        # every window's mask rows alike.  At alpha <= 2 no group keeps a
+        # verdict table; at alpha >= 3 each group holds the one table of its
+        # sorted colour columns and, in a list up to its largest colour, an
+        # offset per colour: (rank of its column among those sorted columns
+        # + 1) times q + 1, else 0
+        for spec in (spec_of(4, 3, [2, 2, 2], 2, 5), spec_of(4, 3, [2, 2], 2, 3), GAP22,
+                     spec_of(4, 3, [2, 2, 2], 3, 5), spec_of(4, 4, [2, 2], 3, 4),
+                     spec_of(4, 4, [3, 2, 1], 3, 5)):
             self.assert_search_state_keyed_on_profile_ids(spec)
 
     def assert_search_state_keyed_on_profile_ids(self, spec):
@@ -359,9 +363,20 @@ class TestSpectrum:
                 assert type(group) is tuple and len(group) == spec.sigma.s - 1
                 assert all(type(i) is int for i in group)
                 assert list(group) == sorted(group)
+        assert len(set(search._keys)) == len(search._keys)
+        assert search._ids == {key: i for i, key in enumerate(search._keys)}
+        assert search._heavy == [
+            tuple(sum(1 << c for c, m in key if m >= a)
+                  for a in range(spec.sigma.delta_max + 1))
+            for key in search._keys]
+        if spec.alpha <= 2:
+            assert not search._verdicts
+            assert all(entry[2:] == (None, None) for entry in search._groups.values())
+            return
+        assert search._verdicts
         tables = set()
         offsets = {}  # table id -> column -> offset, over every group sharing it
-        for group, (shape_keys, base, table) in search._groups.items():
+        for group, (_tests, shape_keys, base, table) in search._groups.items():
             columns = {}
             for slot, key in enumerate(shape_keys):
                 for c, m in key:
@@ -383,8 +398,6 @@ class TestSpectrum:
         for seen in offsets.values():
             assert len(set(seen.values())) == len(seen)
             assert all(v > 0 and v % (spec.q + 1) == 0 for v in seen.values())
-        assert len(set(search._keys)) == len(search._keys)
-        assert search._ids == {key: i for i, key in enumerate(search._keys)}
 
     @pytest.mark.parametrize("node_budget", [None, 200])
     def test_descending_search_matches_lone_decisions(self, node_budget):
@@ -655,16 +668,16 @@ class TestDecisionLifetime:
         # dict and 6.0 MB as 4-tuples holding the placed ids in a set
         assert peak < 5.25 * 2**20
 
-    def test_range_solver_misses_leave_nothing_for_the_collector(self):
-        # on a cold range cache, with k=1..12 decided in the same context,
-        # the s=3 proof at k=13 misses the cache 1,498 times; a solve that
-        # kept itself in a cycle left 42,414 objects for the collector
+    def test_shape_checks_leave_nothing_for_the_collector(self):
+        # with k=1..12 decided in the same context, the s=3 proof at k=13
+        # builds the tests of the groups it meets first; all it builds is
+        # freed by reference counting (a range solve that kept itself in a
+        # cycle once left 42,414 objects for the collector)
         spec = spec_of(6, 4, [2, 2, 2], 2, 5)
-        validator._range_of.cache_clear()
         search = family_search(spec)
         for k in range(1, 13):
             decide_k(spec, k, _search=search)
-        misses = validator._range_of.cache_info().misses
+        groups = len(search._groups)
         gc.collect()
         gc.disable()
         try:
@@ -673,8 +686,17 @@ class TestDecisionLifetime:
         finally:
             gc.enable()
         assert d.verdict == "infeasible"
-        assert validator._range_of.cache_info().misses - misses > 1000
+        assert len(search._groups) > groups
         assert found < 100
+
+    def test_a_spectrum_calls_no_range_solver(self):
+        # the shape tests read colour masks alone, so the process-wide range
+        # cache neither grows nor is read, at alpha = 2 or above
+        for spec in (spec_of(5, 4, [2, 2, 2], 2, 5), spec_of(4, 4, [3, 2, 1], 3, 5)):
+            before = validator._range_of.cache_info()
+            res = spectrum(spec)
+            assert res.colourable
+            assert validator._range_of.cache_info() == before
 
 
 class TestFailureMemoKey:
@@ -703,7 +725,9 @@ class TestFailureMemoKey:
 
 def direct_verdict(spec, shape_keys):
     """Whether every edge over classes with these profile keys sees alpha..beta
-    colours, from ``range_of_keys`` over every ordering of sigma's parts."""
+    colours, from ``range_of_keys`` over every ordering of sigma's parts;
+    ``spec`` is anything with ``sigma``, ``alpha`` and ``beta``, a search
+    context too."""
     return all(
         spec.alpha <= lo and hi <= spec.beta
         for lo, hi in (range_of_keys(tuple(shape_keys), parts)
@@ -762,12 +786,11 @@ class TestPassMasks:
 
 def engine_verdict(search, group_keys, new_key):
     """The search's verdict on the shape of ``group_keys`` plus ``new_key``,
-    read through its verdict cache as a node's mask fill reads it, with the
-    group keyed as the search keys it (see :func:`group_ids`)."""
+    read through ``_passing`` as a node's mask fill reads it, with the group
+    keyed as the search keys it (see :func:`group_ids`)."""
     for key in (*group_keys, new_key):
         if key not in search._ids:
-            search._ids[key] = len(search._keys)
-            search._keys.append(key)
+            search._intern(key)
     ids = tuple(sorted(search._ids[key] for key in group_keys))
     group = ids[0] if len(ids) == 1 else ids
     return search._passing(group, ((search._ids[new_key], 0),), 1) == 1
@@ -779,10 +802,18 @@ def small_profiles(q, colours):
                    for cls in itertools.product(range(colours), repeat=q)})
 
 
+def profiles_of(q, colours):
+    """A strategy for the profile key of a q-vertex class over colours
+    0..colours-1."""
+    return st.lists(st.integers(0, colours - 1), min_size=q, max_size=q).map(
+        lambda cls: tuple(sorted(Counter(cls).items())))
+
+
 class TestVerdictKey:
-    """A shape verdict is cached per family under the group's sorted colour
-    columns and the new profile's relation to them: two shapes with equal keys
-    must have equal direct verdicts, whichever the search met first."""
+    """Every shape gets its direct verdict.  When alpha >= 3 the low end's
+    verdict is cached per family under the group's sorted colour columns and
+    the new profile's relation to them: two shapes with equal keys must have
+    equal direct verdicts, whichever the search met first."""
 
     def assert_shapes_get_direct_verdicts(self, spec, shapes):
         search = family_search(spec)
@@ -815,7 +846,7 @@ class TestVerdictKey:
 
     @pytest.mark.parametrize("parts,q,alpha,beta", [
         ([2, 2], 3, 2, 2), ([2, 1], 3, 2, 2), ([2, 2, 2], 3, 2, 3),
-        ([3, 2], 3, 2, 3),
+        ([3, 2], 3, 2, 3), ([2, 2, 1], 3, 3, 4),
     ])
     def test_every_small_shape_gets_its_direct_verdict(self, parts, q, alpha, beta):
         # every group and new profile over four colours, through one search:
@@ -825,8 +856,12 @@ class TestVerdictKey:
         shapes = list(itertools.product(itertools.combinations_with_replacement(
             profiles, spec.sigma.s - 1), profiles))
         search = self.assert_shapes_get_direct_verdicts(spec, shapes)
-        # most shapes were answered from the cache, not solved
-        assert sum(map(len, search._verdicts.values())) * 4 < len(shapes)
+        if alpha <= 2:
+            # the bit tests decide every shape; nothing is tabled
+            assert not search._verdicts
+        else:
+            # most shapes were answered from the cache, not solved
+            assert sum(map(len, search._verdicts.values())) * 4 < len(shapes)
 
     @pytest.mark.parametrize("parts,q,alpha,beta", [
         ([2, 2], 3, 2, 2), ([2, 1], 3, 2, 2), ([2, 2], 4, 2, 3),
@@ -839,14 +874,47 @@ class TestVerdictKey:
         # every pairing of a few groups with a few new profiles, over five
         # colours, in any order, through one search
         spec = spec_of(3, q, parts, alpha, beta)
-        profile = st.lists(st.integers(0, 4), min_size=q, max_size=q).map(
-            lambda cls: tuple(sorted(Counter(cls).items())))
+        profile = profiles_of(q, 5)
         group = st.lists(profile, min_size=len(parts) - 1,
                          max_size=len(parts) - 1).map(tuple)
         shapes = data.draw(st.permutations(list(itertools.product(
             data.draw(st.lists(group, min_size=1, max_size=4)),
             data.draw(st.lists(profile, min_size=1, max_size=6))))))
         self.assert_shapes_get_direct_verdicts(spec, shapes)
+
+
+class TestShapeTests:
+    """The bit tests against the range solver, which stays their independent
+    oracle."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_engine_verdict_is_the_direct_verdict(self, data):
+        # alpha = 1 has no spec (a spec needs alpha >= 2), so the context is
+        # built directly; (1, 1, 1, 1) takes Hall's bound over 8 subsets
+        parts = data.draw(st.sampled_from(
+            [(2, 2), (2, 1), (3, 2, 1), (2, 1, 1), (1, 1, 1, 1)]))
+        alpha = data.draw(st.integers(1, 4))
+        beta = data.draw(st.integers(alpha, sum(parts) + 1))
+        q = data.draw(st.integers(max(parts), 5))
+        search = _Search(q, build_sigma(parts), alpha, beta)
+        profile = profiles_of(q, 6)
+        for _ in range(3):
+            group = tuple(data.draw(profile) for _ in parts[1:])
+            new = data.draw(profile)
+            assert engine_verdict(search, group, new) == direct_verdict(
+                search, group + (new,)), (group, new)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hall_minimum_is_the_most_colours(self, data):
+        q = data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, 4))
+        keys = tuple(data.draw(profiles_of(q, 7)) for _ in range(count))
+        parts = tuple(data.draw(st.integers(1, q)) for _ in range(count))
+        masks = [sum(1 << c for c, _ in key) for key in keys]
+        hall = min(A + M.bit_count() for A, M in engine._hall_terms(masks, parts))
+        assert hall == range_of_keys(keys, parts)[1]
 
 
 class TestStructuralLaws:

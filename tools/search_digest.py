@@ -4,8 +4,9 @@ An engine line holds ``decisions=``, a SHA-256 over every decision's
 (spec, k, verdict, witness classes); ``nodes=``, the total node count and a
 SHA-256 over the per-k node counts in decision order, as ``total:sha256``
 (both fields from :class:`EngineDigest`); the ``engine.range_of_keys``
-calls, the range solver's cache misses from an empty cache and ``checks``,
-the (group, binding) shape checks the engine's mask fills make (one per bit
+calls, the range solver's cache misses from an empty cache (both 0: the
+engine checks shapes by bit tests and calls no solver) and ``checks``, the
+(group, binding) shape checks the engine's mask fills make (one per bit
 ``_Search._passing`` is asked about, counted by :func:`check_counter`).
 Equal ``decisions=`` fields mean equal verdicts and raw witnesses, whatever
 the node counts; equal lines mean equal node counts, range-solver work and
@@ -17,8 +18,8 @@ without timing noise, and a change that cuts nodes alone keeps every
 through one search context per family H(., q | sigma), alpha, beta, which
 meets its specs in ascending n.  Its ``decisions=`` and ``nodes=`` equal
 ``nogap-sweep``'s exactly when sharing a context across n moves no verdict,
-node count or witness; its range-solver counts are lower, as verdicts found
-at one n serve every n.  ``tests/test_engine.py`` pins both fields of the
+node count or witness; its ``checks`` are fewer, as pass masks found at one
+n serve every n.  ``tests/test_engine.py`` pins both fields of the
 ``nogap-sweep`` and ``gap-proof`` lines through :class:`EngineDigest`, from
 decisions its tests already make, and the ``gap-proof`` checks through
 :func:`check_counter`.

@@ -1,0 +1,44 @@
+"""Time whole engine spectra in process, one line per spectrum.
+
+Each line holds the spectrum's name, its wall time in seconds, the total of
+its per-k node counts and its feasible k, so two checkouts can be compared:
+equal ``nodes=`` and ``feasible=`` fields mean the same search, and only the
+seconds may differ.  The set is the slowest spectrum of the no-gap grid, at
+alpha = 2, and six with alpha >= 3, where the engine keeps a verdict table
+per family for the low end of the colour window.
+
+    python tools/time_spectra.py
+"""
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sigma_spectra import HypergraphSpec, build_sigma, spectrum  # noqa: E402
+
+# (n, q, sigma's parts, alpha, beta)
+SPECTRA = [
+    (6, 4, (2, 2, 2), 2, 5),
+    (5, 4, (2, 2, 2), 4, 6),
+    (5, 6, (3, 3), 4, 6),
+    (5, 4, (3, 2, 1), 3, 5),
+    (6, 6, (6, 6), 3, 3),
+    (5, 5, (2, 2, 1), 4, 5),
+    (6, 3, (1, 1, 1, 1), 3, 4),
+]
+
+
+def main() -> None:
+    for n, q, parts, alpha, beta in SPECTRA:
+        spec = HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+        start = time.perf_counter()
+        res = spectrum(spec)
+        seconds = time.perf_counter() - start
+        print(f"{spec}: seconds={seconds:.3f} nodes={sum(res.nodes_explored.values())} "
+              f"feasible={list(res.feasible_k)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
