@@ -165,10 +165,11 @@ class _Search:
       colours an edge sees, whatever n and k the whole colouring has, so it
       holds for every n and k;
     * the window entries (:meth:`_window`);
-    * the partitions of q into at most the largest colour cap a decision
-      gave a class, one list with each partition's length beside it (a
-      smaller cap filters it); sigma keeps its own part arrangements, built
-      on first use.
+    * the partitions of q into at most a held cap, one list with each
+      partition's length beside it (a smaller cap filters it; a larger one
+      relists at least twice the held cap, up to q, as spectra raise caps
+      by one and lone decisions ask once); sigma keeps its own part
+      arrangements, built on first use.
 
     Per :meth:`decide`, as its locals, freed by reference counting alone
     when it returns: n, k, the node budget and count, the failure memo, the
@@ -325,18 +326,14 @@ class _Search:
     def _capped_partitions(self, cap: int
                            ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """``_partitions(q, cap)`` and their lengths, read off the one list
-        the context holds, which it widens to ``cap`` first if ``cap`` is the
-        largest met."""
+        the context holds, relisted at ``max(cap, min(q, 2 * held cap))``
+        past the held cap: spectra raise caps by one, so that relists
+        O(log q) times, and a lone decision asks once and lists its cap."""
         if cap > self._partitions_cap:
-            # the partitions into exactly m parts are those of q - m into at
-            # most m parts, one added to each part and padded with ones
-            # (q = m pads the one partition of 0, (0,), to m ones)
-            wider = [tuple(part + 1 for part in p) + (1,) * (m - len(p))
-                     for m in range(self._partitions_cap + 1, cap + 1)
-                     for p in _partitions(self.q - m, m)]
-            self._partitions = tuple(sorted(wider + list(self._partitions), reverse=True))
+            self._partitions_cap = max(cap, min(self.q, 2 * self._partitions_cap))
+            self._partitions = ()  # drop the old list before the new one is built
+            self._partitions = _partitions(self.q, self._partitions_cap)
             self._lengths = tuple(map(len, self._partitions))
-            self._partitions_cap = cap
         if cap == self._partitions_cap:
             return self._partitions, self._lengths
         kept = tuple(p for p in self._partitions if len(p) <= cap)  # still decreasing

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 from importlib import resources
 from pathlib import Path
@@ -304,6 +305,18 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_readme_source_count_is_current():
+    # README's "(N at this commit)" is the source size ROADMAP aim 2 tracks:
+    # the non-blank lines of the package's modules, as
+    # cat src/sigma_spectra/*.py | grep -cv '^\s*$' counts them
+    root = Path(__file__).parents[1]
+    stated = re.search(r"\((\d+)\s+at\s+this\s+commit\)",
+                       (root / "README.md").read_text(encoding="utf-8"))
+    lines = [line for path in sorted((root / "src" / "sigma_spectra").glob("*.py"))
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    assert stated and int(stated[1]) == sum(1 for line in lines if line.strip())
 
 
 class TestRunReport:

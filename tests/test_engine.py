@@ -497,30 +497,44 @@ class TestPartitions:
                 assert list(_partitions(q, cap)) == reference_partitions(q, cap), (q, cap)
 
     def test_rising_caps_widen_to_every_partition(self):
-        # each k caps the parts per class at min(q, k); after each k the one
-        # list a spectrum's search keeps holds the partitions of q into at
-        # most that many parts, and by the last k every partition of q
+        # each k caps the parts per class at min(q, k) and reads the
+        # partitions of q into at most that many parts, with their lengths,
+        # off the one list a spectrum's search keeps; by the last k that list
+        # holds every partition of q
         spec = spec_of(2, 8, [1, 1], 2, 2)
         search = family_search(spec)
+        reads = []
+
+        def capped(cap, read=search._capped_partitions):
+            reads.append(read(cap))
+            return reads[-1]
+        search._capped_partitions = capped
         for k in range(1, spec.num_vertices + 1):
             search.decide(spec.n, k, 100)
-            cap = min(8, k)
-            assert (search._partitions_cap, search._partitions) == (
-                cap, _partitions(8, cap)), k
+            expected = _partitions(8, min(8, k))
+            assert reads.pop() == (expected, tuple(map(len, expected))), k
+        assert search._partitions == _partitions(8, 8)
 
     def test_any_cap_order_reads_the_capped_partitions(self):
-        # a larger cap widens the held list, a smaller one is read off it;
-        # the lengths come with the partitions
+        # a larger cap relists the held list at up to twice the held cap,
+        # never past q or twice the largest cap asked; a smaller one is read
+        # off it; the lengths come with the partitions
         rng = random.Random(0)
         for q in range(1, 16):
             search = _Search(q, build_sigma([1, 1]), 2, 2)
             caps = [cap for cap in range(1, q + 1) for _ in range(2)]
             rng.shuffle(caps)
-            for cap in caps:
+            for i, cap in enumerate(caps):
                 expected = _partitions(q, cap)
                 assert search._capped_partitions(cap) == (
                     expected, tuple(map(len, expected))), (q, cap)
+                assert search._partitions_cap <= min(q, 2 * max(caps[:i + 1])), (q, cap)
             assert search._partitions_cap == q
+
+    def test_a_lone_decision_lists_its_cap(self):
+        search = family_search(spec_of(2, 60, [1, 1], 2, 2))
+        search.decide(2, 5, 100)
+        assert search._partitions == _partitions(60, 5)
 
     def test_rising_caps_hold_one_list(self):
         # q=36 has 17,977 partitions; one list per cap 1..36 held 467,135

@@ -3,16 +3,15 @@
 An engine line holds ``decisions=``, a SHA-256 over every decision's
 (spec, k, verdict, witness classes); ``nodes=``, the total node count and a
 SHA-256 over the per-k node counts in decision order, as ``total:sha256``
-(both fields from :class:`EngineDigest`); the ``engine.range_of_keys``
-calls, the range solver's cache misses from an empty cache (both 0: the
-engine checks shapes by bit tests and calls no solver) and ``checks``, the
-(group, binding) shape checks the engine's mask fills make (one per bit
+(both fields from :class:`EngineDigest`); and ``checks``, the (group,
+binding) shape checks the engine's mask fills make (one per bit
 ``_Search._passing`` is asked about, counted by :func:`check_counter`).
 Equal ``decisions=`` fields mean equal verdicts and raw witnesses, whatever
-the node counts; equal lines mean equal node counts, range-solver work and
-shape-check work too.  The counts repeat exactly, so a cut in them shows
-without timing noise, and a change that cuts nodes alone keeps every
-``decisions=`` field.
+the node counts; equal lines mean equal node counts and shape-check work
+too.  The engine checks shapes by bit tests and calls no range solver,
+which ``test_a_spectrum_calls_no_range_solver`` guards.  The counts repeat
+exactly, so a cut in them shows without timing noise, and a change that
+cuts nodes alone keeps every ``decisions=`` field.
 
 ``nogap-family`` makes the decisions of ``nogap-sweep``, in the same order,
 through one search context per family H(., q | sigma), alpha, beta, which
@@ -288,21 +287,15 @@ def main() -> None:
     witnesses = {}
     for name, decisions in (("nogap-sweep", nogap_sweep), ("nogap-family", nogap_family),
                             ("gap-proof", gap_proof)):
-        validator._range_of.cache_clear()
         digest = EngineDigest()
         found = witnesses[name] = []
-        with mock.patch.object(engine, "range_of_keys",
-                               wraps=engine.range_of_keys) as solver, \
-                check_counter() as counter:
+        with check_counter() as counter:
             for spec, k, verdict, nodes, witness in decisions():
                 digest.update(spec, k, verdict, nodes, witness)
                 if witness is not None:
                     found.append((spec, witness))
         decided, counted = digest.fields()
-        print(f"{name}: decisions={decided} nodes={counted} "
-              f"range_calls={solver.call_count} "
-              f"range_misses={validator._range_of.cache_info().misses} "
-              f"checks={counter.checks}")
+        print(f"{name}: decisions={decided} nodes={counted} checks={counter.checks}")
     validator._range_of.cache_clear()
     validator._class_row.cache_clear()
     fields = []
