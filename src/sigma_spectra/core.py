@@ -306,7 +306,8 @@ def count_edges(spec: HypergraphSpec) -> int:
 # least tuple; classes with equal content give equal branches.  Classes
 # meet when they share a colour, and each component is canonicalised on its
 # own.  A class holding a placed colour gets an identifier below every
-# unplaced colour's, so its tuple is less than any class of fresh colours.
+# unplaced colour's, so its tuple is less than any class of fresh colours,
+# and only such classes are tried past the first.
 # A half-placed component has a remaining class that shares a placed
 # colour, so the least image places each component whole, then the least
 # image of the rest, shifted.  So the forms go in increasing order, but a
@@ -376,7 +377,9 @@ def canonical_colouring(colouring: Colouring) -> Colouring:
         if not left:
             best = min(best, placed) if best else placed
             continue
-        options = {cls: _place(counts[cls], cells) for cls in left}
+        seen = set().union(*cells)
+        options = {cls: _place(counts[cls], cells)
+                   for cls in left if not cells or not seen.isdisjoint(cls)}
         least = min(key for key, _ in options.values())
         stack += [(left - Counter((cls,)), refined, placed + (key,))
                   for cls, (key, refined) in options.items() if key == least]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, getitem
@@ -192,11 +193,8 @@ class _Search:
         self._partitions_cap = 0
 
     def decide(self, n: int, k: int, node_budget: int | None) -> KDecision:
-        """Decide exactly ``k`` colours on ``n`` classes; "unknown" when the
-        budget trips."""
-        if n < self.sigma.s or self.q < self.sigma.delta_max:  # no edges
-            return KDecision(k=k, verdict="feasible",
-                             witness=_trivial_colouring(n, self.q, k), nodes=0)
+        """Decide exactly ``k`` colours on ``n`` classes of an instance with
+        edges; "unknown" when the budget trips."""
         cap = self.sigma.s - 1
         # An edge may put its largest part, delta_max vertices, on any class,
         # so when delta_max > beta no class may carry more than beta colours.
@@ -222,8 +220,8 @@ class _Search:
         # the tuples a parent builds for its child, which it tests before the
         # call and adds after a failure: a dict used as a set (smaller than a
         # set from a few thousand entries up), made at the class's first
-        # failure.
-        failed: dict[int, dict[tuple[int, ...], None]] = {}
+        # visit.
+        failed: defaultdict[int, dict[tuple[int, ...], None]] = defaultdict(dict)
         # rows[used * count + j]: the window entry of partitions[j] after used
         # colours, reached by one int-keyed read
         rows: dict[int, tuple] = {}
@@ -249,7 +247,7 @@ class _Search:
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
-            fails, base = failed.get(i + 1, ()), used * count
+            fails, base = failed[i + 1], used * count
             # partitions run in decreasing order, so scanning from j keeps
             # the class partitions non-increasing; a binding ends with at
             # most used + len(partition) colours
@@ -295,8 +293,6 @@ class _Search:
                         rest = place(i + 1, j, new_used, after)
                         if rest is not None:
                             return (key,) + rest
-                        if not fails:
-                            fails = failed[i + 1] = {}
                         fails[after] = None
                     live ^= low
                 nodes += bits.bit_count() - done
@@ -432,9 +428,9 @@ class _Search:
         order and its last, a, to the new class.
 
         Per arrangement, two exact tests.  An edge sees one colour c only if
-        every class holds at least its part of c, so when alpha >= 2 a
-        binding fails if ``mono & heavy_new[a]``, ``mono`` being the AND of
-        the slots' ``heavy[part]`` (:meth:`_intern`).  A pick of a_j
+        every class holds at least its part of c, and alpha >= 2 in every
+        spec, so a binding fails if ``mono & heavy_new[a]``, ``mono`` being
+        the AND of the slots' ``heavy[part]`` (:meth:`_intern`).  A pick of a_j
         vertices from class j can touch any a_j of its colours C_j (a_j <= q
         pads it), so the most colours an edge sees is a bipartite
         b-matching: by the deficiency form of Hall's theorem, the least over
@@ -466,7 +462,7 @@ class _Search:
         beta = self.beta
         tests = {}
         for *parts, a in self.sigma.arrangements:
-            mono = reduce(and_, map(getitem, heavy, parts), -1) if self.alpha >= 2 else 0
+            mono = reduce(and_, map(getitem, heavy, parts), -1)
             hall = _hall_terms([marks[1] for marks in heavy], parts)
             terms = ()
             if min(A + M.bit_count() for A, M in hall) + a > beta:
@@ -595,6 +591,9 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
         raise ValueError(f"k must be an int in [1, {spec.num_vertices}], got {k!r}")
     if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
         raise ValueError(f"node_budget must be None or an int >= 0, got {node_budget!r}")
+    if not spec.has_edges:
+        return KDecision(k=k, verdict="feasible",
+                         witness=_trivial_colouring(spec.n, spec.q, k), nodes=0)
     if _search is None:
         _search = _Search(spec.q, spec.sigma, spec.alpha, spec.beta)
     return _search.decide(spec.n, k, node_budget)

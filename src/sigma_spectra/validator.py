@@ -6,10 +6,10 @@ from each.  Within one class, picking ``a`` vertices can touch a colour set
 touched matters, never how the count splits beyond feasibility.  The solver
 walks the classes once, tracking only the part of the running colour union
 that future classes can still see, and gives both range ends in one pass;
-``selection_achieving`` reads its pick off the same solver.  The range cache
-keys a shape by the raw profile keys and parts its caller passes; only a
-miss renames the colours densely, in sorted order, to bits of an integer
-mask.  The engine checks its shapes without the solver.
+``find_violation`` reads its pick off the same solver.  The range cache, a
+bounded LRU, keys a shape by the raw profile keys and parts its caller
+passes; only a miss renames the colours densely, in sorted order, to bits
+of an integer mask.  The engine checks its shapes without the solver.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "edge_colour_range",
     "is_valid",
     "find_violation",
-    "selection_achieving",
 ]
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def _dense(keys: Sequence[ProfileKey]) -> tuple[list[int], tuple[ProfileKey, ...
     return colours, tuple([tuple([(dense[c], m) for c, m in key]) for key in keys])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _range_of(profile_keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
               ) -> tuple[int, int]:
     """The (fewest, most) distinct colours over picks of ``parts[j]``
@@ -111,21 +110,6 @@ def _range_of(profile_keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
 range_of_keys = _range_of
 
 
-def _check_shape(
-    profiles: list[ClassProfile] | tuple[ClassProfile, ...],
-    parts: list[int] | tuple[int, ...],
-) -> None:
-    if len(profiles) != len(parts) or not parts:
-        raise ValueError("profiles and parts must align and be non-empty")
-    for prof, a in zip(profiles, parts):
-        if a < 1:
-            raise ValueError(f"part sizes must be >= 1, got {a}")
-        if a > prof.total:
-            raise InfeasibleShapeError(
-                f"part {a} exceeds class size {prof.total}"
-            )
-
-
 def edge_colour_range(
     profiles: list[ClassProfile] | tuple[ClassProfile, ...],
     parts: list[int] | tuple[int, ...],
@@ -135,7 +119,15 @@ def edge_colour_range(
     ``parts[j]`` vertices are drawn from the class described by
     ``profiles[j]``; the range covers every simultaneous choice.
     """
-    _check_shape(profiles, parts)
+    if len(profiles) != len(parts) or not parts:
+        raise ValueError("profiles and parts must align and be non-empty")
+    for prof, a in zip(profiles, parts):
+        if a < 1:
+            raise ValueError(f"part sizes must be >= 1, got {a}")
+        if a > prof.total:
+            raise InfeasibleShapeError(
+                f"part {a} exceeds class size {prof.total}"
+            )
     return range_of_keys(tuple(p.key() for p in profiles), tuple(parts))
 
 
@@ -154,25 +146,10 @@ def _pick(key: ProfileKey, touched: int, part: int,
     return pick
 
 
-def selection_achieving(
-    profiles: list[ClassProfile] | tuple[ClassProfile, ...],
-    parts: list[int] | tuple[int, ...],
-    target: int,
-) -> tuple[dict[int, int], ...]:
-    """A concrete per-class pick whose colour union has exactly ``target``
-    distinct colours, or raise ``ValueError`` when none exists.
-
-    Read off the range solver run on the colours renamed densely; used to
-    materialise witnesses once a violating range is known.
-    """
-    _check_shape(profiles, parts)
-    return _selection([p.key() for p in profiles], tuple(parts), target)
-
-
 def _selection(keys: Sequence[ProfileKey], parts: tuple[int, ...], target: int
                ) -> tuple[dict[int, int], ...]:
-    """:func:`selection_achieving` on profile keys of a shape already
-    checked."""
+    """Per class of profile ``keys``, a pick whose union has exactly
+    ``target`` colours; ``ValueError`` when none has.  Shape unchecked."""
     # the solver wants dense colours; the picks name the real ones
     colours, keys = _dense(keys)
     solve, future = _solver(keys, parts)

@@ -26,6 +26,7 @@ from sigma_spectra import (
     profile_of,
     spectrum,
 )
+from sigma_spectra import core
 from support import load_search_digest, spec_of
 
 
@@ -323,6 +324,19 @@ class TestCanonicalForm:
             start = time.perf_counter()
             assert canonical_colouring(scrambled).classes == classes
             assert time.perf_counter() - start < 0.5
+
+    def test_a_chain_tries_only_classes_that_share_a_placed_colour(self, monkeypatch):
+        # classes (i, i + 1): past the first class only the two classes next
+        # to the placed run share a placed colour; trying every class left
+        # took 59,398 places
+        calls = []
+        place = core._place
+        monkeypatch.setattr(core, "_place", lambda *args: calls.append(1) or place(*args))
+        chain = tuple((i, i + 1) for i in range(40))
+        form = canonical_colouring(Colouring(classes=chain))
+        assert len(calls) < 10_000
+        renamed = Colouring(classes=tuple((1000 - b, 1000 - a) for a, b in reversed(chain)))
+        assert canonical_colouring(renamed) == form == canonical_colouring(form)
 
     def test_many_classes_need_no_deep_recursion(self):
         # the search once recursed once per class

@@ -19,7 +19,6 @@ from sigma_spectra import (
     find_violation,
     is_valid,
     profile_of,
-    selection_achieving,
 )
 from sigma_spectra import validator
 from sigma_spectra.core import _profile_key
@@ -28,6 +27,7 @@ from sigma_spectra.validator import (
     _class_row,
     _first_violation,
     _range_of,
+    _selection,
     range_of_keys,
 )
 from support import APPENDIX, load_bench_workloads
@@ -54,12 +54,14 @@ def literal_range(profiles, parts):
     return min(unions), max(unions)
 
 
-# both shape-taking entry points share one argument check
-SHAPE_FUNCTIONS = [
-    pytest.param(edge_colour_range, id="edge_colour_range"),
-    pytest.param(lambda profiles, parts: selection_achieving(profiles, parts, 1),
-                 id="selection_achieving"),
-]
+# the one shape-taking entry point checks its arguments before any solve
+SHAPE_FUNCTIONS = [pytest.param(edge_colour_range, id="edge_colour_range")]
+
+
+def selection(profiles, parts, target):
+    """The pick ``find_violation`` reads off the solver, on the profiles'
+    keys."""
+    return _selection([p.key() for p in profiles], tuple(parts), target)
 
 
 class TestEdgeColourRange:
@@ -116,13 +118,13 @@ class TestEdgeColourRange:
             parts.append(data.draw(st.integers(1, p.total)))
         lo, hi = edge_colour_range(profiles, parts)
         assert (lo, hi) == literal_range(profiles, parts)
-        # selection_achieving descends on every count in between being reachable
+        # the pick descends on every count in between being reachable
         for target in range(lo - 1, hi + 2):
             if not lo <= target <= hi:
                 with pytest.raises(ValueError):
-                    selection_achieving(profiles, parts, target)
+                    selection(profiles, parts, target)
                 continue
-            choice = selection_achieving(profiles, parts, target)
+            choice = selection(profiles, parts, target)
             for c_map, p, a in zip(choice, profiles, parts):
                 assert sum(c_map.values()) == a
                 assert all(1 <= m <= p.counts[c] for c, m in c_map.items())
@@ -178,6 +180,16 @@ class TestRangeCacheKey:
         assert range_of_keys(keys, (1, 1)) == range_of_keys(copy, (1, 1)) == (1, 2)
         assert _range_of.cache_info().misses == 1
 
+    def test_the_cache_is_bounded(self):
+        # shapes equal up to colour names are distinct keys; the LRU drops
+        # the oldest once it holds its bound, however many the process meets
+        assert _range_of.cache_info().maxsize == 4096
+        _range_of.cache_clear()
+        for c in range(5000):
+            assert range_of_keys((((c, 2),), ((c, 1), (c + 1, 1))), (1, 1)) == (1, 2)
+        info = _range_of.cache_info()
+        assert info.misses == 5000 and info.currsize == 4096
+
     def test_huge_colours_solve_as_their_dense_copy(self):
         # a miss renames the colours densely before they become mask bits:
         # a bit per raw colour would need integers of 10**9 bits here
@@ -214,11 +226,14 @@ class TestRangeCacheKey:
 
 
 class TestSelectionAchieving:
+    """``_selection``: a per-class pick whose union has a given number of
+    colours, the witness of a violating range."""
+
     def test_realises_min_and_max(self):
         profiles = [prof({1: 3, 2: 1}), prof({2: 3, 3: 1})]
         parts = (2, 2)
         for target in (2, 3):
-            choice = selection_achieving(profiles, parts, target)
+            choice = selection(profiles, parts, target)
             distinct = set()
             for c_map, p, a in zip(choice, profiles, parts):
                 assert sum(c_map.values()) == a
@@ -229,7 +244,7 @@ class TestSelectionAchieving:
 
     def test_unreachable_target(self):
         with pytest.raises(ValueError):
-            selection_achieving([prof({0: 2})], (2,), 5)
+            selection([prof({0: 2})], (2,), 5)
 
     def test_sparse_and_negative_colours(self):
         # the solver packs colours into bit masks, renamed densely first
@@ -238,7 +253,7 @@ class TestSelectionAchieving:
         lo, hi = edge_colour_range(profiles, parts)
         assert (lo, hi) == literal_range(profiles, parts) == (2, 3)
         for target in range(lo, hi + 1):
-            choice = selection_achieving(profiles, parts, target)
+            choice = selection(profiles, parts, target)
             for c_map, p, a in zip(choice, profiles, parts):
                 assert sum(c_map.values()) == a
                 assert all(1 <= m <= p.counts[c] for c, m in c_map.items())
@@ -411,7 +426,7 @@ class TestWitnessFromKeys:
         w = find_violation(spec, colouring)
         if w is not None:
             profiles = [profile_of(colouring, i) for i in w.class_tuple]
-            assert w.per_class_choice == selection_achieving(
+            assert w.per_class_choice == selection(
                 profiles, w.part_assignment, w.distinct_colours)
 
 
