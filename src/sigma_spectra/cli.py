@@ -34,6 +34,7 @@ import time
 from typing import Any, Callable, Sequence
 
 from .constructions import (
+    _check_walk_spec,
     beta_colouring,
     layered_colouring,
     mono_colouring,
@@ -268,15 +269,16 @@ def _cmd_construct(args: argparse.Namespace, spec: HypergraphSpec) -> Outcome:
 def _cmd_walk(args: argparse.Namespace, spec: HypergraphSpec) -> Outcome:
     if (args.start_file is None) == (args.start_k is None):
         raise UsageError("walk needs exactly one of --start-file and --start-k")
-    if args.start_file is not None:
-        start = _read(args.start_file, "start colouring", colouring_from_json)
-    else:
-        start = _engine_colouring(spec, args.start_k, args.budget)
     try:
+        _check_walk_spec(spec)  # before a search builds the start
+        if args.start_file is not None:
+            start = _read(args.start_file, "start colouring", colouring_from_json)
+        else:
+            start = _engine_colouring(spec, args.start_k, args.budget)
         steps = spectrum_walk_steps(spec, start, args.direction, args.budget)
     except TheoremViolationError as exc:
         raise CommandFailure(f"walk diagnostic: {exc}") from exc
-    except ValueError as exc:  # a start the walk's preconditions reject
+    except ValueError as exc:  # a spec or start the walk rejects
         raise UsageError(str(exc)) from exc
     return {
         "direction": args.direction,

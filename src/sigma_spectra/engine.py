@@ -167,10 +167,10 @@ class _Search:
       holds for every n and k;
     * the window entries (:meth:`_window`);
     * the partitions of q into at most a held cap, one list with each
-      partition's length beside it (a smaller cap filters it; a larger one
-      relists at least twice the held cap, up to q, as spectra raise caps
-      by one and lone decisions ask once); sigma keeps its own part
-      arrangements, built on first use.
+      partition's length beside it, read in place by every decision (a
+      larger cap relists it at least twice the held cap, up to q, as
+      spectra raise caps by one and lone decisions ask once); sigma keeps
+      its own part arrangements, built on first use.
 
     Per :meth:`decide`, as its locals, freed by reference counting alone
     when it returns: n, k, the node budget and count, the failure memo, the
@@ -248,12 +248,12 @@ class _Search:
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
             fails, base = failed[i + 1], used * count
-            # partitions run in decreasing order, so scanning from j keeps
-            # the class partitions non-increasing; a binding ends with at
-            # most used + len(partition) colours
+            # scanning the decreasing list from j keeps class partitions
+            # non-increasing; it may hold ones past max_new parts, and a
+            # binding ends with at most used + len(partition) colours
             short = least - used
             for j in range(j, count):
-                if lengths[j] < short:
+                if not short <= lengths[j] <= max_new:
                     continue
                 entry = rows.get(base + j)
                 if entry is None or entry[0] > lo:
@@ -321,19 +321,16 @@ class _Search:
 
     def _capped_partitions(self, cap: int
                            ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """``_partitions(q, cap)`` and their lengths, read off the one list
-        the context holds, relisted at ``max(cap, min(q, 2 * held cap))``
-        past the held cap: spectra raise caps by one, so that relists
-        O(log q) times, and a lone decision asks once and lists its cap."""
+        """The one list the context holds, the partitions of q into at most
+        the held cap parts, with their lengths; a decision skips those of
+        more than ``cap`` parts.  A larger cap relists at ``max(cap, min(q,
+        2 * held cap))``: rising caps relist O(log q) times, a lone cap once."""
         if cap > self._partitions_cap:
             self._partitions_cap = max(cap, min(self.q, 2 * self._partitions_cap))
             self._partitions = ()  # drop the old list before the new one is built
             self._partitions = _partitions(self.q, self._partitions_cap)
             self._lengths = tuple(map(len, self._partitions))
-        if cap == self._partitions_cap:
-            return self._partitions, self._lengths
-        kept = tuple(p for p in self._partitions if len(p) <= cap)  # still decreasing
-        return kept, tuple(map(len, kept))
+        return self._partitions, self._lengths
 
     def _window(self, window: tuple[tuple[int, ...], int, int], lo: int
                 ) -> tuple[int, tuple, list[int], dict]:

@@ -484,6 +484,12 @@ BAD_INPUTS = {
         {"colouring": b"[" * 20_000},
     ),
     "unknown-suite": (["verify", "--suite", "nonsense"], {}),
+    # walks need alpha = 2, whatever k the start would have
+    "walk-alpha-3-start-k": (
+        ["walk", "--n", "4", "--r", "4", "--q", "3", "--sigma", "2,2",
+         "--alpha", "3", "--beta", "4", "--direction", "down", "--start-k", "2"],
+        {},
+    ),
     "output-dir-missing-json": (
         ["spectrum", *GAP_FLAGS, "--output", "{dir}/missing/report.json"], {},
     ),
@@ -554,9 +560,10 @@ def test_unwritable_output_exits_2_before_work(capsys, tmp_path, monkeypatch):
 APPENDIX_FLAGS = ["--n", "7", "--r", "12", "--q", "6", "--sigma", "6,6"]
 # (argv, start colouring or None): each trips --budget 1 in the engine
 BUDGET_TRIPS = {
+    # an instance the walk applies to, so the start's search runs
     "walk-start-k": (
-        ["walk", *APPENDIX_FLAGS, "--alpha", "2", "--beta", "3",
-         "--direction", "down", "--start-k", "5"], None,
+        ["walk", *TestWalkCommand.FLAGS, "--direction", "down", "--start-k", "6"],
+        None,
     ),
     # classes 2i and 2i+1 share a palette, so once the last class is
     # solid no local move applies and the walk falls back to the engine

@@ -1,8 +1,4 @@
-"""Demo scripts: each runs to completion without writing to stderr.
-
-``04_spectra_and_gaps.py`` and ``06_explore_open_territory.py`` take
-several seconds each and are left to be run by hand.
-"""
+"""Demo scripts: each runs to completion without writing to stderr."""
 
 import os
 import subprocess
@@ -16,7 +12,9 @@ FAST_DEMOS = [
     "01_model_and_edges.py",
     "02_validate_and_witness.py",
     "03_zone_and_closed_forms.py",
+    "04_spectra_and_gaps.py",
     "05_recolouring_walks.py",
+    "06_explore_open_territory.py",
 ]
 
 

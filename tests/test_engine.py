@@ -490,6 +490,15 @@ def reference_partitions(q, cap):
     return sorted(found, reverse=True)
 
 
+def assert_reads_capped(read, q, cap):
+    """``read`` is a list of partitions and their lengths, aligned, whose
+    partitions of at most ``cap`` parts are ``_partitions(q, cap)`` in
+    order."""
+    partitions, lengths = read
+    assert lengths == tuple(map(len, partitions)), (q, cap)
+    assert tuple(p for p in partitions if len(p) <= cap) == _partitions(q, cap), (q, cap)
+
+
 class TestPartitions:
     def test_capped_partitions_match_reference_in_order(self):
         for q in range(1, 11):
@@ -499,7 +508,7 @@ class TestPartitions:
     def test_rising_caps_widen_to_every_partition(self):
         # each k caps the parts per class at min(q, k) and reads the
         # partitions of q into at most that many parts, with their lengths,
-        # off the one list a spectrum's search keeps; by the last k that list
+        # in the one list a spectrum's search keeps; by the last k that list
         # holds every partition of q
         spec = spec_of(2, 8, [1, 1], 2, 2)
         search = family_search(spec)
@@ -511,23 +520,20 @@ class TestPartitions:
         search._capped_partitions = capped
         for k in range(1, spec.num_vertices + 1):
             search.decide(spec.n, k, 100)
-            expected = _partitions(8, min(8, k))
-            assert reads.pop() == (expected, tuple(map(len, expected))), k
+            assert_reads_capped(reads.pop(), 8, min(8, k))
         assert search._partitions == _partitions(8, 8)
 
     def test_any_cap_order_reads_the_capped_partitions(self):
         # a larger cap relists the held list at up to twice the held cap,
-        # never past q or twice the largest cap asked; a smaller one is read
-        # off it; the lengths come with the partitions
+        # never past q or twice the largest cap asked; a smaller one reads
+        # it in place; the lengths come with the partitions
         rng = random.Random(0)
         for q in range(1, 16):
             search = _Search(q, build_sigma([1, 1]), 2, 2)
             caps = [cap for cap in range(1, q + 1) for _ in range(2)]
             rng.shuffle(caps)
             for i, cap in enumerate(caps):
-                expected = _partitions(q, cap)
-                assert search._capped_partitions(cap) == (
-                    expected, tuple(map(len, expected))), (q, cap)
+                assert_reads_capped(search._capped_partitions(cap), q, cap)
                 assert search._partitions_cap <= min(q, 2 * max(caps[:i + 1])), (q, cap)
             assert search._partitions_cap == q
 
@@ -535,6 +541,14 @@ class TestPartitions:
         search = family_search(spec_of(2, 60, [1, 1], 2, 2))
         search.decide(2, 5, 100)
         assert search._partitions == _partitions(60, 5)
+
+    def test_a_smaller_cap_reads_the_held_list_itself(self):
+        # widened to cap 36 by k=36, the context hands k=3's cap of 3 parts
+        # its one list, not a filtered copy of it
+        search = _Search(36, build_sigma([1, 1]), 2, 2)
+        search.decide(2, 36, 100)
+        partitions, lengths = search._capped_partitions(3)
+        assert partitions is search._partitions and lengths is search._lengths
 
     def test_rising_caps_hold_one_list(self):
         # q=36 has 17,977 partitions; one list per cap 1..36 held 467,135

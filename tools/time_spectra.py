@@ -4,8 +4,10 @@ Each line holds the spectrum's name, its wall time in seconds, the total of
 its per-k node counts and its feasible k, so two checkouts can be compared:
 equal ``nodes=`` and ``feasible=`` fields mean the same search, and only the
 seconds may differ.  The set is the slowest spectrum of the no-gap grid, at
-alpha = 2, and six with alpha >= 3, where the engine keeps a verdict table
-per family for the low end of the colour window.
+alpha = 2; six with alpha >= 3, where the engine keeps a verdict table per
+family for the low end of the colour window; and one of wide classes, q =
+36, whose time is spent on the partitions of q its search context lists
+and scans.
 
     python tools/time_spectra.py
 """
@@ -27,6 +29,7 @@ SPECTRA = [
     (6, 6, (6, 6), 3, 3),
     (5, 5, (2, 2, 1), 4, 5),
     (6, 3, (1, 1, 1, 1), 3, 4),
+    (2, 36, (1, 1), 2, 2),
 ]
 
 
