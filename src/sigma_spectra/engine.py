@@ -241,9 +241,6 @@ class _Search:
             # binding it takes ends with exactly k colours
             if i == n:
                 return ()
-            # the shape groups every child must pass, as _group takes them
-            groups = placed if cap == 1 else tuple(
-                dict.fromkeys(itertools.combinations(placed, cap)))
             # the classes after this one add at most max_new colours each
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
@@ -265,7 +262,9 @@ class _Search:
                     rows[base + j] = entry
                 held, bindings, ends_from, masks = entry
                 live = bits = ends_from[lo - held]
-                for group in groups:
+                # the shape groups every child must pass, walked lazily: a
+                # repeat finds known >= live and live <= ok, so asks nothing
+                for group in placed if cap == 1 else itertools.combinations(placed, cap):
                     known, ok = masks.get(group, (0, 0))
                     fresh = live & ~known
                     if fresh:
@@ -414,15 +413,15 @@ class _Search:
         profile keys, offsets, table)``, the group's half of each shape test
         and, when alpha >= 3, what keys its verdict table.
 
-        A node's shape groups are the distinct ``s - 1``-element
-        combinations of its placed tuple, each sorted as a combination of a
-        sorted tuple is; every child must pass them all with its new
-        profile.  When sigma has two parts the placed tuple holds each id
-        once and is itself that list, so a group is its int id, here and in
-        the pass masks alike; otherwise it is a tuple of sorted ids.  Its
-        profile keys are in key order, slot j holding the j-th; an
-        arrangement of sigma's parts gives its first parts to the slots in
-        order and its last, a, to the new class.
+        A node's shape groups, which every child must pass with its new profile,
+        are the ``s - 1``-element combinations of its sorted placed tuple, each
+        sorted, walked lazily at each window visit: a repeat asks nothing, as
+        its first pass left every live binding known and passing.  When sigma
+        has two parts the placed tuple holds each id once and is itself that
+        list, so a group is its int id, here and in the pass masks alike;
+        otherwise it is a tuple of sorted ids.  Its profile keys are in key
+        order, slot j holding the j-th; an arrangement of sigma's parts gives
+        its first parts to the slots in order and its last, a, to the new class.
 
         Per arrangement, two exact tests.  An edge sees one colour c only if
         every class holds at least its part of c, and alpha >= 2 in every

@@ -1031,3 +1031,18 @@ class TestGoldenNodeCounts:
         assert checked.hexdigest() == VALIDATOR_GAP_SHA256
         # a group checked twice, or in another order, moves the count
         assert counter.checks == 3970
+
+    @pytest.mark.parametrize("n,q,parts,alpha,beta,nodes,checks", [
+        (6, 4, [2, 2, 2], 2, 5, 364_002, 116_413),  # groups of two ids
+        (6, 3, [1, 1, 1, 1], 3, 4, 3_529, 2_811),  # groups of three ids
+        # three distinct parts, low end by the alpha = 3 verdict table
+        (5, 4, [3, 2, 1], 3, 5, 27_635, 8_514),
+    ])
+    def test_wider_sigma_shape_checks(self, n, q, parts, alpha, beta, nodes, checks):
+        # s >= 3: each visit walks the s - 1-element combinations of the
+        # placed ids, repeats included; a repeat checked again, or the groups
+        # walked in another order, moves the count
+        with SEARCH_DIGEST.check_counter() as counter:
+            res = spectrum(spec_of(n, q, parts, alpha, beta))
+        assert sum(res.nodes_explored.values()) == nodes
+        assert counter.checks == checks

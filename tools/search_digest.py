@@ -20,8 +20,8 @@ meets its specs in ascending n.  Its ``decisions=`` and ``nodes=`` equal
 node count or witness; its ``checks`` are fewer, as pass masks found at one
 n serve every n.  ``tests/test_engine.py`` pins both fields of the
 ``nogap-sweep`` and ``gap-proof`` lines through :class:`EngineDigest`, from
-decisions its tests already make, and the ``gap-proof`` checks through
-:func:`check_counter`.
+decisions its tests already make, and through :func:`check_counter` the
+``gap-proof`` checks and those of three spectra with s >= 3 parts.
 
 The ``validator`` line holds one SHA-256 per set of engine witnesses, those
 of ``nogap-sweep`` and of ``gap-proof``, over (spec, classes, ``is_valid``,

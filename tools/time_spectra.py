@@ -1,13 +1,15 @@
 """Time whole engine spectra in process, one line per spectrum.
 
 Each line holds the spectrum's name, its wall time in seconds, the total of
-its per-k node counts and its feasible k, so two checkouts can be compared:
-equal ``nodes=`` and ``feasible=`` fields mean the same search, and only the
-seconds may differ.  The set is the slowest spectrum of the no-gap grid, at
-alpha = 2; six with alpha >= 3, where the engine keeps a verdict table per
-family for the low end of the colour window; and one of wide classes, q =
-36, whose time is spent on the partitions of q its search context lists
-and scans.
+its per-k node counts, its (group, binding) shape checks and its feasible k,
+so two checkouts can be compared: equal ``nodes=``, ``checks=`` and
+``feasible=`` fields mean the same search, and only the seconds may differ.
+``search_digest.check_counter`` counts the checks in a second, untimed run
+of each spectrum, so the seconds stay those of a plain run.  The set is the
+slowest spectrum of the no-gap grid, at alpha = 2; six with alpha >= 3,
+where the engine keeps a verdict table per family for the low end of the
+colour window; and one of wide classes, q = 36, whose time is spent on the
+partitions of q its search context lists and scans.
 
     python tools/time_spectra.py
 """
@@ -18,6 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from search_digest import check_counter  # noqa: E402
 from sigma_spectra import HypergraphSpec, build_sigma, spectrum  # noqa: E402
 
 # (n, q, sigma's parts, alpha, beta)
@@ -39,8 +42,10 @@ def main() -> None:
         start = time.perf_counter()
         res = spectrum(spec)
         seconds = time.perf_counter() - start
+        with check_counter() as counter:
+            spectrum(spec)
         print(f"{spec}: seconds={seconds:.3f} nodes={sum(res.nodes_explored.values())} "
-              f"feasible={list(res.feasible_k)}", flush=True)
+              f"checks={counter.checks} feasible={list(res.feasible_k)}", flush=True)
 
 
 if __name__ == "__main__":
