@@ -17,7 +17,7 @@ import json
 import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from operator import itemgetter
 from typing import Any, Iterator, Mapping, Sequence
@@ -217,11 +217,11 @@ def _profile_key(cls: tuple[int, ...]) -> ProfileKey:
     return tuple([(c, len(list(run))) for c, run in itertools.groupby(cls)])
 
 
-@cache
+@lru_cache(maxsize=4096)
 def _touch_sets(key: ProfileKey, part: int) -> tuple[int, ...]:
     """The colour sets, as bit masks, that a ``part``-vertex pick from a
     class with profile ``key`` can touch: at most ``part`` colours holding
-    at least ``part`` vertices.  Cached: keys of dense colours repeat."""
+    at least ``part`` vertices.  Cached, 4096 at most: keys of dense colours repeat."""
     return tuple(
         sum(1 << c for c, _ in combo)
         for size in range(1, min(part, len(key)) + 1)

@@ -344,12 +344,14 @@ class _Search:
         * the canonical colour bindings of the partition after ``used``
           colours that end with ``lo..hi`` colours, as (profile id, new used
           count) in generation order (parts of equal size form groups, each
-          taking old colours and fresh ones, fresh colours consecutive,
-          larger sizes first);
+          taking old colours, in colour order, then fresh ones, consecutive
+          from ``used`` up, larger sizes first).  Fresh colours lie above
+          old ones, so a key is sorted by colour as built: its olds, sorted
+          only when an earlier group took some, then its fresh pairs;
         * ``ends_from``: bit p of ``ends_from[e - lo]`` is set when binding p
-          ends with at least e colours, lo <= e <= hi.  The low end only
-          prunes subtrees, so those bits list, in order, the bindings of low
-          end e;
+          ends with at least e colours, lo <= e <= hi (a run of bits per count
+          of olds in the last group).  The low end only prunes subtrees, so
+          those bits list, in order, the bindings of low end e;
         * ``masks``: for each shape group checked against the entry,
           ``(known, ok)``, where bit p of ``known`` says binding p was
           checked against the group and bit p of ``ok`` that it passed.
@@ -366,33 +368,35 @@ class _Search:
         out: list[tuple[int, int]] = []
         ends_from = [0] * (hi - lo + 2)
 
-        def assign(gi: int, available: tuple[int, ...], fresh: int,
-                   pairs: tuple[tuple[int, int], ...]) -> None:
+        def assign(gi: int, available: tuple[int, ...], taken: ProfileKey,
+                   new: ProfileKey) -> None:
             size, count = groups[gi]
             final = gi == len(groups) - 1
-            # t old colours here leave at most used + fresh + (parts left) - t
-            # colours at the end, every later part taking a fresh one
-            most_old = used + fresh + len(partition) - len(pairs) - lo
+            start = used + len(new)
+            pairs = tuple(zip(available, itertools.repeat(size)))
+            # t old colours here leave at most used + len(partition) - len(taken)
+            # - t colours at the end, every part without an old one taking a fresh one
+            most_old = used + len(partition) - len(taken) - lo
             for t in range(min(count, len(available), most_old), -1, -1):
-                ends = used + fresh + count - t
+                ends = start + count - t
                 if ends > hi:
                     break
-                new_pairs = tuple(zip(range(used + fresh, ends),
-                                      itertools.repeat(size)))
-                for olds in itertools.combinations(available, t):
-                    here = pairs + tuple(zip(olds, itertools.repeat(size))) + new_pairs
-                    if not final:
-                        assign(gi + 1, tuple(c for c in available if c not in olds),
-                               ends - used, here)
-                        continue
-                    key = tuple(sorted(here))
+                here = new + tuple(zip(range(start, ends), itertools.repeat(size)))
+                if not final:
+                    for olds in itertools.combinations(pairs, t):
+                        rest = tuple(c for c in available if (c, size) not in olds)
+                        assign(gi + 1, rest, taken + olds, here)
+                    continue
+                first = len(out)
+                for olds in itertools.combinations(pairs, t):
+                    key = tuple(sorted(taken + olds)) + here if taken else olds + here
                     pid = ids.get(key)
                     if pid is None:
                         pid = self._intern(key)
-                    ends_from[ends - lo] |= 1 << len(out)
                     out.append((pid, ends))
+                ends_from[ends - lo] |= (1 << len(out)) - (1 << first)
 
-        assign(0, tuple(range(used)), 0, ())
+        assign(0, tuple(range(used)), (), ())
         del assign  # its closure holds it, as place's does
         for e in range(hi - lo, -1, -1):
             ends_from[e] |= ends_from[e + 1]
@@ -401,11 +405,17 @@ class _Search:
     def _intern(self, key: ProfileKey) -> int:
         """A new id for profile ``key``, and its colour masks: ``heavy[a]``
         holds the colours of multiplicity at least a, for a = 0..delta_max,
-        so ``heavy[1]`` is the profile's colour set."""
+        so ``heavy[1]`` is the profile's colour set: each colour at its
+        multiplicity, capped at delta_max, then one suffix OR."""
         pid = self._ids[key] = len(self._keys)
         self._keys.append(key)
-        self._heavy.append(tuple(sum(1 << c for c, m in key if m >= a)
-                                 for a in range(self.sigma.delta_max + 1)))
+        top = self.sigma.delta_max
+        heavy = [0] * (top + 1)
+        for c, m in key:
+            heavy[m if m < top else top] |= 1 << c
+        for a in range(top - 1, -1, -1):
+            heavy[a] |= heavy[a + 1]
+        self._heavy.append(tuple(heavy))
         return pid
 
     def _group(self, group: int | tuple[int, ...]) -> tuple:

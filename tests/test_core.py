@@ -136,6 +136,18 @@ class TestEdgeShapes:
         assert arrangements[-1] == (1,) * 13 + (2,)
 
 
+class TestTouchSets:
+    def test_the_cache_is_bounded(self):
+        # keys equal up to colour names are distinct entries; the LRU drops
+        # the oldest once it holds its bound, however many the process meets
+        assert core._touch_sets.cache_info().maxsize == 4096
+        core._touch_sets.cache_clear()
+        for c in range(5000):
+            assert core._touch_sets(((c, 2), (c + 1, 1)), 2) == (1 << c, 3 << c)
+        info = core._touch_sets.cache_info()
+        assert info.misses == 5000 and info.currsize == 4096
+
+
 def literal_edge_count(spec):
     """Independent count: enumerate r-subsets, filter by class profile."""
     total = 0

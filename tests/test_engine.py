@@ -580,6 +580,10 @@ class TestBindingWindow:
     can still complete to, never all of them."""
 
     def test_window_filters_the_full_list_in_order(self):
+        # bit p of ends_from[e - lo] is set exactly when binding p ends with
+        # at least e colours; and a fresh context interns the window's keys
+        # in the order they first appear, since a node sorts its placed ids
+        # and so walks its shape groups in id order
         search = family_search(A2)
         for q in range(1, 7):
             for partition in _partitions(q, q):
@@ -588,12 +592,21 @@ class TestBindingWindow:
                     top = used + len(partition)
                     for lo in range(-1, top + 2):
                         for hi in range(lo - 1, top + 2):
-                            window = search._window((partition, used, hi), lo)[1]
+                            where = (partition, used, lo, hi)
+                            wanted = tuple(b for b in full if lo <= b[1] <= hi)
+                            _, window, ends_from, _ = search._window(
+                                (partition, used, hi), lo)
                             assert tuple(
                                 (search._keys[i], new_used) for i, new_used in window
-                            ) == tuple(
-                                b for b in full if lo <= b[1] <= hi
-                            ), (partition, used, lo, hi)
+                            ) == wanted, where
+                            for e in range(lo, hi + 1):
+                                assert ends_from[e - lo] == sum(
+                                    1 << p for p, (_, ends) in enumerate(wanted)
+                                    if ends >= e), (where, e)
+                            fresh = family_search(A2)
+                            fresh._window((partition, used, hi), lo)
+                            assert fresh._keys == list(
+                                dict.fromkeys(key for key, _ in wanted)), where
 
     def test_cached_bindings_stay_below_the_nodes(self):
         # a class of 10 singleton parts has tens of thousands of bindings

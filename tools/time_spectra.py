@@ -1,4 +1,5 @@
-"""Time whole engine spectra in process, one line per spectrum.
+"""Time whole engine spectra in process, one line per spectrum and one for
+the whole no-gap grid.
 
 Each line holds the spectrum's name, its wall time in seconds, the total of
 its per-k node counts, its (group, binding) shape checks and its feasible k,
@@ -11,6 +12,13 @@ where the engine keeps a verdict table per family for the low end of the
 colour window; and one of wide classes, q = 36, whose time is spent on the
 partitions of q its search context lists and scans.
 
+Those eight are search-bound.  The last line, ``nogap-grid``, times the 108
+spectra of ``verification.nogap_grid()`` together, each in a fresh search
+context, as the ``nogap-sweep`` benchmark workload runs them, so work done
+per context (colour windows, profile ids, shape groups) shows in it too.
+Its ``nodes=`` and ``checks=`` equal those of ``tools/search_digest.py``'s
+``nogap-sweep`` line.
+
     python tools/time_spectra.py
 """
 
@@ -22,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from search_digest import check_counter  # noqa: E402
 from sigma_spectra import HypergraphSpec, build_sigma, spectrum  # noqa: E402
+from sigma_spectra.verification import nogap_grid  # noqa: E402
 
 # (n, q, sigma's parts, alpha, beta)
 SPECTRA = [
@@ -36,16 +45,29 @@ SPECTRA = [
 ]
 
 
+def timed(specs) -> tuple[float, list, int]:
+    """The seconds the spectra of ``specs`` take in one timed run, the
+    spectra, and their shape checks, counted in a second, untimed run."""
+    start = time.perf_counter()
+    results = [spectrum(spec) for spec in specs]
+    seconds = time.perf_counter() - start
+    with check_counter() as counter:
+        for spec in specs:
+            spectrum(spec)
+    return seconds, results, counter.checks
+
+
 def main() -> None:
     for n, q, parts, alpha, beta in SPECTRA:
         spec = HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
-        start = time.perf_counter()
-        res = spectrum(spec)
-        seconds = time.perf_counter() - start
-        with check_counter() as counter:
-            spectrum(spec)
+        seconds, (res,), checks = timed([spec])
         print(f"{spec}: seconds={seconds:.3f} nodes={sum(res.nodes_explored.values())} "
-              f"checks={counter.checks} feasible={list(res.feasible_k)}", flush=True)
+              f"checks={checks} feasible={list(res.feasible_k)}", flush=True)
+    specs = nogap_grid()
+    seconds, results, checks = timed(specs)
+    nodes = sum(sum(res.nodes_explored.values()) for res in results)
+    print(f"nogap-grid ({len(specs)} spectra): seconds={seconds:.3f} nodes={nodes} "
+          f"checks={checks}", flush=True)
 
 
 if __name__ == "__main__":
