@@ -216,23 +216,28 @@ class _Search:
         # profile is in it: fresh colours are consecutive, so the prefix uses
         # exactly the colours from 0 to the largest it placed, and partitions
         # are non-increasing in class order, so the last is the least placed
-        # one.  So failed[i] holds the placed tuples that failed at class i,
-        # the tuples a parent builds for its child, which it tests before the
-        # call and adds after a failure: a dict used as a set (smaller than a
-        # set from a few thousand entries up), made at the class's first
-        # visit.
-        failed: defaultdict[int, dict[tuple[int, ...], None]] = defaultdict(dict)
+        # one.  So failed[i] holds the placed ids that failed at class i, as
+        # a parent keys them for its child, which it tests before the call
+        # and adds after a failure: a dict used as a set (smaller than a set
+        # from a few thousand entries up), made at the class's first visit.
+        # At s = 2 an id is placed once and the key is the ids as bits, an
+        # int, so a memo hit builds no tuple; at s >= 3 it is the tuple.
+        failed: defaultdict[int, dict[int | tuple[int, ...], None]] = defaultdict(dict)
         # rows[used * count + j]: the window entry of partitions[j] after used
         # colours, reached by one int-keyed read
         rows: dict[int, tuple] = {}
         nodes = 0
 
-        def place(i: int, j: int, used: int,
-                  placed: tuple[int, ...]) -> tuple[int, ...] | None:
+        def place(i: int, j: int, used: int, placed: tuple[int, ...],
+                  seen: int) -> tuple[int, ...] | None:
             """Profile ids of classes ``i..`` that complete the prefix with
             exactly k colours, or None when no completion exists; the class
-            takes ``partitions[j]`` or a later one.  The node count, which
-            only grows, meets the budget here and when the decision ends."""
+            takes ``partitions[j]`` or a later one.  At s = 2 ``seen`` holds
+            the placed ids as bits, the memo key, else 0.  A window visit
+            counts its bindings when done: all after failing children, those
+            up to the witness's on return.  So the count the budget meets
+            here lags by the visits open on the stack, at most one window per
+            class; the check when the decision ends sees it whole."""
             nonlocal nodes
             if node_budget is not None and nodes > node_budget:
                 raise BudgetExceededError(
@@ -273,32 +278,34 @@ class _Search:
                     live &= ok
                     if not live:
                         break
-                # every binding of the window is a node, passing or not: a
-                # step to the next passing one counts the window's bindings
-                # up to it, failing ones included
-                done = 0
+                # every binding of the window is a node, passing or not
                 while live:
                     low = live & -live
-                    upto = (bits & (2 * low - 1)).bit_count()
-                    nodes += upto - done
-                    done = upto
+                    live ^= low
                     key, new_used = bindings[low.bit_length() - 1]
                     # the id joins at its sorted place, up to cap copies
+                    if cap == 1:
+                        memo = seen | 1 << key
+                        if memo in fails:
+                            continue
                     after = placed
-                    if placed.count(key) < cap:
+                    if memo != seen if cap == 1 else placed.count(key) < cap:
                         at = bisect.bisect(placed, key)
                         after = placed[:at] + (key,) + placed[at:]
-                    if after not in fails:
-                        rest = place(i + 1, j, new_used, after)
-                        if rest is not None:
-                            return (key,) + rest
-                        fails[after] = None
-                    live ^= low
-                nodes += bits.bit_count() - done
+                    if cap > 1:
+                        memo = after
+                        if memo in fails:
+                            continue
+                    rest = place(i + 1, j, new_used, after, memo if cap == 1 else 0)
+                    if rest is not None:
+                        nodes += (bits & (2 * low - 1)).bit_count()
+                        return (key,) + rest
+                    fails[memo] = None
+                nodes += bits.bit_count()
             return None
 
         try:
-            found = place(0, 0, 0, ())
+            found = place(0, 0, 0, (), 0)
         except BudgetExceededError:
             found = None  # nodes > node_budget, reported just below
         except RecursionError as exc:  # the search recurses once per class

@@ -633,14 +633,18 @@ class TestBindingWindow:
 
 class TestBudgetAccounting:
     """A node steps over the bindings that fail its shape groups in one go,
-    yet counts each of them, and the count is checked against the budget
-    when a class is entered and when the decision ends: a budget trips
-    exactly when the whole count passes it, and a tripped count reads
-    ``budget + 1``."""
+    yet counts each of them, once per window visit: a failing visit adds its
+    whole window after its children, a witness's visit the bindings up to
+    the witness's own.  The count is checked against the budget when a class
+    is entered, where it lags by the visits still open, and when the
+    decision ends, where it is whole: a budget trips exactly when the whole
+    count passes it, and a tripped count reads ``budget + 1``."""
 
-    def assert_budgets(self, spec, k, budgets):
-        """``budgets`` maps the unbudgeted node count to the budgets tried."""
+    def assert_budgets(self, spec, k, budgets, nodes=None):
+        """``budgets`` maps the unbudgeted node count, ``nodes`` when given,
+        to the budgets tried."""
         whole = decide_k(spec, k)
+        assert nodes in (None, whole.nodes), (k, whole.nodes)
         for budget in budgets(whole.nodes):
             d = decide_k(spec, k, budget)
             assert d.nodes == min(whole.nodes, budget + 1), (k, budget)
@@ -654,28 +658,38 @@ class TestBudgetAccounting:
 
     def test_appendix_k4_budgets(self):
         self.assert_budgets(APPENDIX, 4, lambda total: [
-            0, 1, 2, 5, 17, 123, 1_001, 9_999, 77_777, total - 1, total])
+            0, 1, 2, 5, 17, 123, 1_001, 9_999, 77_777, total - 1, total], 507_599)
+
+    def test_s3_infeasible_budgets(self):
+        # the failure memo keyed by sorted tuples of ids
+        self.assert_budgets(spec_of(5, 4, [2, 2, 2], 2, 5), 12, lambda total: [
+            0, 1, 2, 5, 17, 123, 1_001, total - 1, total], 18_982)
 
     def test_a_tripped_search_stops_near_its_budget(self):
         # the count is compared as each class is entered, so a search past
-        # its budget stops there rather than run its proof out: 25 of the
-        # appendix k=4 proof's 261 (group, window) mask rows at a budget of 50
+        # its budget stops there rather than run its proof out, though the
+        # visits still open on the stack have not been counted yet: 25 of
+        # the appendix k=4 proof's 261 (group, window) mask rows at a budget
+        # of 50
         def mask_rows(budget):
             search = family_search(APPENDIX)
             search.decide(APPENDIX.n, 4, budget)
             return sum(len(entry[3]) for entry in search._windows.values())
         assert mask_rows(50) * 4 < mask_rows(None)
 
-    # a witness returns through the call past the last class, whose entry
-    # check trips a budget crossed on the witness's own binding
-    @pytest.mark.parametrize("spec,k,budgets", [
-        (APPENDIX, 3, lambda total: range(total + 2)),  # 23 nodes
-        (APPENDIX, 8, lambda total: range(total + 2)),  # 44 nodes
-        (spec_of(6, 6, [3, 2], 2, 3), 3, lambda total: [  # 921 nodes
+    # a witness's visits count the bindings up to its own on the way back,
+    # after every entry check, so the check when the decision ends trips a
+    # budget crossed on the witness's path; the pinned totals count only
+    # the bindings up to the witness's in each of its windows
+    @pytest.mark.parametrize("spec,k,nodes,budgets", [
+        (APPENDIX, 3, 23, lambda total: range(total + 2)),
+        (APPENDIX, 8, 44, lambda total: range(total + 2)),
+        (spec_of(6, 6, [3, 2], 2, 3), 3, 921, lambda total: [
             0, 1, 2, 5, 17, 123, total - 2, total - 1, total]),
-    ], ids=["appendix-k3", "appendix-k8", "n6-q6-s32-k3"])
-    def test_feasible_budgets(self, spec, k, budgets):
-        self.assert_budgets(spec, k, budgets)
+        (spec_of(5, 4, [2, 2, 2], 2, 5), 11, 157, lambda total: range(total + 2)),
+    ], ids=["appendix-k3", "appendix-k8", "n6-q6-s32-k3", "n5-q4-s222-k11"])
+    def test_feasible_budgets(self, spec, k, nodes, budgets):
+        self.assert_budgets(spec, k, budgets, nodes)
 
 
 class TestDecisionLifetime:
@@ -702,12 +716,13 @@ class TestDecisionLifetime:
             gc.enable()
         assert d.verdict == "infeasible" and d.nodes == 507_599
         assert found < 100
-        # the memo holds, per class, a dict used as a set of the placed
-        # tuples its children were given: 3.05 MB traced, against 3.28 MB
-        # with a set per class, 4.05 MB with a set per (class, partition),
-        # 4.10 MB as flat (class, partition, used) + placed tuples in one
-        # dict and 6.0 MB as 4-tuples holding the placed ids in a set
-        assert peak < 5.25 * 2**20
+        # the memo holds, per class, a dict used as a set of the placed ids
+        # its children were given, as bits at s = 2: 1.92 MiB traced, against
+        # 3.05 MiB keyed by the sorted placed tuples, 3.28 MiB with those in
+        # a set per class, 4.05 MiB with a set per (class, partition), 4.10
+        # MiB as flat (class, partition, used) + placed tuples in one dict
+        # and 6.0 MiB as 4-tuples holding the placed ids in a set
+        assert peak < 2.5 * 2**20
 
     def test_shape_checks_leave_nothing_for_the_collector(self):
         # with k=1..12 decided in the same context, the s=3 proof at k=13

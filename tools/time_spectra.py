@@ -1,5 +1,5 @@
-"""Time whole engine spectra in process, one line per spectrum and one for
-the whole no-gap grid.
+"""Time whole engine spectra in process, one line per spectrum, one for a
+lone decision and one for the whole no-gap grid.
 
 Each line holds the spectrum's name, its wall time in seconds, the total of
 its per-k node counts, its (group, binding) shape checks and its feasible k,
@@ -12,10 +12,18 @@ where the engine keeps a verdict table per family for the low end of the
 colour window; and one of wide classes, q = 36, whose time is spent on the
 partitions of q its search context lists and scans.
 
-Those eight are search-bound.  The last line, ``nogap-grid``, times the 108
-spectra of ``verification.nogap_grid()`` together, each in a fresh search
-context, as the ``nogap-sweep`` benchmark workload runs them, so work done
-per context (colour windows, profile ids, shape groups) shows in it too.
+The ``decide`` line times one decision, the appendix gap fixture's k = 4
+infeasibility proof, H(7,6|(6,6)), alpha = beta = 3, in a fresh search
+context: most of the ``gap-proof`` benchmark workload's time is spent in
+it, so a change to the failing steps of the search shows there.  It holds
+the seconds, the node count (507599) and the shape checks, counted as for
+a spectrum.
+
+Those nine lines are search-bound.  The last line, ``nogap-grid``, times
+the 108 spectra of ``verification.nogap_grid()`` together, each in a fresh
+search context, as the ``nogap-sweep`` benchmark workload runs them, so
+work done per context (colour windows, profile ids, shape groups) shows in
+it too.
 Its ``nodes=`` and ``checks=`` equal those of ``tools/search_digest.py``'s
 ``nogap-sweep`` line.
 
@@ -29,7 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from search_digest import check_counter  # noqa: E402
-from sigma_spectra import HypergraphSpec, build_sigma, spectrum  # noqa: E402
+from sigma_spectra import HypergraphSpec, build_sigma, decide_k, spectrum  # noqa: E402
 from sigma_spectra.verification import nogap_grid  # noqa: E402
 
 # (n, q, sigma's parts, alpha, beta)
@@ -43,6 +51,8 @@ SPECTRA = [
     (6, 3, (1, 1, 1, 1), 3, 4),
     (2, 36, (1, 1), 2, 2),
 ]
+# (n, q, sigma's parts, alpha, beta), k
+DECISION = (7, 6, (6, 6), 3, 3), 4
 
 
 def timed(specs) -> tuple[float, list, int]:
@@ -57,12 +67,25 @@ def timed(specs) -> tuple[float, list, int]:
     return seconds, results, counter.checks
 
 
+def spec_of(n, q, parts, alpha, beta) -> HypergraphSpec:
+    return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+
+
 def main() -> None:
-    for n, q, parts, alpha, beta in SPECTRA:
-        spec = HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+    for row in SPECTRA:
+        spec = spec_of(*row)
         seconds, (res,), checks = timed([spec])
         print(f"{spec}: seconds={seconds:.3f} nodes={sum(res.nodes_explored.values())} "
               f"checks={checks} feasible={list(res.feasible_k)}", flush=True)
+    row, k = DECISION
+    spec = spec_of(*row)
+    start = time.perf_counter()
+    decision = decide_k(spec, k)
+    seconds = time.perf_counter() - start
+    with check_counter() as counter:
+        decide_k(spec, k)
+    print(f"decide {spec} k={k}: seconds={seconds:.3f} nodes={decision.nodes} "
+          f"checks={counter.checks} verdict={decision.verdict}", flush=True)
     specs = nogap_grid()
     seconds, results, checks = timed(specs)
     nodes = sum(sum(res.nodes_explored.values()) for res in results)
