@@ -18,7 +18,9 @@ infeasible construction, or a ``walk`` step that breaks validity (one
 arguments or input files (``construct`` takes ``--k`` exactly when its
 kind is not ``beta``), an ``--output`` that cannot be written (checked
 before any work), or an instance with more classes than the engine
-search's recursion depth allows; 3 budget truncation in ``spectrum``, or
+search's recursion depth allows or, without edges, more vertices than
+``WITNESS_VERTEX_LIMIT`` in a witness (``SPECTRUM_WITNESS_VERTEX_LIMIT``
+over all of a ``spectrum``'s); 3 budget truncation in ``spectrum``, or
 a ``walk`` or ``construct`` cut short by ``--budget``.
 """
 

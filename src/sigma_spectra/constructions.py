@@ -16,7 +16,7 @@ from .core import Colouring, HypergraphSpec, canonical_colouring  # noqa: F401
 from .engine import k_colourable
 from .errors import InfeasibleError, NotApplicableError, TheoremViolationError
 from .formulas import (MonoDistribution, _check_window_around_s, max_sum_capped_head,
-                       mono_zone, mono_zone_lower_bound)
+                       mono_zone)
 from .validator import is_valid
 
 __all__ = [
@@ -249,14 +249,6 @@ def _private_map(colouring: Colouring) -> dict[int, list[int]]:
     return out
 
 
-def _validated(spec: HypergraphSpec, colouring: Colouring, what: str) -> None:
-    if not is_valid(spec, colouring):
-        raise TheoremViolationError(
-            f"{what} produced an invalid colouring; the no-gap analysis "
-            f"rules this out for {spec}"
-        )
-
-
 def spectrum_walk_steps(
     spec: HypergraphSpec,
     start: Colouring,
@@ -267,10 +259,10 @@ def spectrum_walk_steps(
 
     Walking ``down`` reaches n+1 colours; walking ``up`` reaches one colour
     below the monochromatic zone.  Greedy local moves are tried first; when
-    none applies the engine supplies the adjacent colouring and the step is
-    recorded as ``engine-fallback``.  Each step keeps the in-place snapshot
-    its move produced (see :class:`WalkStep`); ``Colouring.canonical()``
-    gives its canonical form on request.
+    none applies, which only happens walking down, the engine supplies a
+    colouring with one colour fewer, recorded as ``engine-fallback``.  Each
+    step keeps the in-place snapshot its move produced (see :class:`WalkStep`);
+    ``Colouring.canonical()`` gives its canonical form on request.
     """
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
@@ -278,29 +270,15 @@ def spectrum_walk_steps(
     if not is_valid(spec, start):
         raise InfeasibleError("start colouring is not valid for this window")
 
-    target = (
-        spec.n + 1
-        if direction == "down"
-        else mono_zone_lower_bound(spec) - 1
-    )
+    target = spec.n + 1 if direction == "down" else mono_zone(spec).lo - 1
     current = start
     steps: list[WalkStep] = []
-
-    def record(kind: str, class_index: int | None, after: Colouring) -> None:
-        nonlocal current
-        _validated(spec, after, f"{kind} on class {class_index}")
-        current = after
-        steps.append(WalkStep(step=RecolourStep(class_index=class_index, kind=kind),
-                              colouring=after))
-
     # the private-colour counts (2 meaning two or more) a walk looks for,
     # in order of preference
     wanted = (2, 1) if direction == "down" else (0, 1)
-    guard = 0
     while (current.colour_count > target if direction == "down"
            else current.colour_count < target):
-        guard += 1
-        if guard > 4 * spec.n * spec.num_vertices:
+        if len(steps) >= 4 * spec.n * spec.num_vertices:
             raise TheoremViolationError("walk failed to make progress")
         privates = _private_map(current)
         first_with: dict[int, int] = {}
@@ -309,24 +287,30 @@ def spectrum_walk_steps(
                 first_with.setdefault(min(len(privates[i]), 2), i)
         i = next((first_with[p] for p in wanted if p in first_with), None)
         if i is None:
-            step_to = (
-                current.colour_count - 1
-                if direction == "down"
-                else current.colour_count + 1
-            )
-            fallback = k_colourable(spec, step_to, node_budget)
-            if fallback is None:
+            # Only a downward walk gets here.  Walking up (α = 2, with edges),
+            # every class would be solid or hold 2+ private colours.  No colour
+            # lies on s solid classes (their edge would see one colour), so the
+            # solid classes S take ⌈|S|/(s−1)⌉+ colours, and if |S| < s the
+            # others alone take 2(n − s + 1)+: either way L − 1 or more, with L
+            # = max(2, ⌈n/(s−1)⌉) the zone's low end, so the loop has stopped.
+            k = current.colour_count - 1
+            kind, after = "engine-fallback", k_colourable(spec, k, node_budget)
+            if after is None:
                 raise TheoremViolationError(
-                    f"walk stuck at {current.colour_count} colours and "
-                    f"k={step_to} is infeasible; contradicts the no-gap law"
-                )
-            record("engine-fallback", None, fallback)
-            continue
-        mine = privates[i]
-        if len(mine) < 2:
-            record("whole-class-to-new", i, recolour_whole_class(current, i))
+                    f"walk stuck at {k + 1} colours and k={k} is infeasible; "
+                    "contradicts the no-gap law")
+        elif len(privates[i]) < 2:
+            kind, after = "whole-class-to-new", recolour_whole_class(current, i)
         else:
-            record("split-to-fixed", i, split_to_fixed(current, i, mine[-1], mine[0]))
+            kind, after = "split-to-fixed", split_to_fixed(
+                current, i, privates[i][-1], privates[i][0])
+        if not is_valid(spec, after):
+            raise TheoremViolationError(
+                f"{kind} on class {i} produced an invalid colouring; the no-gap "
+                f"analysis rules this out for {spec}")
+        steps.append(WalkStep(step=RecolourStep(class_index=i, kind=kind),
+                              colouring=after))
+        current = after
     return steps
 
 

@@ -177,7 +177,7 @@ class Colouring:
         try:
             q = len(classes[0])
             sizes = set(map(len, classes))
-        except TypeError:
+        except (TypeError, LookupError):
             raise ValueError("classes must be a sequence of colour sequences, got "
                              f"{reprlib.repr(classes)}") from None
         if q == 0 or len(sizes) != 1:

@@ -43,8 +43,10 @@ class InfeasibleError(SigmaSpectraError, ValueError):
 
 
 class InstanceTooLargeError(SigmaSpectraError, ValueError):
-    """An instance is beyond the literal oracle's size cap, or has more
-    classes than the engine search's recursion depth allows."""
+    """An instance is beyond the literal oracle's size cap, has more classes
+    than the engine search's recursion depth allows, or, without edges,
+    needs a witness past ``engine.WITNESS_VERTEX_LIMIT`` vertices (a
+    spectrum: witnesses past ``engine.SPECTRUM_WITNESS_VERTEX_LIMIT`` in all)."""
 
 
 class BudgetExceededError(SigmaSpectraError):

@@ -595,6 +595,22 @@ def test_budget_trip_exits_3_with_one_line(case, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_walk_diagnostic_exits_1_with_one_line(capsys, tmp_path, monkeypatch):
+    # the fallback instance of BUDGET_TRIPS with an engine that finds no
+    # adjacent colouring: the walk's TheoremViolationError becomes exit 1
+    argv, classes = BUDGET_TRIPS["walk-engine-fallback"]
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"n": len(classes), "q": len(classes[0]),
+                                 "classes": classes}))
+    monkeypatch.setattr("sigma_spectra.constructions.k_colourable",
+                        lambda *args, **kwargs: None)
+    code, out, err = run(capsys, [arg.format(start=start) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["walk diagnostic: walk stuck at 7 colours and k=6 is "
+                                "infeasible; contradicts the no-gap law"]
+
+
 ODD = st.sampled_from(["0", "-1", "x", "1.5", ""])
 BUDGETS = st.sampled_from(["1", "30", "300"])
 

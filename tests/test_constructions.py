@@ -1,5 +1,6 @@
 """Constructive colourings and recolouring walks."""
 
+import itertools
 import json
 import random
 
@@ -11,6 +12,7 @@ from sigma_spectra import (
     InfeasibleError,
     NotApplicableError,
     RecolourStep,
+    TheoremViolationError,
     WalkStep,
     beta_colouring,
     build_sigma,
@@ -329,6 +331,68 @@ class TestWalks:
         walk = spectrum_walk(spec, start, "up")
         assert [c.colour_count for c in walk] == [spec.n]
 
+    def test_up_walk_without_edges_takes_no_step(self):
+        # q = 2 holds no part of 3, so the zone is [1, n] and the walk's
+        # target, one colour below it, is already passed at one colour
+        spec = spec_of(3, 2, [3, 3], 2, 6)
+        assert not spec.has_edges
+        start = Colouring(classes=((0, 0),) * 3)
+        assert spectrum_walk_steps(spec, start, "up") == []
+
+    def test_up_walks_never_need_the_engine(self, monkeypatch):
+        # every valid colouring below the upward target, on every spec with
+        # edges a walk applies to and n*q <= 10, walks up by local moves alone
+        import sigma_spectra.constructions as cons
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an upward walk asked the engine")
+
+        monkeypatch.setattr(cons, "k_colourable", no_engine)
+        walks = 0
+        for spec in _walkable_specs_with_edges(10):
+            target = mono_zone(spec).lo - 1
+            for start in _valid_colourings_below(spec, target):
+                steps = spectrum_walk_steps(spec, start, "up")
+                assert steps[-1].colour_count == target
+                walks += 1
+        assert walks == 2227
+
+    @pytest.mark.parametrize("move, spec, classes, kind, index", [
+        ("split_to_fixed", spec_of(3, 2, [2, 2], 2, 4),
+         ((4, 4), (0, 1), (2, 3)), "split-to-fixed", 1),
+        ("recolour_whole_class", spec_of(4, 2, [2, 2], 2, 4),
+         ((0, 1), (0, 2), (3, 5), (3, 4)), "whole-class-to-new", 0),
+        ("k_colourable", spec_of(4, 4, [3, 3], 2, 6),
+         ((0, 1, 2, 0), (0, 1, 2, 1), (3, 4, 5, 3), (3, 4, 5, 4)),
+         "engine-fallback", None),
+    ])
+    def test_an_invalid_move_is_a_diagnostic(self, monkeypatch, move, spec, classes,
+                                             kind, index):
+        import sigma_spectra.constructions as cons
+        solid = Colouring(classes=((0,) * spec.q,) * spec.n)
+        monkeypatch.setattr(cons, move, lambda *args, **kwargs: solid)
+        with pytest.raises(TheoremViolationError,
+                           match=rf"^{kind} on class {index} produced an invalid "
+                                 "colouring; the no-gap analysis rules this out"):
+            spectrum_walk_steps(spec, Colouring(classes=classes), "down")
+
+    def test_a_walk_that_makes_no_progress_stops(self, monkeypatch):
+        # a move that gives back its input keeps the walk at 5 colours; the
+        # guard trips before step 4 * n * n * q + 1
+        import sigma_spectra.constructions as cons
+        spec = spec_of(3, 2, [2, 2], 2, 4)
+        calls = []
+
+        def stay(colouring, *args):
+            calls.append(args)
+            return colouring
+
+        monkeypatch.setattr(cons, "split_to_fixed", stay)
+        start = Colouring(classes=((4, 4), (0, 1), (2, 3)))
+        with pytest.raises(TheoremViolationError, match="failed to make progress"):
+            spectrum_walk_steps(spec, start, "down")
+        assert len(calls) == 4 * spec.n * spec.num_vertices == 72
+
     def test_walk_requires_alpha_two(self):
         spec = spec_of(5, 2, [2, 2], 3, 3)
         c = Colouring(classes=tuple((0, j + 1) for j in range(5)))
@@ -349,7 +413,6 @@ class TestWalks:
             (0, 1, 2, 0), (0, 1, 2, 1), (3, 4, 5, 3), (3, 4, 5, 4),
         ))
         monkeypatch.setattr(cons, "k_colourable", lambda *a, **k: None)
-        from sigma_spectra import TheoremViolationError
         with pytest.raises(TheoremViolationError):
             spectrum_walk_steps(spec, start, "down")
 
@@ -399,6 +462,42 @@ class TestWalks:
         assert [ws.step.kind for ws in steps] == ["engine-fallback"]
         assert steps[-1].colour_count == 5
         assert steps[-1].step.class_index is None
+
+
+def _walkable_specs_with_edges(most_vertices):
+    """Every spec with edges that a walk applies to and at most
+    ``most_vertices`` vertices (β up to r, past which nothing changes)."""
+    for n in range(2, most_vertices + 1):
+        for q in range(1, most_vertices // n + 1):
+            for s in range(2, n + 1):
+                for parts in itertools.combinations_with_replacement(range(q, 0, -1), s):
+                    for beta in range(s, sum(parts) + 1):
+                        if parts[-1] >= sum(parts) - beta + 1:
+                            yield spec_of(n, q, list(parts), 2, beta)
+
+
+def _valid_colourings_below(spec, target):
+    """Every valid colouring of ``spec`` with fewer than ``target`` colours, up
+    to renaming colours: a class is a multiset whose colours new to the
+    prefix are the next unused ones, and a prefix grows only while it is a
+    valid colouring of the first classes."""
+    found = []
+
+    def grow(classes, used):
+        if len(classes) == spec.n:
+            found.append(Colouring(classes=tuple(classes)))
+            return
+        prefix = HypergraphSpec(n=len(classes) + 1, q=spec.q, sigma=spec.sigma,
+                                alpha=spec.alpha, beta=spec.beta)
+        palette = range(min(used + spec.q, target - 1))
+        for cls in itertools.combinations_with_replacement(palette, spec.q):
+            fresh = len({c for c in cls if c >= used})
+            if max(cls) == used + fresh - 1 or fresh == 0:
+                if is_valid(prefix, Colouring(classes=(*classes, cls))):
+                    grow([*classes, cls], used + fresh)
+
+    grow([], 0)
+    return found
 
 
 def _paired_start(n, q):

@@ -407,9 +407,10 @@ class TestColouringValidation:
         with pytest.raises(ValueError):
             Colouring(classes=((0, -1),))
 
-    @pytest.mark.parametrize("bad", [5, ((0, 1), 5), (None,), ((0, 1), None)])
+    @pytest.mark.parametrize("bad", [5, ((0, 1), 5), (None,), ((0, 1), None), {1: (0,)}])
     def test_rejects_classes_that_are_not_sequences(self, bad):
-        # these once failed inside len() or an index with a bare TypeError
+        # these once failed inside len() or an index with a bare TypeError,
+        # or, for a mapping without key 0, a bare KeyError
         with pytest.raises(ValueError, match="classes must be a sequence of colour "
                                              "sequences, got "):
             Colouring(classes=bad)
