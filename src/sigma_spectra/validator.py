@@ -7,9 +7,10 @@ touched matters, never how the count splits beyond feasibility.  The solver
 walks the classes once, tracking only the part of the running colour union
 that future classes can still see, and gives both range ends in one pass;
 ``find_violation`` reads its pick off the same solver.  The range cache, a
-bounded LRU, keys a shape by the raw profile keys and parts its caller
-passes; only a miss renames the colours densely, in sorted order, to bits
-of an integer mask.  The engine checks its shapes without the solver.
+bounded LRU, keys a shape as passed; a miss renames its colours densely to
+mask bits.  The validator passes shapes renamed by first appearance (equal
+up to colour names, one solve) and caches each class's key and ranges.  The
+engine checks its shapes without the solver.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def _range_of(profile_keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
               ) -> tuple[int, int]:
     """The (fewest, most) distinct colours over picks of ``parts[j]``
     vertices from the class with profile key ``profile_keys[j]``, raw
-    (colour, mult) pairs; no validation.  Keyed by the shape as passed, so
+    (colour, mult) pairs in any order (the solver and :func:`_touch_sets`
+    read a key as a set); no validation.  Keyed by the shape as passed, so
     only a miss renames its colours (:func:`_dense`) and solves."""
     return _solver(_dense(profile_keys)[1], parts)[0](0, 0)
 
@@ -117,13 +119,14 @@ def edge_colour_range(
     """Minimum and maximum distinct colours over all vertex selections.
 
     ``parts[j]`` vertices are drawn from the class described by
-    ``profiles[j]``; the range covers every simultaneous choice.
+    ``profiles[j]``; the range covers every simultaneous choice.  A part
+    that is not an int >= 1 (a bool included) raises ``ValueError``.
     """
     if len(profiles) != len(parts) or not parts:
         raise ValueError("profiles and parts must align and be non-empty")
     for prof, a in zip(profiles, parts):
-        if a < 1:
-            raise ValueError(f"part sizes must be >= 1, got {a}")
+        if type(a) is not int or a < 1:
+            raise ValueError(f"part sizes must be ints >= 1, got {a!r}")
         if a > prof.total:
             raise InfeasibleShapeError(
                 f"part {a} exceeds class size {prof.total}"
@@ -199,6 +202,15 @@ def _class_row(mults: tuple[int, ...], top: int, width: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+@lru_cache(maxsize=4096)
+def _class_data(cls: tuple[int, ...], top: int, width: int
+                ) -> tuple[ProfileKey, tuple[int, ...]]:
+    """The profile key of the sorted class ``cls`` and its packed range row
+    (:func:`_class_row`), cached: walk steps and probes repeat classes."""
+    key = _profile_key(cls)
+    return key, _class_row(tuple(sorted([m for _, m in key], reverse=True)), top, width)
+
+
 def _first_violation(spec: HypergraphSpec, colouring: Colouring
                      ) -> tuple[tuple[int, ...], tuple[int, ...], int,
                                 tuple[ProfileKey, ...]] | None:
@@ -206,16 +218,16 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
     (class tuple, parts, the offending distinct-colour count, the classes'
     profile keys), or None.
 
-    Each class's profile key, colour mask (over the colouring's colours
-    renamed densely) and packed per-part ranges (:func:`_class_row`) are
-    built once per call.  An edge's colours are the union of what its
-    classes contribute, so when the classes of a shape share no colour the
-    union is disjoint and the shape's range is the sum of its classes'
-    ranges, both ends in one sum of packed ints (no end exceeds the edge
-    size r, so they never carry into each other); any other shape goes to
-    :func:`range_of_keys`.  The shapes of a spec never ask for more vertices
-    than a class holds, so the checks of :func:`edge_colour_range` are
-    skipped.
+    Each class's profile key and packed per-part ranges come from
+    :func:`_class_data`, once per distinct class; only its colour mask (over
+    the colouring's colours renamed densely) is built per call.  When a
+    shape's classes share no colour, its edges' colours are a disjoint union
+    and its range the sum of their ranges, both ends in one sum of packed
+    ints (no end exceeds the edge size r, so they never carry); any other
+    shape goes to :func:`range_of_keys` with its colours renamed by first
+    appearance, in slot order, so shapes equal up to colour names share one
+    entry.  A spec's shapes never ask for more vertices than a class holds:
+    :func:`edge_colour_range`'s checks are skipped.
     """
     _check_dimensions(spec, colouring)
     if not spec.has_edges:
@@ -226,21 +238,22 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
     dense: dict[int, int] = {}
     keys, masks, ranges = [], [], []
     for cls in colouring.classes:
-        key = _profile_key(cls)
+        key, row = _class_data(cls, top, width)
         mask = 0
         for c, _ in key:
             mask |= 1 << dense.setdefault(c, len(dense))
-        mults = tuple(sorted([m for _, m in key], reverse=True))
         keys.append(key)
         masks.append(mask)
-        ranges.append(_class_row(mults, top, width))
+        ranges.append(row)
     alpha, beta = spec.alpha, spec.beta
     arrangements = spec.sigma.arrangements
     for class_tuple in itertools.combinations(range(spec.n), spec.sigma.s):
         seen = 0
         for i in class_tuple:
-            if masks[i] & seen:
-                shape, rows = tuple(keys[i] for i in class_tuple), None
+            if masks[i] & seen:  # a shared colour: key the shape up to colour names
+                names, rows = {}, None
+                shape = tuple([tuple([(names.setdefault(c, len(names)), m)
+                                      for c, m in keys[i]]) for i in class_tuple])
                 break
             seen |= masks[i]
         else:  # the classes share no colour: their ranges add up

@@ -24,6 +24,7 @@ from sigma_spectra import validator
 from sigma_spectra.core import _profile_key
 from sigma_spectra.engine import _partitions
 from sigma_spectra.validator import (
+    _class_data,
     _class_row,
     _first_violation,
     _range_of,
@@ -95,6 +96,14 @@ class TestEdgeColourRange:
             solve([], [])
         with pytest.raises(ValueError):
             solve([prof({0: 2})], [0])
+
+    @pytest.mark.parametrize("part", [1.5, True], ids=["float", "bool"])
+    def test_a_part_that_is_not_an_int_is_a_value_error(self, part):
+        # as decide_k's k: a float leaked a TypeError from the solver, and a
+        # bool was read as the int 1
+        p = prof({0: 2, 1: 1})
+        with pytest.raises(ValueError, match="part sizes must be ints >= 1"):
+            edge_colour_range([p, p], [part, 1])
 
     def test_single_class_shape(self):
         assert edge_colour_range([prof({0: 2, 1: 1, 2: 1})], [3]) == (2, 3)
@@ -223,6 +232,47 @@ class TestRangeCacheKey:
         order = data.draw(st.permutations(range(len(parts))))
         assert range_of_keys(tuple(any_names[i] for i in order),
                              tuple(parts[i] for i in order)) == base
+
+
+def first_appearance(keys):
+    """``keys`` with each colour renamed to its place in order of first
+    appearance, slot by slot; a key's pairs keep their order."""
+    names = {}
+    return tuple(tuple((names.setdefault(c, len(names)), m) for c, m in key)
+                 for key in keys)
+
+
+class TestRenamedShapeKeys:
+    """The validator asks the range cache for a shared-colour shape with its
+    colours renamed by first appearance, so shapes equal up to colour names
+    share one entry and one solve."""
+
+    SPEC = HypergraphSpec(n=2, q=2, sigma=build_sigma([2, 2]), alpha=2, beta=3)
+
+    def test_shapes_equal_up_to_colour_names_solve_once(self):
+        # both colourings have one shape, whole classes sharing one colour,
+        # and one arrangement; their raw keys differ only by colour names
+        first = Colouring(classes=((0, 1), (1, 2)))
+        second = Colouring(classes=((5, 7), (7, 9)))
+        _range_of.cache_clear()
+        assert is_valid(self.SPEC, first) and is_valid(self.SPEC, second)
+        info = _range_of.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_witnesses_name_the_real_colours(self):
+        spec = HypergraphSpec(n=2, q=2, sigma=build_sigma([2, 2]), alpha=2, beta=2)
+        w = find_violation(spec, Colouring(classes=((5, 7), (7, 9))))
+        assert w.distinct_colours == 3
+        assert w.per_class_choice == ({5: 1, 7: 1}, {7: 1, 9: 1})
+
+    @given(raw_shapes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_renamed_shape_keeps_the_range(self, shape, data):
+        keys, parts = shape
+        order = data.draw(st.permutations(range(len(parts))))
+        keys = tuple(keys[i] for i in order)
+        parts = tuple(parts[i] for i in order)
+        assert range_of_keys(first_appearance(keys), parts) == range_of_keys(keys, parts)
 
 
 class TestSelectionAchieving:
@@ -536,3 +586,29 @@ class TestClassRows:
             assert job.verify(job.run()) == []
         assert specs and asked
         assert row.cache_info().currsize == len(asked)
+
+
+class TestClassData:
+    """Each distinct class's profile key and range row come from a bounded
+    cache keyed by the class's content."""
+
+    def test_the_cache_is_bounded(self):
+        assert _class_data.cache_info().maxsize == 4096
+        _class_data.cache_clear()
+        spec = HypergraphSpec(n=3, q=2, sigma=build_sigma([1, 1]), alpha=2, beta=2)
+        for c in range(0, 6 * 1500, 6):  # 4,500 distinct classes, no shared colour
+            assert is_valid(spec, Colouring(classes=((c, c + 1), (c + 2, c + 3),
+                                                     (c + 4, c + 5))))
+        info = _class_data.cache_info()
+        assert info.misses == 4500 and info.currsize == info.maxsize
+
+    def test_equal_classes_of_two_colourings_hit(self):
+        spec = HypergraphSpec(n=3, q=3, sigma=build_sigma([2, 1]), alpha=2, beta=3)
+        classes = ((0, 0, 1), (1, 2, 2), (3, 3, 3))
+        first = Colouring(classes=classes)
+        second = Colouring(classes=tuple(tuple(list(cls)) for cls in classes))
+        _class_data.cache_clear()
+        assert is_valid(spec, first) == is_valid(spec, second)
+        info = _class_data.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+        assert _class_data((0, 0, 1), 2, spec.r.bit_length())[0] == ((0, 2), (1, 1))

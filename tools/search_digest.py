@@ -31,8 +31,9 @@ perturbations of it (:func:`validator_records`), then the validator's
 ``validator._range_of.cache_info()`` (each call is one cache access, a hit
 or a miss), and ``row_misses``, the misses of the per-class range rows
 (``validator._class_row``, one per multiplicity pattern met), all from
-empty caches.  Equal sha256 fields mean equal verdicts and equal violation
-witnesses; the tests pin them beside the engine digests.
+empty caches (``validator._class_data`` included).  Equal sha256 fields
+mean equal verdicts and equal violation witnesses; the tests pin them
+beside the engine digests.
 
 The ``verify`` line holds a SHA-256 over every row (suite, name, passed,
 detail) of every suite in ``verification.SUITES``, in ``SUITES`` order.
@@ -299,6 +300,7 @@ def main() -> None:
         print(f"{name}: decisions={decided} nodes={counted} checks={counter.checks}")
     validator._range_of.cache_clear()
     validator._class_row.cache_clear()
+    validator._class_data.cache_clear()
     fields = []
     for name in ("nogap-sweep", "gap-proof"):
         lines = (line for spec, witness in witnesses[name]

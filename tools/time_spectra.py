@@ -27,17 +27,31 @@ it too.
 Its ``nodes=`` and ``checks=`` equal those of ``tools/search_digest.py``'s
 ``nogap-sweep`` line.
 
+The ``certify`` line times the validator layer: the 13 jobs of the
+``certify-walk`` benchmark workload at seed 1 (construct, walk down,
+validate and probe no-gap instances past the oracle's 12 vertices), run in
+process from empty validator caches.  ``bench/workloads.py`` is loaded
+read-only, as ``tests/support.py`` loads it, and no bytecode is written.
+The line holds the seconds, the validator's ``range_of_keys`` calls and the
+range solver's misses (``validator._range_of.cache_info()``), and
+``class_misses``, the distinct classes whose profile key and range row
+were built (``validator._class_data``).
+
     python tools/time_spectra.py
 """
 
+import importlib.util
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from search_digest import check_counter  # noqa: E402
-from sigma_spectra import HypergraphSpec, build_sigma, decide_k, spectrum  # noqa: E402
+from sigma_spectra import (  # noqa: E402
+    HypergraphSpec, build_sigma, core, decide_k, spectrum, validator,
+)
 from sigma_spectra.verification import nogap_grid  # noqa: E402
 
 # (n, q, sigma's parts, alpha, beta)
@@ -53,6 +67,7 @@ SPECTRA = [
 ]
 # (n, q, sigma's parts, alpha, beta), k
 DECISION = (7, 6, (6, 6), 3, 3), 4
+CERTIFY_SEED = 1
 
 
 def timed(specs) -> tuple[float, list, int]:
@@ -69,6 +84,19 @@ def timed(specs) -> tuple[float, list, int]:
 
 def spec_of(n, q, parts, alpha, beta) -> HypergraphSpec:
     return HypergraphSpec(n=n, q=q, sigma=build_sigma(parts), alpha=alpha, beta=beta)
+
+
+def bench_workloads():
+    """``bench/workloads.py`` as a module of its own name, no bytecode
+    written beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the module runs
+    sys.modules[spec.name] = module
+    sys.dont_write_bytecode = True
+    spec.loader.exec_module(module)
+    return module
 
 
 def main() -> None:
@@ -91,6 +119,19 @@ def main() -> None:
     nodes = sum(sum(res.nodes_explored.values()) for res in results)
     print(f"nogap-grid ({len(specs)} spectra): seconds={seconds:.3f} nodes={nodes} "
           f"checks={checks}", flush=True)
+    jobs = bench_workloads().certify_walk(CERTIFY_SEED)
+    for cached in (validator._range_of, validator._class_data, validator._class_row,
+                   core._touch_sets):
+        cached.cache_clear()
+    start = time.perf_counter()
+    for job in jobs:
+        job.run()
+    seconds = time.perf_counter() - start
+    ranges = validator._range_of.cache_info()
+    print(f"certify ({len(jobs)} certify-walk jobs, seed {CERTIFY_SEED}): "
+          f"seconds={seconds:.3f} range_calls={ranges.hits + ranges.misses} "
+          f"range_misses={ranges.misses} "
+          f"class_misses={validator._class_data.cache_info().misses}", flush=True)
 
 
 if __name__ == "__main__":
