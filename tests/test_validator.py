@@ -1,5 +1,6 @@
 """Edge colour ranges, validity decisions and violation witnesses."""
 
+import functools
 import itertools
 import time
 import tracemalloc
@@ -16,14 +17,18 @@ from sigma_spectra import (
     build_sigma,
     edge_colour_range,
     edge_shapes,
+    enumerate_edges,
     find_violation,
     is_valid,
+    mono_colouring,
+    mono_zone,
     profile_of,
 )
 from sigma_spectra import validator
 from sigma_spectra.core import _profile_key
 from sigma_spectra.engine import _partitions
 from sigma_spectra.validator import (
+    _certified,
     _class_data,
     _class_row,
     _first_violation,
@@ -337,6 +342,14 @@ class TestIsValid:
         with pytest.raises(DimensionMismatchError):
             is_valid(spec, Colouring(classes=((0, 0, 1), (1, 1, 0))))
 
+    @pytest.mark.parametrize("check", [is_valid, find_violation])
+    @pytest.mark.parametrize("colouring", ["x", None, ((0, 1), (1, 0))],
+                             ids=["str", "None", "tuple-of-tuples"])
+    def test_a_colouring_that_is_not_a_colouring_is_a_value_error(self, check, colouring):
+        spec = HypergraphSpec(n=2, q=2, sigma=build_sigma([1, 1]), alpha=2, beta=2)
+        with pytest.raises(ValueError, match="must be a Colouring"):
+            check(spec, colouring)
+
 
 class TestFindViolation:
     def test_monochromatic_witness(self):
@@ -480,6 +493,15 @@ class TestWitnessFromKeys:
                 profiles, w.part_assignment, w.distinct_colours)
 
 
+def certified(spec, colouring):
+    """Whether the whole-class bounds prove ``colouring`` valid, read off
+    the class data ``_first_violation`` builds."""
+    width = spec.r.bit_length()
+    keys, rows = zip(*[_class_data(cls, spec.sigma.delta_max, width)
+                       for cls in colouring.classes])
+    return _certified(spec, keys, rows, width)
+
+
 def unpacked(row, width):
     """A packed range row as (fewest, most) pairs, one per part size."""
     return [(v >> width, v & ((1 << width) - 1)) for v in row]
@@ -508,10 +530,12 @@ class TestDisjointSum:
         assert is_valid(spec, colouring) == (found is None)
 
     def test_disjoint_shapes_skip_the_solver(self, monkeypatch):
-        # a layered colouring: every class has its own two colours
-        spec = HypergraphSpec(n=5, q=4, sigma=build_sigma([2, 2]), alpha=2, beta=4)
-        colouring = Colouring(classes=tuple((2 * i,) * 2 + (2 * i + 1,) * 2
-                                            for i in range(5)))
+        # a layered colouring: every class has its own two colours; at
+        # alpha = 3 a class alone shows too few, so the whole-class bounds
+        # prove nothing and the shapes are scanned
+        spec = HypergraphSpec(n=5, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=4)
+        colouring = Colouring(classes=tuple((2 * i, 2 * i + 1) for i in range(5)))
+        assert not certified(spec, colouring)
         calls = []
         monkeypatch.setattr("sigma_spectra.validator.range_of_keys",
                             lambda *args: calls.append(args))
@@ -612,3 +636,77 @@ class TestClassData:
         info = _class_data.cache_info()
         assert (info.misses, info.hits) == (3, 3)
         assert _class_data((0, 0, 1), 2, spec.r.bit_length())[0] == ((0, 2), (1, 1))
+
+
+@functools.cache
+def spec_edges(n, q, parts):
+    """The oracle's edges of H(n, q | parts), listed once per instance."""
+    return enumerate_edges(HypergraphSpec(n=n, q=q, sigma=build_sigma(parts),
+                                          alpha=2, beta=2))
+
+
+@st.composite
+def small_instances(draw):
+    """A spec with edges, n*q <= 12 and s <= 3, and a colouring of solid
+    classes, of per-class palettes (overlapping or private, their sizes
+    drawn per class) or of free colours, so that valid colourings, and
+    classes of unequal colour counts, are common."""
+    parts = draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
+                                  (4, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2),
+                                  (3, 1, 1), (3, 2, 1)]))
+    q = draw(st.integers(parts[0], 12 // len(parts)))
+    n = draw(st.integers(len(parts), 12 // q))
+    alpha = draw(st.integers(2, 4))
+    # an edge has at most r colours, so a larger beta bounds nothing
+    beta = draw(st.integers(alpha, max(alpha, sum(parts))))
+    spec = HypergraphSpec(n=n, q=q, sigma=build_sigma(list(parts)), alpha=alpha, beta=beta)
+    mode = draw(st.sampled_from(["solid", "overlapping", "private", "free"]))
+    classes = []
+    for i in range(n):
+        if mode == "solid":
+            classes.append((draw(st.integers(0, n - 1)),) * q)
+            continue
+        # class i draws from colours base..base+top
+        base = {"overlapping": 2 * i, "private": 10 * i, "free": 0}[mode]
+        top = 5 if mode == "free" else draw(st.integers(0, 3))
+        classes.append(tuple(base + draw(st.integers(0, top)) for _ in range(q)))
+    return spec, Colouring(classes=tuple(classes))
+
+
+class TestCertificate:
+    """Bounds over whole classes accept most valid colourings before the
+    shape scan; they never accept an invalid one, and what they refuse is
+    scanned as before."""
+
+    @given(small_instances())
+    @settings(max_examples=400, deadline=None)
+    def test_an_accepted_colouring_is_valid_on_every_edge(self, case):
+        spec, colouring = case
+        flat = [c for cls in colouring.classes for c in cls]
+        valid = all(spec.alpha <= len({flat[v] for v in edge}) <= spec.beta
+                    for edge in spec_edges(spec.n, spec.q, spec.sigma.parts))
+        if certified(spec, colouring):
+            assert valid
+        assert is_valid(spec, colouring) == valid
+
+    def test_mono_zone_colourings_need_no_range_solve(self):
+        # each colour fills at most two classes, so no edge of three classes
+        # is monochromatic, and an edge sees at most three colours <= beta;
+        # the scan would solve every shape holding two classes of one colour
+        spec = HypergraphSpec(n=60, q=4, sigma=build_sigma([2, 2, 2]), alpha=2, beta=5)
+        zone = mono_zone(spec)
+        assert (zone.lo, zone.hi) == (30, 60)
+        before = _range_of.cache_info()
+        assert all(is_valid(spec, mono_colouring(spec, k)) for k in zone)
+        assert _range_of.cache_info() == before
+
+    def test_a_monochromatic_edge_is_refused_and_scanned(self):
+        # colours per class 2, 2, 1 pair with parts (2, 1) to at most 3 <=
+        # beta, and class 0 is solid, so only the alpha = 2 test is left:
+        # colour 0 holds 2 vertices of class 0 and 1 of class 1, an edge
+        spec = HypergraphSpec(n=3, q=2, sigma=build_sigma([2, 1]), alpha=2, beta=3)
+        colouring = Colouring(classes=((0, 0), (0, 1), (1, 2)))
+        assert not certified(spec, colouring)
+        assert find_violation(spec, colouring) == validator.EdgeWitness(
+            class_tuple=(0, 1), part_assignment=(2, 1),
+            per_class_choice=({0: 2}, {0: 1}), distinct_colours=1)

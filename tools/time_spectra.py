@@ -37,6 +37,13 @@ range solver's misses (``validator._range_of.cache_info()``), and
 ``class_misses``, the distinct classes whose profile key and range row
 were built (``validator._class_data``).
 
+The ``validate`` line times ``is_valid`` on three mono-zone colourings of
+H(90,4|(2,2,2)), alpha = 2, beta = 5 (``constructions.mono_colouring`` at
+the zone's two ends and its middle k), 117,480 class triples each.  Every
+colour fills at most two classes, so whole-class bounds prove them valid
+without the shape scan.  The line holds the seconds, the verdicts and the
+validator's ``range_of_keys`` calls, which read 0 when no shape is solved.
+
     python tools/time_spectra.py
 """
 
@@ -50,7 +57,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from search_digest import check_counter  # noqa: E402
 from sigma_spectra import (  # noqa: E402
-    HypergraphSpec, build_sigma, core, decide_k, spectrum, validator,
+    HypergraphSpec, build_sigma, core, decide_k, is_valid, mono_colouring, mono_zone,
+    spectrum, validator,
 )
 from sigma_spectra.verification import nogap_grid  # noqa: E402
 
@@ -68,6 +76,8 @@ SPECTRA = [
 # (n, q, sigma's parts, alpha, beta), k
 DECISION = (7, 6, (6, 6), 3, 3), 4
 CERTIFY_SEED = 1
+# (n, q, sigma's parts, alpha, beta)
+VALIDATE = (90, 4, (2, 2, 2), 2, 5)
 
 
 def timed(specs) -> tuple[float, list, int]:
@@ -132,6 +142,17 @@ def main() -> None:
           f"seconds={seconds:.3f} range_calls={ranges.hits + ranges.misses} "
           f"range_misses={ranges.misses} "
           f"class_misses={validator._class_data.cache_info().misses}", flush=True)
+    spec = spec_of(*VALIDATE)
+    zone = mono_zone(spec)
+    colourings = [mono_colouring(spec, k) for k in (zone.lo, (zone.lo + zone.hi) // 2, zone.hi)]
+    validator._range_of.cache_clear()
+    start = time.perf_counter()
+    valid = [is_valid(spec, colouring) for colouring in colourings]
+    seconds = time.perf_counter() - start
+    ranges = validator._range_of.cache_info()
+    print(f"validate {spec} mono k={[c.colour_count for c in colourings]}: "
+          f"seconds={seconds:.4f} valid={valid} range_calls={ranges.hits + ranges.misses}",
+          flush=True)
 
 
 if __name__ == "__main__":
