@@ -12,11 +12,8 @@ mask bits.  The validator passes shapes renamed by first appearance (equal
 up to colour names, one solve) and caches each class's key and ranges.  The
 engine checks its shapes without the solver.
 
-Most colourings checked are valid, and bounds over whole classes prove
-most of those valid in O(n*q), before any of the C(n, s) class tuples is
-visited: beta by a union bound over an edge's classes, alpha through the
-class every edge puts delta_max vertices on or, at alpha = 2, by finding
-no monochromatic edge (``_first_violation`` says why each is safe).
+Bounds over whole classes prove most valid colourings valid before any
+class tuple is visited (:func:`_certified`).
 """
 
 from __future__ import annotations
@@ -219,23 +216,28 @@ def _class_data(cls: tuple[int, ...], top: int, width: int
     return key, _class_row(tuple(sorted([m for _, m in key], reverse=True)), top, width)
 
 
-def _certified(spec: HypergraphSpec, keys: Sequence[ProfileKey],
-               rows: Sequence[tuple[int, ...]], width: int) -> bool:
-    """True when the whole-class bounds of :func:`_first_violation` prove
-    every edge's colour count lies in the window; False proves nothing.
-    ``keys`` and ``rows`` are the classes' profile keys and packed range
-    rows (:func:`_class_data`)."""
+def _certified(spec: HypergraphSpec, keys: Sequence[ProfileKey]) -> bool:
+    """True when bounds over whole classes, read off the classes' profile
+    ``keys``, prove every edge's colour count lies in the window; False
+    proves nothing.  With c(1) >= c(2) >= ... the classes' colour counts and
+    d1 >= ... >= ds sigma's parts, the high end holds when
+    min(sum over j of min(dj, c(j)), colours used) <= beta: an edge sees at
+    most min(part, colours) of each of its classes, pairing both lists
+    largest first gives the largest such sum, and no edge sees more colours
+    than the colouring uses.  The low end is proved at alpha = 2 only, when
+    no edge is monochromatic: a colour fills an edge exactly when its
+    multiplicities over the classes holding it, largest first, are >= d1,
+    ..., ds."""
+    if spec.alpha != 2:
+        return False
     parts = spec.sigma.parts
-    if sum(map(min, parts, sorted(map(len, keys), reverse=True))) > spec.beta:
-        return False
-    if min([row[parts[0]] for row in rows]) >> width >= spec.alpha:
-        return True
-    if spec.alpha > 2:
-        return False
     held: dict[int, list[int]] = {}
     for key in keys:
         for c, m in key:
             held.setdefault(c, []).append(m)
+    counts = sorted(map(len, keys), reverse=True)
+    if min(len(held), sum(map(min, parts, counts))) > spec.beta:
+        return False
     return not any(len(mults) >= len(parts)
                    and all(map(int.__ge__, sorted(mults, reverse=True), parts))
                    for mults in held.values())
@@ -249,21 +251,10 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
     profile keys), or None.
 
     Each class's profile key and packed per-part ranges come from
-    :func:`_class_data`, once per distinct class.  From those alone
-    :func:`_certified` first tries to prove the colouring valid, with
-    c(1) >= c(2) >= ... the classes' colour counts and d1 >= ... >= ds
-    sigma's parts.  High end: sum over j of min(dj, c(j)) <= beta; an edge
-    sees at most min(part, colours) of each of its classes, and pairing both
-    lists largest first gives the largest such sum.  Low end, either of:
-    every class's row has low end >= alpha at d1, as every edge puts d1
-    vertices on one class; or alpha = 2 and no edge is monochromatic, where
-    a colour fills an edge exactly when its multiplicities over the classes
-    holding it, largest first, are >= d1, ..., ds.  A colouring so proved
-    visits no shape; any other is scanned, so verdicts and witnesses are
-    the scan's.
-
-    The scan builds each class's colour mask (over the colouring's colours
-    renamed densely).  When a
+    :func:`_class_data`, once per distinct class.  A colouring
+    :func:`_certified` proves valid visits no shape; any other is scanned,
+    so verdicts and witnesses are the scan's; the scan builds each class's
+    colour mask (over the colouring's colours renamed densely).  When a
     shape's classes share no colour, its edges' colours are a disjoint union
     and its range the sum of their ranges, both ends in one sum of packed
     ints (no end exceeds the edge size r, so they never carry); any other
@@ -279,7 +270,7 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
     low_bits = (1 << width) - 1
     top = spec.sigma.delta_max
     keys, ranges = zip(*[_class_data(cls, top, width) for cls in colouring.classes])
-    if _certified(spec, keys, ranges, width):
+    if _certified(spec, keys):
         return None
     dense: dict[int, int] = {}
     masks = []

@@ -14,11 +14,13 @@ from sigma_spectra import (
     DimensionMismatchError,
     HypergraphSpec,
     InfeasibleShapeError,
+    beta_colouring,
     build_sigma,
     edge_colour_range,
     edge_shapes,
     enumerate_edges,
     find_violation,
+    gap_instance_params,
     is_valid,
     mono_colouring,
     mono_zone,
@@ -27,6 +29,7 @@ from sigma_spectra import (
 from sigma_spectra import validator
 from sigma_spectra.core import _profile_key
 from sigma_spectra.engine import _partitions
+from sigma_spectra.verification import gap_cells
 from sigma_spectra.validator import (
     _certified,
     _class_data,
@@ -252,7 +255,8 @@ class TestRenamedShapeKeys:
     colours renamed by first appearance, so shapes equal up to colour names
     share one entry and one solve."""
 
-    SPEC = HypergraphSpec(n=2, q=2, sigma=build_sigma([2, 2]), alpha=2, beta=3)
+    # at alpha = 3 the whole-class bounds prove nothing, so the shape is scanned
+    SPEC = HypergraphSpec(n=2, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=3)
 
     def test_shapes_equal_up_to_colour_names_solve_once(self):
         # both colourings have one shape, whole classes sharing one colour,
@@ -496,10 +500,9 @@ class TestWitnessFromKeys:
 def certified(spec, colouring):
     """Whether the whole-class bounds prove ``colouring`` valid, read off
     the class data ``_first_violation`` builds."""
-    width = spec.r.bit_length()
-    keys, rows = zip(*[_class_data(cls, spec.sigma.delta_max, width)
-                       for cls in colouring.classes])
-    return _certified(spec, keys, rows, width)
+    keys = [_class_data(cls, spec.sigma.delta_max, spec.r.bit_length())[0]
+            for cls in colouring.classes]
+    return _certified(spec, keys)
 
 
 def unpacked(row, width):
@@ -531,8 +534,8 @@ class TestDisjointSum:
 
     def test_disjoint_shapes_skip_the_solver(self, monkeypatch):
         # a layered colouring: every class has its own two colours; at
-        # alpha = 3 a class alone shows too few, so the whole-class bounds
-        # prove nothing and the shapes are scanned
+        # alpha = 3 the whole-class bounds prove nothing, so the shapes are
+        # scanned
         spec = HypergraphSpec(n=5, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=4)
         colouring = Colouring(classes=tuple((2 * i, 2 * i + 1) for i in range(5)))
         assert not certified(spec, colouring)
@@ -656,7 +659,8 @@ def small_instances(draw):
                                   (3, 1, 1), (3, 2, 1)]))
     q = draw(st.integers(parts[0], 12 // len(parts)))
     n = draw(st.integers(len(parts), 12 // q))
-    alpha = draw(st.integers(2, 4))
+    # the certificate proves only alpha = 2, so draw it most often
+    alpha = draw(st.sampled_from([2, 2, 3, 4]))
     # an edge has at most r colours, so a larger beta bounds nothing
     beta = draw(st.integers(alpha, max(alpha, sum(parts))))
     spec = HypergraphSpec(n=n, q=q, sigma=build_sigma(list(parts)), alpha=alpha, beta=beta)
@@ -699,6 +703,17 @@ class TestCertificate:
         before = _range_of.cache_info()
         assert all(is_valid(spec, mono_colouring(spec, k)) for k in zone)
         assert _range_of.cache_info() == before
+
+    @pytest.mark.parametrize("alpha, beta, parts", gap_cells())
+    def test_gap_recipe_beta_colourings_need_no_scan(self, alpha, beta, parts):
+        # every class holds all beta colours, so the per-class sum exceeds
+        # beta and only the colours used bound the high end
+        sigma = build_sigma(list(parts))
+        q, n = gap_instance_params(alpha, beta, sigma)
+        spec = HypergraphSpec(n=n, q=q, sigma=sigma, alpha=alpha, beta=beta)
+        colouring = beta_colouring(spec)
+        assert sum(map(min, parts, [beta] * len(parts))) > beta
+        assert certified(spec, colouring)
 
     def test_a_monochromatic_edge_is_refused_and_scanned(self):
         # colours per class 2, 2, 1 pair with parts (2, 1) to at most 3 <=
