@@ -8,9 +8,9 @@ walks the classes once, tracking only the part of the running colour union
 that future classes can still see, and gives both range ends in one pass;
 ``find_violation`` reads its pick off the same solver.  The range cache, a
 bounded LRU, keys a shape as passed; a miss renames its colours densely to
-mask bits.  The validator passes shapes renamed by first appearance (equal
-up to colour names, one solve) and caches each class's key and ranges.  The
-engine checks its shapes without the solver.
+mask bits.  The validator passes every shape with its colours renamed by
+first appearance (equal up to colour names, one solve) and caches each
+class's key.  The engine checks its shapes without the solver.
 
 Bounds over whole classes prove most valid colourings valid before any
 class tuple is visited (:func:`_certified`).
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .core import (
@@ -123,11 +123,14 @@ def edge_colour_range(
 
     ``parts[j]`` vertices are drawn from the class described by
     ``profiles[j]``; the range covers every simultaneous choice.  A part
-    that is not an int >= 1 (a bool included) raises ``ValueError``.
+    that is not an int >= 1 (a bool included), or a profile that is not a
+    :class:`ClassProfile`, raises ``ValueError``.
     """
     if len(profiles) != len(parts) or not parts:
         raise ValueError("profiles and parts must align and be non-empty")
     for prof, a in zip(profiles, parts):
+        if not isinstance(prof, ClassProfile):
+            raise ValueError(f"profiles must be ClassProfiles, got {prof!r}")
         if type(a) is not int or a < 1:
             raise ValueError(f"part sizes must be ints >= 1, got {a!r}")
         if a > prof.total:
@@ -180,6 +183,8 @@ def _selection(keys: Sequence[ProfileKey], parts: tuple[int, ...], target: int
 
 
 def _check_dimensions(spec: HypergraphSpec, colouring: Colouring) -> None:
+    if not isinstance(spec, HypergraphSpec):
+        raise ValueError(f"spec must be a HypergraphSpec, got {spec!r}")
     if not isinstance(colouring, Colouring):
         raise ValueError(f"colouring must be a Colouring, got {colouring!r}")
     if colouring.n != spec.n or colouring.q != spec.q:
@@ -188,32 +193,8 @@ def _check_dimensions(spec: HypergraphSpec, colouring: Colouring) -> None:
         )
 
 
-@cache
-def _class_row(mults: tuple[int, ...], top: int, width: int) -> tuple[int, ...]:
-    """Per part size ``a`` in ``0..top``, the range of an ``a``-vertex pick
-    from a class with colour multiplicities ``mults`` (largest first),
-    packed as one int ``lo << width | hi``: as few colours as the largest
-    multiplicities it takes to reach ``a``, as many as ``min(a, number of
-    colours)``.  Cached: a row depends only on the multiplicity pattern (a
-    partition of the class size), never on which colours the class holds,
-    so the cache stays bounded however many colourings are checked."""
-    row = [0]
-    touched = held = 0
-    for a in range(1, top + 1):
-        while held < a:
-            held += mults[touched]
-            touched += 1
-        row.append(touched << width | min(a, len(mults)))
-    return tuple(row)
-
-
-@lru_cache(maxsize=4096)
-def _class_data(cls: tuple[int, ...], top: int, width: int
-                ) -> tuple[ProfileKey, tuple[int, ...]]:
-    """The profile key of the sorted class ``cls`` and its packed range row
-    (:func:`_class_row`), cached: walk steps and probes repeat classes."""
-    key = _profile_key(cls)
-    return key, _class_row(tuple(sorted([m for _, m in key], reverse=True)), top, width)
+# the profile key of a sorted class, cached: walk steps and probes repeat classes
+_class_key = lru_cache(maxsize=4096)(_profile_key)
 
 
 def _certified(spec: HypergraphSpec, keys: Sequence[ProfileKey]) -> bool:
@@ -250,54 +231,28 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
     (class tuple, parts, the offending distinct-colour count, the classes'
     profile keys), or None.
 
-    Each class's profile key and packed per-part ranges come from
-    :func:`_class_data`, once per distinct class.  A colouring
-    :func:`_certified` proves valid visits no shape; any other is scanned,
-    so verdicts and witnesses are the scan's; the scan builds each class's
-    colour mask (over the colouring's colours renamed densely).  When a
-    shape's classes share no colour, its edges' colours are a disjoint union
-    and its range the sum of their ranges, both ends in one sum of packed
-    ints (no end exceeds the edge size r, so they never carry); any other
-    shape goes to :func:`range_of_keys` with its colours renamed by first
-    appearance, in slot order, so shapes equal up to colour names share one
-    entry.  A spec's shapes never ask for more vertices than a class holds:
-    :func:`edge_colour_range`'s checks are skipped.
+    Each class's profile key comes from :func:`_class_key`, once per
+    distinct class.  A colouring :func:`_certified` proves valid visits no
+    shape; any other is scanned, so verdicts and witnesses are the scan's.
+    Each shape goes to :func:`range_of_keys` with its colours renamed by
+    first appearance, in slot order, so shapes equal up to colour names
+    share one entry.  A spec's shapes never ask for more vertices than a
+    class holds: :func:`edge_colour_range`'s checks are skipped.
     """
     _check_dimensions(spec, colouring)
     if not spec.has_edges:
         return None
-    width = spec.r.bit_length()
-    low_bits = (1 << width) - 1
-    top = spec.sigma.delta_max
-    keys, ranges = zip(*[_class_data(cls, top, width) for cls in colouring.classes])
+    keys = [_class_key(cls) for cls in colouring.classes]
     if _certified(spec, keys):
         return None
-    dense: dict[int, int] = {}
-    masks = []
-    for key in keys:
-        mask = 0
-        for c, _ in key:
-            mask |= 1 << dense.setdefault(c, len(dense))
-        masks.append(mask)
     alpha, beta = spec.alpha, spec.beta
     arrangements = spec.sigma.arrangements
     for class_tuple in itertools.combinations(range(spec.n), spec.sigma.s):
-        seen = 0
-        for i in class_tuple:
-            if masks[i] & seen:  # a shared colour: key the shape up to colour names
-                names, rows = {}, None
-                shape = tuple([tuple([(names.setdefault(c, len(names)), m)
-                                      for c, m in keys[i]]) for i in class_tuple])
-                break
-            seen |= masks[i]
-        else:  # the classes share no colour: their ranges add up
-            rows = [ranges[i] for i in class_tuple]
+        names: dict[int, int] = {}
+        shape = tuple([tuple([(names.setdefault(c, len(names)), m) for c, m in keys[i]])
+                       for i in class_tuple])
         for parts in arrangements:
-            if rows is None:
-                lo, hi = range_of_keys(shape, parts)
-            else:
-                total = sum(map(tuple.__getitem__, rows, parts))
-                lo, hi = total >> width, total & low_bits
+            lo, hi = range_of_keys(shape, parts)
             if lo < alpha or hi > beta:
                 return (class_tuple, parts, lo if lo < alpha else hi,
                         tuple(keys[i] for i in class_tuple))

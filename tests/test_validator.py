@@ -32,8 +32,7 @@ from sigma_spectra.engine import _partitions
 from sigma_spectra.verification import gap_cells
 from sigma_spectra.validator import (
     _certified,
-    _class_data,
-    _class_row,
+    _class_key,
     _first_violation,
     _range_of,
     _selection,
@@ -112,6 +111,13 @@ class TestEdgeColourRange:
         p = prof({0: 2, 1: 1})
         with pytest.raises(ValueError, match="part sizes must be ints >= 1"):
             edge_colour_range([p, p], [part, 1])
+
+    @pytest.mark.parametrize("profile", [(0,), {0: 1}, None],
+                             ids=["tuple", "dict", "None"])
+    def test_a_profile_that_is_not_a_class_profile_is_a_value_error(self, profile):
+        # an AttributeError on .total leaked before
+        with pytest.raises(ValueError, match="must be ClassProfiles"):
+            edge_colour_range([profile], [1])
 
     def test_single_class_shape(self):
         assert edge_colour_range([prof({0: 2, 1: 1, 2: 1})], [3]) == (2, 3)
@@ -242,48 +248,6 @@ class TestRangeCacheKey:
                              tuple(parts[i] for i in order)) == base
 
 
-def first_appearance(keys):
-    """``keys`` with each colour renamed to its place in order of first
-    appearance, slot by slot; a key's pairs keep their order."""
-    names = {}
-    return tuple(tuple((names.setdefault(c, len(names)), m) for c, m in key)
-                 for key in keys)
-
-
-class TestRenamedShapeKeys:
-    """The validator asks the range cache for a shared-colour shape with its
-    colours renamed by first appearance, so shapes equal up to colour names
-    share one entry and one solve."""
-
-    # at alpha = 3 the whole-class bounds prove nothing, so the shape is scanned
-    SPEC = HypergraphSpec(n=2, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=3)
-
-    def test_shapes_equal_up_to_colour_names_solve_once(self):
-        # both colourings have one shape, whole classes sharing one colour,
-        # and one arrangement; their raw keys differ only by colour names
-        first = Colouring(classes=((0, 1), (1, 2)))
-        second = Colouring(classes=((5, 7), (7, 9)))
-        _range_of.cache_clear()
-        assert is_valid(self.SPEC, first) and is_valid(self.SPEC, second)
-        info = _range_of.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-
-    def test_witnesses_name_the_real_colours(self):
-        spec = HypergraphSpec(n=2, q=2, sigma=build_sigma([2, 2]), alpha=2, beta=2)
-        w = find_violation(spec, Colouring(classes=((5, 7), (7, 9))))
-        assert w.distinct_colours == 3
-        assert w.per_class_choice == ({5: 1, 7: 1}, {7: 1, 9: 1})
-
-    @given(raw_shapes(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_renamed_shape_keeps_the_range(self, shape, data):
-        keys, parts = shape
-        order = data.draw(st.permutations(range(len(parts))))
-        keys = tuple(keys[i] for i in order)
-        parts = tuple(parts[i] for i in order)
-        assert range_of_keys(first_appearance(keys), parts) == range_of_keys(keys, parts)
-
-
 class TestSelectionAchieving:
     """``_selection``: a per-class pick whose union has a given number of
     colours, the witness of a violating range."""
@@ -354,6 +318,15 @@ class TestIsValid:
         with pytest.raises(ValueError, match="must be a Colouring"):
             check(spec, colouring)
 
+
+    @pytest.mark.parametrize("check", [is_valid, find_violation])
+    @pytest.mark.parametrize("spec", ["x", None, (2, 2, (1, 1), 2, 2)],
+                             ids=["str", "None", "tuple"])
+    def test_a_spec_that_is_not_a_spec_is_a_value_error(self, check, spec):
+        # an AttributeError on .n leaked before
+        colouring = Colouring(classes=((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="must be a HypergraphSpec"):
+            check(spec, colouring)
 
 class TestFindViolation:
     def test_monochromatic_witness(self):
@@ -499,30 +472,62 @@ class TestWitnessFromKeys:
 
 def certified(spec, colouring):
     """Whether the whole-class bounds prove ``colouring`` valid, read off
-    the class data ``_first_violation`` builds."""
-    keys = [_class_data(cls, spec.sigma.delta_max, spec.r.bit_length())[0]
-            for cls in colouring.classes]
-    return _certified(spec, keys)
+    the class keys ``_first_violation`` builds."""
+    return _certified(spec, [_class_key(cls) for cls in colouring.classes])
 
 
-def unpacked(row, width):
-    """A packed range row as (fewest, most) pairs, one per part size."""
-    return [(v >> width, v & ((1 << width) - 1)) for v in row]
+def first_appearance(keys):
+    """``keys`` with each colour renamed to its place in order of first
+    appearance, slot by slot; a key's pairs keep their order."""
+    names = {}
+    return tuple(tuple((names.setdefault(c, len(names)), m) for c, m in key)
+                 for key in keys)
 
 
-class TestDisjointSum:
-    """A shape whose classes share no colour takes the sum of its classes'
-    ranges; the validator reads each class's range off a per-part table."""
+class TestRenamedShapeKeys:
+    """The validator asks the range cache for every shape with its colours
+    renamed by first appearance, so shapes equal up to colour names share
+    one entry and one solve."""
 
-    @pytest.mark.parametrize("q", range(1, 7))
-    def test_class_range_matches_the_solver(self, q):
-        width = q.bit_length()
-        for mults in _partitions(q, q):
-            key = tuple(enumerate(mults))
-            ranges = unpacked(_class_row(mults, q, width), width)
-            assert len(ranges) == q + 1
-            for a in range(1, q + 1):
-                assert ranges[a] == range_of_keys((key,), (a,)), (mults, a)
+    # at alpha = 3 the whole-class bounds prove nothing, so the shape is scanned
+    SPEC = HypergraphSpec(n=2, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=3)
+
+    def test_shapes_equal_up_to_colour_names_solve_once(self):
+        # both colourings have one shape, whole classes sharing one colour,
+        # and one arrangement; their raw keys differ only by colour names
+        first = Colouring(classes=((0, 1), (1, 2)))
+        second = Colouring(classes=((5, 7), (7, 9)))
+        _range_of.cache_clear()
+        assert is_valid(self.SPEC, first) and is_valid(self.SPEC, second)
+        info = _range_of.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_disjoint_shapes_equal_up_to_colour_names_solve_once(self):
+        # a layered colouring: every class has its own two colours; at
+        # alpha = 3 the whole-class bounds prove nothing, so all C(5, 2)
+        # shapes are scanned, each the same shape up to colour names
+        spec = HypergraphSpec(n=5, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=4)
+        colouring = Colouring(classes=tuple((2 * i, 2 * i + 1) for i in range(5)))
+        assert not certified(spec, colouring)
+        _range_of.cache_clear()
+        assert is_valid(spec, colouring)
+        info = _range_of.cache_info()
+        assert (info.hits + info.misses, info.misses) == (10, 1)
+
+    def test_witnesses_name_the_real_colours(self):
+        spec = HypergraphSpec(n=2, q=2, sigma=build_sigma([2, 2]), alpha=2, beta=2)
+        w = find_violation(spec, Colouring(classes=((5, 7), (7, 9))))
+        assert w.distinct_colours == 3
+        assert w.per_class_choice == ({5: 1, 7: 1}, {7: 1, 9: 1})
+
+    @given(raw_shapes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_renamed_shape_keeps_the_range(self, shape, data):
+        keys, parts = shape
+        order = data.draw(st.permutations(range(len(parts))))
+        keys = tuple(keys[i] for i in order)
+        parts = tuple(parts[i] for i in order)
+        assert range_of_keys(first_appearance(keys), parts) == range_of_keys(keys, parts)
 
     @given(palette_colourings())
     @settings(max_examples=300, deadline=None)
@@ -531,19 +536,6 @@ class TestDisjointSum:
         found = _first_violation(spec, colouring)
         assert found == per_shape_first_violation(spec, colouring)
         assert is_valid(spec, colouring) == (found is None)
-
-    def test_disjoint_shapes_skip_the_solver(self, monkeypatch):
-        # a layered colouring: every class has its own two colours; at
-        # alpha = 3 the whole-class bounds prove nothing, so the shapes are
-        # scanned
-        spec = HypergraphSpec(n=5, q=2, sigma=build_sigma([2, 2]), alpha=3, beta=4)
-        colouring = Colouring(classes=tuple((2 * i, 2 * i + 1) for i in range(5)))
-        assert not certified(spec, colouring)
-        calls = []
-        monkeypatch.setattr("sigma_spectra.validator.range_of_keys",
-                            lambda *args: calls.append(args))
-        assert is_valid(spec, colouring)
-        assert calls == []
 
     def test_huge_colours_cost_no_memory(self):
         # colours are renamed densely before they become mask bits: a bit
@@ -572,61 +564,29 @@ def picked_range(mults, a):
 
 
 class TestClassRows:
-    """The validator reads each class's packed range row off a cache keyed
-    by the class's multiplicity pattern, never by its colours."""
+    """One class's range for each part size, as the validator asks
+    :func:`range_of_keys` for it, matches every pick."""
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_rows_match_the_ranges_and_every_pick(self, q):
         for mults in _partitions(q, q):
-            for top in range(1, q + 1):
-                for width in (top.bit_length(), 2 * q.bit_length() + 1):
-                    ranges = unpacked(_class_row(mults, top, width), width)
-                    assert ranges == [picked_range(mults, a)
-                                      for a in range(top + 1)], (mults, top, width)
-
-    def test_certify_walk_caches_only_multiplicity_patterns(self, monkeypatch):
-        # after the certify-walk jobs, each cached row belongs to a pattern
-        # (a partition of q, largest first) and the spec's delta_max and
-        # packing width, so the cache cannot grow with the colourings seen
-        first_violation, row = validator._first_violation, validator._class_row
-        asked, specs = set(), []
-
-        def violation(spec, colouring):
-            specs.append(spec)
-            return first_violation(spec, colouring)
-
-        def recorded(*key):
-            spec = specs[-1]
-            mults, top, width = key
-            assert list(mults) == sorted(mults, reverse=True) and min(mults) >= 1
-            assert sum(mults) == spec.q, (key, str(spec))
-            assert (top, width) == (spec.sigma.delta_max, spec.r.bit_length())
-            asked.add(key)
-            return row(*key)
-
-        monkeypatch.setattr(validator, "_first_violation", violation)
-        monkeypatch.setattr(validator, "_class_row", recorded)
-        row.cache_clear()
-        jobs = load_bench_workloads().certify_walk(1)
-        assert len(jobs) == 13
-        for job in jobs:
-            assert job.verify(job.run()) == []
-        assert specs and asked
-        assert row.cache_info().currsize == len(asked)
+            key = tuple(enumerate(mults))
+            for a in range(1, q + 1):
+                assert range_of_keys((key,), (a,)) == picked_range(mults, a), (mults, a)
 
 
 class TestClassData:
-    """Each distinct class's profile key and range row come from a bounded
-    cache keyed by the class's content."""
+    """Each distinct class's profile key comes from a bounded cache keyed
+    by the class's content."""
 
     def test_the_cache_is_bounded(self):
-        assert _class_data.cache_info().maxsize == 4096
-        _class_data.cache_clear()
+        assert _class_key.cache_info().maxsize == 4096
+        _class_key.cache_clear()
         spec = HypergraphSpec(n=3, q=2, sigma=build_sigma([1, 1]), alpha=2, beta=2)
         for c in range(0, 6 * 1500, 6):  # 4,500 distinct classes, no shared colour
             assert is_valid(spec, Colouring(classes=((c, c + 1), (c + 2, c + 3),
                                                      (c + 4, c + 5))))
-        info = _class_data.cache_info()
+        info = _class_key.cache_info()
         assert info.misses == 4500 and info.currsize == info.maxsize
 
     def test_equal_classes_of_two_colourings_hit(self):
@@ -634,11 +594,11 @@ class TestClassData:
         classes = ((0, 0, 1), (1, 2, 2), (3, 3, 3))
         first = Colouring(classes=classes)
         second = Colouring(classes=tuple(tuple(list(cls)) for cls in classes))
-        _class_data.cache_clear()
+        _class_key.cache_clear()
         assert is_valid(spec, first) == is_valid(spec, second)
-        info = _class_data.cache_info()
+        info = _class_key.cache_info()
         assert (info.misses, info.hits) == (3, 3)
-        assert _class_data((0, 0, 1), 2, spec.r.bit_length())[0] == ((0, 2), (1, 1))
+        assert _class_key((0, 0, 1)) == ((0, 2), (1, 1))
 
 
 @functools.cache

@@ -29,11 +29,12 @@ of ``nogap-sweep`` and of ``gap-proof``, over (spec, classes, ``is_valid``,
 perturbations of it (:func:`validator_records`), then the validator's
 ``range_of_keys`` calls and the range solver's misses, read off
 ``validator._range_of.cache_info()`` (each call is one cache access, a hit
-or a miss), and ``row_misses``, the misses of the per-class range rows
-(``validator._class_row``, one per multiplicity pattern met), all from
-empty caches (``validator._class_data`` included).  Equal sha256 fields
-mean equal verdicts and equal violation witnesses; the tests pin them
-beside the engine digests.
+or a miss), both from empty caches (``validator._class_key`` included):
+``range_calls=6566 range_misses=465``.  Whole-class bounds prove most valid
+colourings valid before any shape is scanned, and every scanned shape goes
+to the range cache with its colours renamed by first appearance.  Equal
+sha256 fields mean equal verdicts and equal violation witnesses; the tests
+pin them beside the engine digests.
 
 The ``verify`` line holds a SHA-256 over every row (suite, name, passed,
 detail) of every suite in ``verification.SUITES``, in ``SUITES`` order.
@@ -299,8 +300,7 @@ def main() -> None:
         decided, counted = digest.fields()
         print(f"{name}: decisions={decided} nodes={counted} checks={counter.checks}")
     validator._range_of.cache_clear()
-    validator._class_row.cache_clear()
-    validator._class_data.cache_clear()
+    validator._class_key.cache_clear()
     fields = []
     for name in ("nogap-sweep", "gap-proof"):
         lines = (line for spec, witness in witnesses[name]
@@ -308,8 +308,7 @@ def main() -> None:
         fields.append(f"{name}_sha256={sha256_of(lines)}")
     ranges = validator._range_of.cache_info()
     print(f"validator: {' '.join(fields)} range_calls={ranges.hits + ranges.misses} "
-          f"range_misses={ranges.misses} "
-          f"row_misses={validator._class_row.cache_info().misses}")
+          f"range_misses={ranges.misses}")
     print(f"verify: sha256={sha256_of(verify_records())}")
     print(f"closed-forms: sha256={sha256_of(closed_form_records())}")
     print(f"walks: sha256={sha256_of(walk_records())}")

@@ -34,10 +34,10 @@ process from empty validator caches.  ``bench/workloads.py`` is loaded
 read-only, as ``tests/support.py`` loads it, and no bytecode is written.
 The line holds the seconds, the validator's ``range_of_keys`` calls and the
 range solver's misses (``validator._range_of.cache_info()``), and
-``class_misses``, the distinct classes whose profile key and range row
-were built (``validator._class_data``).  Whole-class bounds prove most of
-the walk's valid colourings valid before the shape scan, so its range
-calls fell 382 -> 29 and misses 118 -> 21 (``class_misses`` is unchanged).
+``class_misses``, the distinct classes whose profile key was built
+(``validator._class_key``).  Whole-class bounds prove most of
+the walk's valid colourings valid before the shape scan; every shape still
+scanned is a range call, 344 of them with 57 misses, over 200 classes.
 
 The ``validate`` line times ``is_valid`` on three mono-zone colourings of
 H(90,4|(2,2,2)), alpha = 2, beta = 5 (``constructions.mono_colouring`` at
@@ -132,8 +132,7 @@ def main() -> None:
     print(f"nogap-grid ({len(specs)} spectra): seconds={seconds:.3f} nodes={nodes} "
           f"checks={checks}", flush=True)
     jobs = bench_workloads().certify_walk(CERTIFY_SEED)
-    for cached in (validator._range_of, validator._class_data, validator._class_row,
-                   core._touch_sets):
+    for cached in (validator._range_of, validator._class_key, core._touch_sets):
         cached.cache_clear()
     start = time.perf_counter()
     for job in jobs:
@@ -143,7 +142,7 @@ def main() -> None:
     print(f"certify ({len(jobs)} certify-walk jobs, seed {CERTIFY_SEED}): "
           f"seconds={seconds:.3f} range_calls={ranges.hits + ranges.misses} "
           f"range_misses={ranges.misses} "
-          f"class_misses={validator._class_data.cache_info().misses}", flush=True)
+          f"class_misses={validator._class_key.cache_info().misses}", flush=True)
     spec = spec_of(*VALIDATE)
     zone = mono_zone(spec)
     colourings = [mono_colouring(spec, k) for k in (zone.lo, (zone.lo + zone.hi) // 2, zone.hi)]
