@@ -591,15 +591,18 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
     """Decide whether a valid colouring with exactly ``k`` colours exists.
 
     Returns verdict "unknown" instead of raising when the node budget runs
-    out.  Raises ``ValueError`` for a ``k`` that is not an int in [1, n*q]
-    or a ``node_budget`` that is not None or an int >= 0 (a bool is not an
-    int here), and its subclass :class:`InstanceTooLargeError` when the
+    out.  Raises ``ValueError`` for a ``spec`` that is not a
+    :class:`HypergraphSpec`, a ``k`` that is not an int in [1, n*q] or a
+    ``node_budget`` that is not None or an int >= 0 (a bool is not an int
+    here), and its subclass :class:`InstanceTooLargeError` when the
     search, one frame per class, outgrows Python's recursion limit (n = 900
     fits the default one), or when an instance without edges, every k
     feasible, has more than ``WITNESS_VERTEX_LIMIT`` vertices for its
     witness.  ``_search`` is a search context of ``spec``'s family, shared
     by decisions.
     """
+    if not isinstance(spec, HypergraphSpec):
+        raise ValueError(f"spec must be a HypergraphSpec, got {spec!r}")
     if type(k) is not int or not 1 <= k <= spec.num_vertices:
         raise ValueError(f"k must be an int in [1, {spec.num_vertices}], got {k!r}")
     if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
@@ -645,6 +648,8 @@ def spectrum(
     without edges would keep more than ``SPECTRUM_WITNESS_VERTEX_LIMIT``
     witness vertices over its k.
     """
+    if not isinstance(spec, HypergraphSpec):
+        raise ValueError(f"spec must be a HypergraphSpec, got {spec!r}")
     if k_max is not None and (type(k_max) is not int or k_max < 1):
         raise ValueError(f"k_max must be None or an int >= 1, got {k_max!r}")
     cap = spec.num_vertices if k_max is None else min(k_max, spec.num_vertices)

@@ -6,11 +6,11 @@ from each.  Within one class, picking ``a`` vertices can touch a colour set
 touched matters, never how the count splits beyond feasibility.  The solver
 walks the classes once, tracking only the part of the running colour union
 that future classes can still see, and gives both range ends in one pass;
-``find_violation`` reads its pick off the same solver.  The range cache, a
-bounded LRU, keys a shape as passed; a miss renames its colours densely to
-mask bits.  The validator passes every shape with its colours renamed by
-first appearance (equal up to colour names, one solve) and caches each
-class's key.  The engine checks its shapes without the solver.
+``find_violation`` reads its pick off the same solver.  A shape's colours
+are named 0, 1, ... by first appearance in one place (:func:`_named`): the
+names are the solver's mask bits, and shapes equal up to colour names, pair
+for pair, share one entry of the bounded range cache.  The validator caches
+each class's key.  The engine checks its shapes without the solver.
 
 Bounds over whole classes prove most valid colourings valid before any
 class tuple is visited (:func:`_certified`).
@@ -18,13 +18,13 @@ class tuple is visited (:func:`_certified`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .core import (
     ClassProfile, Colouring, HypergraphSpec, ProfileKey, _profile_key, _touch_sets,
+    edge_shapes,
 )
 from .errors import DimensionMismatchError, InfeasibleShapeError
 
@@ -91,28 +91,30 @@ def _solver(keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
     return partial(_descend, touch, future, memo), future
 
 
-def _dense(keys: Sequence[ProfileKey]) -> tuple[list[int], tuple[ProfileKey, ...]]:
-    """The colours of profile ``keys`` in sorted order, and the keys with
-    each colour renamed to its place in that order (the solver's dense
-    colours)."""
-    colours = sorted({c for key in keys for c, _ in key})
-    dense = {c: i for i, c in enumerate(colours)}
-    return colours, tuple([tuple([(dense[c], m) for c, m in key]) for key in keys])
+def _named(keys: Sequence[ProfileKey]) -> tuple[list[int], tuple[ProfileKey, ...]]:
+    """The colours of profile ``keys`` in order of first appearance, slot by
+    slot, and the keys with each colour renamed to its place in that order
+    (the solver's dense colours)."""
+    names: dict[int, int] = {}
+    named = tuple([tuple([(names.setdefault(c, len(names)), m) for c, m in key])
+                   for key in keys])
+    return list(names), named
 
 
 @lru_cache(maxsize=4096)
-def _range_of(profile_keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
+def _range_of(keys: tuple[ProfileKey, ...], parts: tuple[int, ...]
               ) -> tuple[int, int]:
+    """The cached solve behind :func:`range_of_keys`, of a named shape."""
+    return _solver(keys, parts)[0](0, 0)
+
+
+def range_of_keys(keys: Sequence[ProfileKey], parts: tuple[int, ...]
+                  ) -> tuple[int, int]:
     """The (fewest, most) distinct colours over picks of ``parts[j]``
-    vertices from the class with profile key ``profile_keys[j]``, raw
-    (colour, mult) pairs in any order (the solver and :func:`_touch_sets`
-    read a key as a set); no validation.  Keyed by the shape as passed, so
-    only a miss renames its colours (:func:`_dense`) and solves."""
-    return _solver(_dense(profile_keys)[1], parts)[0](0, 0)
-
-
-# the name the validator calls the range through
-range_of_keys = _range_of
+    vertices from the class with profile key ``keys[j]``, (colour, mult)
+    pairs in any order; no validation.  :func:`_named` renames the colours,
+    so shapes equal up to colour names, pair for pair, share one solve."""
+    return _range_of(_named(keys)[1], parts)
 
 
 def edge_colour_range(
@@ -160,7 +162,7 @@ def _selection(keys: Sequence[ProfileKey], parts: tuple[int, ...], target: int
     """Per class of profile ``keys``, a pick whose union has exactly
     ``target`` colours; ``ValueError`` when none has.  Shape unchecked."""
     # the solver wants dense colours; the picks name the real ones
-    colours, keys = _dense(keys)
+    colours, keys = _named(keys)
     solve, future = _solver(keys, parts)
     # Swapping one picked vertex moves the union by at most one colour, so
     # every count between a state's two ends is reachable: each class takes
@@ -233,29 +235,21 @@ def _first_violation(spec: HypergraphSpec, colouring: Colouring
 
     Each class's profile key comes from :func:`_class_key`, once per
     distinct class.  A colouring :func:`_certified` proves valid visits no
-    shape; any other is scanned, so verdicts and witnesses are the scan's.
-    Each shape goes to :func:`range_of_keys` with its colours renamed by
-    first appearance, in slot order, so shapes equal up to colour names
-    share one entry.  A spec's shapes never ask for more vertices than a
-    class holds: :func:`edge_colour_range`'s checks are skipped.
+    shape; any other walks :func:`edge_shapes` through :func:`range_of_keys`,
+    so verdicts and witnesses are the scan's.  A spec's shapes never ask for
+    more vertices than a class holds: :func:`edge_colour_range`'s checks
+    are skipped.
     """
     _check_dimensions(spec, colouring)
-    if not spec.has_edges:
-        return None
     keys = [_class_key(cls) for cls in colouring.classes]
     if _certified(spec, keys):
         return None
     alpha, beta = spec.alpha, spec.beta
-    arrangements = spec.sigma.arrangements
-    for class_tuple in itertools.combinations(range(spec.n), spec.sigma.s):
-        names: dict[int, int] = {}
-        shape = tuple([tuple([(names.setdefault(c, len(names)), m) for c, m in keys[i]])
-                       for i in class_tuple])
-        for parts in arrangements:
-            lo, hi = range_of_keys(shape, parts)
-            if lo < alpha or hi > beta:
-                return (class_tuple, parts, lo if lo < alpha else hi,
-                        tuple(keys[i] for i in class_tuple))
+    for class_tuple, parts in edge_shapes(spec):
+        shape = tuple([keys[i] for i in class_tuple])
+        lo, hi = range_of_keys(shape, parts)
+        if lo < alpha or hi > beta:
+            return class_tuple, parts, lo if lo < alpha else hi, shape
     return None
 
 

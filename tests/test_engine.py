@@ -95,6 +95,17 @@ class TestKColourable:
         with pytest.raises(ValueError):
             k_colourable(A2, 11)
 
+    @pytest.mark.parametrize("call", [lambda spec: decide_k(spec, 3),
+                                      lambda spec: spectrum(spec),
+                                      lambda spec: k_colourable(spec, 2)],
+                             ids=["decide_k", "spectrum", "k_colourable"])
+    @pytest.mark.parametrize("spec", ["x", None, (2, 2, (1, 1), 2, 2)],
+                             ids=["str", "None", "tuple"])
+    def test_a_spec_that_is_not_a_spec_is_a_value_error(self, call, spec):
+        # an AttributeError on .num_vertices leaked before
+        with pytest.raises(ValueError, match="must be a HypergraphSpec"):
+            call(spec)
+
     def test_budget_raises_not_misreports(self):
         with pytest.raises(BudgetExceededError):
             k_colourable(APPENDIX, 4, node_budget=50)

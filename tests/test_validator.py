@@ -193,8 +193,9 @@ def renamed(keys, names):
 
 
 class TestRangeCacheKey:
-    """The range cache keys a shape by its raw profile keys and parts; the
-    range itself never depends on the colour names or the slot order."""
+    """The range cache keys a shape by its profile keys with the colours
+    renamed by first appearance, and its parts; the range itself never
+    depends on the colour names or the slot order."""
 
     def test_the_same_raw_shape_solves_once(self):
         _range_of.cache_clear()
@@ -204,14 +205,24 @@ class TestRangeCacheKey:
         assert _range_of.cache_info().misses == 1
 
     def test_the_cache_is_bounded(self):
-        # shapes equal up to colour names are distinct keys; the LRU drops
-        # the oldest once it holds its bound, however many the process meets
+        # 5,000 shapes distinct up to colour names (the first class's
+        # multiplicity grows) are 5,000 keys; the LRU drops the oldest once
+        # it holds its bound, however many the process meets
         assert _range_of.cache_info().maxsize == 4096
         _range_of.cache_clear()
         for c in range(5000):
-            assert range_of_keys((((c, 2),), ((c, 1), (c + 1, 1))), (1, 1)) == (1, 2)
+            assert range_of_keys((((0, c + 2),), ((0, 1), (1, 1))), (1, 1)) == (1, 2)
         info = _range_of.cache_info()
         assert info.misses == 5000 and info.currsize == 4096
+
+    def test_direct_callers_share_entries_up_to_colour_names(self):
+        # edge_colour_range keys its shape as the validator's scan does
+        first = [prof({0: 2, 1: 1}), prof({1: 2, 2: 1})]
+        second = [prof({5: 2, 7: 1}), prof({7: 2, 9: 1})]
+        _range_of.cache_clear()
+        assert edge_colour_range(first, [2, 2]) == edge_colour_range(second, [2, 2])
+        info = _range_of.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_huge_colours_solve_as_their_dense_copy(self):
         # a miss renames the colours densely before they become mask bits:
