@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # canonical_colouring is unused here; bench/tracing.py wraps it by this name
-from .core import Colouring, HypergraphSpec, canonical_colouring  # noqa: F401
+from .core import Colouring, HypergraphSpec, _check_spec, canonical_colouring  # noqa: F401
 from .engine import k_colourable
 from .errors import InfeasibleError, NotApplicableError, TheoremViolationError
 from .formulas import (MonoDistribution, _check_window_around_s, max_sum_capped_head,
@@ -111,6 +111,7 @@ def layered_colouring(spec: HypergraphSpec, k_target: int) -> Colouring:
     numbering its colours on from the last, larger multiplicity first; a
     singleton takes one vertex from a most-repeated colour.
     """
+    _check_spec(spec)
     s = spec.sigma.s
     _check_window_around_s(spec.alpha, s, spec.beta)
     k = spec.beta // s
@@ -149,6 +150,7 @@ def beta_colouring(spec: HypergraphSpec) -> Colouring:
     ``q = max_sum_capped_head(alpha, beta, Delta)``.
     Canonical as built: every class reads ``0..beta-1``, heavy colours first.
     """
+    _check_spec(spec)
     delta = spec.sigma.delta_max
     if delta < spec.alpha:
         raise NotApplicableError(
@@ -264,6 +266,7 @@ def spectrum_walk_steps(
     step keeps the in-place snapshot its move produced (see :class:`WalkStep`);
     ``Colouring.canonical()`` gives its canonical form on request.
     """
+    _check_spec(spec)
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     _check_walk_spec(spec)

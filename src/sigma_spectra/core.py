@@ -255,22 +255,32 @@ def part_arrangements(sigma: Sigma) -> tuple[tuple[int, ...], ...]:
     return tuple(orders(Counter(sigma.parts)))
 
 
+def _check_spec(spec: object) -> None:
+    """Raise ``ValueError`` for a ``spec`` that is not a
+    :class:`HypergraphSpec`; every public function taking a spec calls it
+    first, or through the first function it calls."""
+    if not isinstance(spec, HypergraphSpec):
+        raise ValueError(f"spec must be a HypergraphSpec, got {spec!r}")
+
+
 def edge_shapes(
     spec: HypergraphSpec,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield every edge shape of ``spec``: (class tuple, aligned part sizes).
+    """Every edge shape of ``spec``, lazily: (class tuple, aligned part sizes).
 
     A shape is an unordered choice of ``s`` distinct classes plus one
     inequivalent way of assigning sigma's part sizes to them; arrangements
     that only permute equal part sizes appear once.  Empty when the
-    hypergraph has no edges.
+    hypergraph has no edges.  A bad ``spec`` raises here, not when the
+    shapes are first iterated.
     """
+    _check_spec(spec)
     if not spec.has_edges:
-        return
+        return iter(())
     arrangements = spec.sigma.arrangements
-    for class_tuple in itertools.combinations(range(spec.n), spec.sigma.s):
-        for parts in arrangements:
-            yield class_tuple, parts
+    return ((class_tuple, parts)
+            for class_tuple in itertools.combinations(range(spec.n), spec.sigma.s)
+            for parts in arrangements)
 
 
 def count_edges(spec: HypergraphSpec) -> int:

@@ -13,6 +13,13 @@ the search only visits canonical prefixes:
 Every edge shape whose classes are all bound is checked as soon as its last
 class is bound, by exact tests on integer colour masks (see
 :meth:`_Search._group`), failing partial colourings as early as possible.
+
+When sigma has two parts a shape is a pair of profiles, so a failed check
+is a clash between two profile ids, true for every n and k of the family.
+The search context keeps the clashes the last class met, and the class
+before last reads them ahead: a last class whose every binding clashes
+with an id already placed is settled, its bindings counted, without the
+call (forward checking, Haralick and Elliott 1980).
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, getitem
+from operator import and_, getitem, or_
 
-from .core import Colouring, HypergraphSpec, ProfileKey, Sigma, _touch_sets
+from .core import Colouring, HypergraphSpec, ProfileKey, Sigma, _check_spec, _touch_sets
 # canonical_colouring and range_of_keys are unused here; bench/tracing.py
 # wraps them by these names
 from .core import canonical_colouring  # noqa: F401
@@ -52,6 +59,16 @@ def _hall_terms(masks: list[int], parts: tuple[int, ...]) -> list[tuple[int, int
     for mask, part in zip(masks, parts):
         terms = [(A + part, M) for A, M in terms] + [(A, M | mask) for A, M in terms]
     return terms
+
+
+def _ids_at(bindings: tuple, bits: int) -> int:
+    """The profile ids of the bindings at the set bits of ``bits``, as bits."""
+    ids = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        ids |= 1 << bindings[low.bit_length() - 1][0]
+    return ids
 
 
 def _partitions(q: int, most: int) -> tuple[tuple[int, ...], ...]:
@@ -84,7 +101,9 @@ class KDecision:
     search placed it, not canonical; ``witness.canonical()`` gives that.
 
     ``nodes`` counts the colour bindings the search tried, in search order,
-    whether or not they passed the shape checks; once the count passes the
+    whether or not they passed the shape checks; a last class its parent
+    settles from the clash sets (see :class:`_Search`) still counts its
+    windows' bindings, as its visit would.  Once the count passes the
     budget it reads ``node_budget + 1``, wherever the search stopped.
     """
 
@@ -166,6 +185,12 @@ class _Search:
       colours an edge sees, whatever n and k the whole colouring has, so it
       holds for every n and k;
     * the window entries (:meth:`_window`);
+    * when sigma has two parts, the clash sets: bit y of ``_clash[x]`` says
+      binding id y failed group x, a verdict on the pair, so true for the
+      whole family.  :meth:`_intern` appends an empty set per id; the last
+      class fills them at its mask fills, with the fresh bits that did not
+      pass, and the class before last reads them to settle a last class
+      whose bindings all clash with an id placed;
     * the partitions of q into at most a held cap, one list with each
       partition's length beside it, read in place by every decision (a
       larger cap relists it at least twice the held cap, up to q, as
@@ -174,7 +199,12 @@ class _Search:
 
     Per :meth:`decide`, as its locals, freed by reference counting alone
     when it returns: n, k, the node budget and count, the failure memo, the
-    per-class colour cap and the window entries the decision met.
+    per-class colour cap, the window entries the decision met and, when
+    sigma has two parts, ``lasts``, the last class's windows scanned so far
+    per (partition index, used colours), their bindings' count and ids.  A
+    (j, used) is scanned only from its second meeting on, and a scan stops
+    at the first window holding an id that clashes with no id placed, so
+    it builds only windows the last class would build.
     """
 
     def __init__(self, q: int, sigma: Sigma, alpha: int, beta: int):
@@ -182,6 +212,8 @@ class _Search:
         self._ids: dict[ProfileKey, int] = {}
         self._keys: list[ProfileKey] = []
         self._heavy: list[tuple[int, ...]] = []
+        # sigma of two parts: bit y of _clash[x] says binding id y failed group x
+        self._clash: list[int] = []
         # shape group -> _group's (tests, profile keys, colour offsets, verdicts)
         self._groups: dict[int | tuple[int, ...], tuple] = {}
         # alpha >= 3: sorted colour columns -> relation (sorted ints) -> verdict
@@ -221,12 +253,55 @@ class _Search:
         # and adds after a failure: a dict used as a set (smaller than a set
         # from a few thousand entries up), made at the class's first visit.
         # At s = 2 an id is placed once and the key is the ids as bits, an
-        # int, so a memo hit builds no tuple; at s >= 3 it is the tuple.
+        # int, so a memo hit builds no tuple; at s >= 3 it is the tuple.  A
+        # last class its parent settles from the clash sets is recorded as
+        # failed, as after a call that failed.
         failed: defaultdict[int, dict[int | tuple[int, ...], None]] = defaultdict(dict)
         # rows[used * count + j]: the window entry of partitions[j] after used
         # colours, reached by one int-keyed read
         rows: dict[int, tuple] = {}
         nodes = 0
+        # sigma of two parts: the last class (i == last) fills the clash
+        # sets and the class before last (i == pen) reads them; both are
+        # below 0 otherwise.  lasts[used * count + j] is [nodes, ids, next
+        # j]: the last class's windows from partitions[j] after used colours
+        # scanned so far, each taken at low end k.
+        clash = self._clash
+        last = n - 1 if cap == 1 else -1
+        pen = last - 1
+        lasts: dict[int, list[int]] = {}
+
+        def fetch(j: int, used: int, lo: int) -> tuple:
+            """The window entry of ``partitions[j]`` after ``used`` colours,
+            held at low end ``lo`` or below, looked up or built and stored in
+            ``rows``: the miss path of a row read."""
+            top = used + lengths[j]
+            window = (partitions[j], used, k if k < top else top)
+            entry = windows.get(window)
+            if entry is None or entry[0] > lo:
+                entry = windows[window] = self._window(window, lo)
+            rows[used * count + j] = entry
+            return entry
+
+        def settles(scan: list[int], used: int, cand: int) -> bool:
+            """Whether no binding of the last class at ``scan``'s (j,
+            ``used``) has an id in ``cand``, extending the scan window by
+            window up to the first whose ids meet ``cand``: every window it
+            builds, the last class would build too."""
+            found, ids, j = scan
+            short, base = k - used, used * count
+            while j < count and not ids & cand:
+                if short <= lengths[j] <= max_new:
+                    entry = rows.get(base + j)
+                    if entry is None or entry[0] > k:
+                        entry = fetch(j, used, k)
+                    held, bindings, ends_from, _ = entry
+                    bits = ends_from[k - held]
+                    found += bits.bit_count()
+                    ids |= _ids_at(bindings, bits)
+                j += 1
+            scan[:] = found, ids, j
+            return not ids & cand
 
         def place(i: int, j: int, used: int, placed: tuple[int, ...],
                   seen: int) -> tuple[int, ...] | None:
@@ -250,6 +325,7 @@ class _Search:
             least = k - (n - i - 1) * max_new
             lo = least if least > used else used
             fails, base = failed[i + 1], used * count
+            taken = None  # at pen: the ids some placed id clashes with, made once
             # scanning the decreasing list from j keeps class partitions
             # non-increasing; it may hold ones past max_new parts, and a
             # binding ends with at most used + len(partition) colours
@@ -259,12 +335,7 @@ class _Search:
                     continue
                 entry = rows.get(base + j)
                 if entry is None or entry[0] > lo:
-                    top = used + lengths[j]
-                    window = (partitions[j], used, k if k < top else top)
-                    entry = windows.get(window)
-                    if entry is None or entry[0] > lo:
-                        entry = windows[window] = self._window(window, lo)
-                    rows[base + j] = entry
+                    entry = fetch(j, used, lo)
                 held, bindings, ends_from, masks = entry
                 live = bits = ends_from[lo - held]
                 # the shape groups every child must pass, walked lazily: a
@@ -275,6 +346,8 @@ class _Search:
                     if fresh:
                         ok |= self._passing(group, bindings, fresh)
                         masks[group] = (known | fresh, ok)
+                        if i == last:
+                            clash[group] |= _ids_at(bindings, fresh & ~ok)
                     live &= ok
                     if not live:
                         break
@@ -288,6 +361,22 @@ class _Search:
                         memo = seen | 1 << key
                         if memo in fails:
                             continue
+                    if i == pen:
+                        # a last class met before at (j, new_used) fails when
+                        # its scanned bindings all clash with an id placed
+                        at = new_used * count + j
+                        scan = lasts.get(at)
+                        if scan is None:
+                            lasts[at] = [0, 0, j]
+                        else:
+                            if taken is None:
+                                taken = reduce(or_, map(clash.__getitem__, placed), 0)
+                            cand = ~(clash[key] | taken)
+                            if not scan[1] & cand and (
+                                    scan[2] == count or settles(scan, new_used, cand)):
+                                nodes += scan[0]
+                                fails[memo] = None
+                                continue
                     after = placed
                     if memo != seen if cap == 1 else placed.count(key) < cap:
                         at = bisect.bisect(placed, key)
@@ -416,6 +505,7 @@ class _Search:
         multiplicity, capped at delta_max, then one suffix OR."""
         pid = self._ids[key] = len(self._keys)
         self._keys.append(key)
+        self._clash.append(0)
         top = self.sigma.delta_max
         heavy = [0] * (top + 1)
         for c, m in key:
@@ -601,8 +691,7 @@ def decide_k(spec: HypergraphSpec, k: int, node_budget: int | None = None,
     witness.  ``_search`` is a search context of ``spec``'s family, shared
     by decisions.
     """
-    if not isinstance(spec, HypergraphSpec):
-        raise ValueError(f"spec must be a HypergraphSpec, got {spec!r}")
+    _check_spec(spec)
     if type(k) is not int or not 1 <= k <= spec.num_vertices:
         raise ValueError(f"k must be an int in [1, {spec.num_vertices}], got {k!r}")
     if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
@@ -648,8 +737,7 @@ def spectrum(
     without edges would keep more than ``SPECTRUM_WITNESS_VERTEX_LIMIT``
     witness vertices over its k.
     """
-    if not isinstance(spec, HypergraphSpec):
-        raise ValueError(f"spec must be a HypergraphSpec, got {spec!r}")
+    _check_spec(spec)
     if k_max is not None and (type(k_max) is not int or k_max < 1):
         raise ValueError(f"k_max must be None or an int >= 1, got {k_max!r}")
     cap = spec.num_vertices if k_max is None else min(k_max, spec.num_vertices)

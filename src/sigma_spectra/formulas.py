@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .core import HypergraphSpec, Sigma
+from .core import HypergraphSpec, Sigma, _check_spec
 from .errors import DomainError, NotApplicableError
 
 __all__ = [
@@ -148,6 +148,7 @@ def min_parts_capped_head(a: int, d: int, n: int) -> int:
 def mono_zone_lower_bound(spec: HypergraphSpec) -> int:
     """Fewest colours admitting an all-monochromatic colouring, assuming
     ``alpha <= s <= beta`` and that edges exist."""
+    _check_spec(spec)
     s = spec.sigma.s
     if not spec.alpha <= s:
         raise NotApplicableError(f"needs alpha <= s, got alpha={spec.alpha}, s={s}")
@@ -164,6 +165,7 @@ def mono_zone(spec: HypergraphSpec) -> IntInterval | None:
       empty;
     * s > beta below that threshold: ``None`` (not determined here).
     """
+    _check_spec(spec)
     s = spec.sigma.s
     if not spec.has_edges:
         return IntInterval(1, spec.n)
@@ -183,6 +185,7 @@ def no_mono_zone_above(spec: HypergraphSpec) -> bool:
     False for edgeless instances: with nothing to violate, every
     monochromatic colouring is vacuously valid.
     """
+    _check_spec(spec)
     s = spec.sigma.s
     if not spec.has_edges or s <= spec.beta:
         return False
@@ -196,6 +199,7 @@ def extended_interval(spec: HypergraphSpec) -> IntInterval:
     fresh colours plus up to ``beta - k*s`` extra singletons stretch the
     all-monochromatic range up to ``min(n*q, n*k + beta - k*s)``.
     """
+    _check_spec(spec)
     s = spec.sigma.s
     _check_window_around_s(spec.alpha, s, spec.beta)
     k = spec.beta // s
@@ -207,6 +211,7 @@ def zone_only_condition(spec: HypergraphSpec) -> bool:
     """Threshold under which the spectrum collapses to the monochromatic
     zone: ``Delta >= 2``, ``2 <= alpha <= s = beta``, ``n >= s**2`` and
     ``q >= (Delta-1)*beta + 1``."""
+    _check_spec(spec)
     s = spec.sigma.s
     delta_max = spec.sigma.delta_max
     return (
@@ -227,6 +232,7 @@ def uncolourable_condition(spec: HypergraphSpec) -> bool:
     * ``1 < alpha <= beta < s < r`` with
       ``n >= floor((s-1)/(alpha-1))*(s-alpha) + 2s - 1``.
     """
+    _check_spec(spec)
     s = spec.sigma.s
     r = spec.r
     delta_max = spec.sigma.delta_max

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import HypergraphSpec
+from .core import HypergraphSpec, _check_spec
 from .errors import InstanceTooLargeError
 
 __all__ = ["enumerate_edges", "brute_oracle", "brute_spectrum", "SIZE_CAP"]
@@ -29,6 +29,7 @@ def enumerate_edges(spec: HypergraphSpec) -> tuple[tuple[int, ...], ...]:
     Vertex ``v`` lives in class ``v // q``; an r-subset is an edge iff its
     sorted non-zero class-intersection sizes equal sigma.
     """
+    _check_spec(spec)
     signature = spec.sigma.parts
     r = spec.r
     edges = []
@@ -47,6 +48,7 @@ def brute_oracle(spec: HypergraphSpec, k: int) -> bool:
 
     Only for instances with at most :data:`SIZE_CAP` vertices.
     """
+    _check_spec(spec)
     nv = spec.num_vertices
     if nv > SIZE_CAP:
         raise InstanceTooLargeError(f"{nv} vertices exceeds oracle cap {SIZE_CAP}")
@@ -94,6 +96,7 @@ def brute_oracle(spec: HypergraphSpec, k: int) -> bool:
 
 def brute_spectrum(spec: HypergraphSpec) -> tuple[int, ...]:
     """All feasible k by literal enumeration."""
+    _check_spec(spec)
     return tuple(
         k for k in range(1, spec.num_vertices + 1) if brute_oracle(spec, k)
     )

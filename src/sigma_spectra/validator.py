@@ -23,7 +23,8 @@ from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .core import (
-    ClassProfile, Colouring, HypergraphSpec, ProfileKey, _profile_key, _touch_sets,
+    ClassProfile, Colouring, HypergraphSpec, ProfileKey, _check_spec, _profile_key,
+    _touch_sets,
     edge_shapes,
 )
 from .errors import DimensionMismatchError, InfeasibleShapeError
@@ -185,8 +186,7 @@ def _selection(keys: Sequence[ProfileKey], parts: tuple[int, ...], target: int
 
 
 def _check_dimensions(spec: HypergraphSpec, colouring: Colouring) -> None:
-    if not isinstance(spec, HypergraphSpec):
-        raise ValueError(f"spec must be a HypergraphSpec, got {spec!r}")
+    _check_spec(spec)
     if not isinstance(colouring, Colouring):
         raise ValueError(f"colouring must be a Colouring, got {colouring!r}")
     if colouring.n != spec.n or colouring.q != spec.q:

@@ -26,7 +26,7 @@ from sigma_spectra import (
     profile_of,
     spectrum,
 )
-from sigma_spectra import core
+from sigma_spectra import constructions, core, formulas, oracle
 from support import load_search_digest, spec_of
 
 
@@ -134,6 +134,38 @@ class TestEdgeShapes:
         assert len(arrangements) == 14
         assert arrangements[0] == (2,) + (1,) * 13
         assert arrangements[-1] == (1,) * 13 + (2,)
+
+
+# every public function outside the engine and the validator that takes a
+# spec first, with what else it needs
+SPEC_CALLS = {
+    **{name: getattr(formulas, name) for name in (
+        "mono_zone", "mono_zone_lower_bound", "extended_interval",
+        "zone_only_condition", "no_mono_zone_above", "uncolourable_condition")},
+    "mono_distribution": lambda spec: constructions.mono_distribution(spec, 2),
+    "mono_colouring": lambda spec: constructions.mono_colouring(spec, 2),
+    "layered_colouring": lambda spec: constructions.layered_colouring(spec, 2),
+    "beta_colouring": constructions.beta_colouring,
+    "spectrum_walk": lambda spec: constructions.spectrum_walk(
+        spec, Colouring(classes=((0,), (1,))), "down"),
+    "spectrum_walk_steps": lambda spec: constructions.spectrum_walk_steps(
+        spec, Colouring(classes=((0,), (1,))), "down"),
+    "count_edges": count_edges,
+    # raises when called, before any shape is asked for
+    "edge_shapes": edge_shapes,
+    "enumerate_edges": oracle.enumerate_edges,
+    "brute_oracle": lambda spec: oracle.brute_oracle(spec, 1),
+    "brute_spectrum": oracle.brute_spectrum,
+}
+
+
+@pytest.mark.parametrize("call", SPEC_CALLS.values(), ids=SPEC_CALLS.keys())
+@pytest.mark.parametrize("spec", ["x", None, (2, 2, (1, 1), 2, 2)],
+                         ids=["str", "None", "tuple"])
+def test_a_spec_that_is_not_a_spec_is_a_value_error(call, spec):
+    # an AttributeError on the spec's fields leaked before
+    with pytest.raises(ValueError, match="must be a HypergraphSpec"):
+        call(spec)
 
 
 class TestTouchSets:

@@ -851,6 +851,44 @@ class TestPassMasks:
         assert rows <= len(entries) * len(groups)
 
 
+class TestClashSets:
+    """When sigma has two parts the context keeps, per profile id x, the
+    ids of the bindings that failed group x at a last-class mask fill, and
+    the class before last settles a last class whose bindings all clash
+    with an id placed, counting its windows' bindings without the call."""
+
+    TWO_PART_NOGAP = [spec_of(6, 4, [3, 3], 2, 4), spec_of(5, 4, [2, 2], 2, 3)]
+
+    @pytest.mark.parametrize("spec,ks", [
+        (APPENDIX, [4]),
+        *((spec, None) for spec in TWO_PART_NOGAP),
+    ], ids=["appendix-k4", "n6-q4-s33", "n5-q4-s22"])
+    def test_every_clash_is_a_failing_shape(self, spec, ks):
+        search = family_search(spec)
+        for k in ks or range(1, spec.num_vertices + 1):
+            decide_k(spec, k, _search=search)
+        keys = search._keys
+        assert len(search._clash) == len(keys)
+        pairs = [(x, y) for x, ids in enumerate(search._clash)
+                 for y in range(ids.bit_length()) if ids >> y & 1]
+        assert pairs
+        for x, y in pairs:
+            assert not direct_verdict(spec, [keys[x], keys[y]]), (x, y)
+
+    @pytest.mark.parametrize("spec", [APPENDIX, TWO_PART_NOGAP[0]],
+                             ids=["appendix", "n6-q4-s33"])
+    def test_a_warm_context_decides_as_a_lone_decision(self, spec):
+        # the second pass starts with every clash set the first one filled
+        search = family_search(spec)
+        ks = range(1, spec.num_vertices + 1)
+        lone = [decide_k(spec, k) for k in ks]
+        for _ in range(2):
+            for k, d in zip(ks, lone):
+                shared = decide_k(spec, k, _search=search)
+                assert (shared.verdict, shared.witness, shared.nodes) == (
+                    d.verdict, d.witness, d.nodes), k
+
+
 def engine_verdict(search, group_keys, new_key):
     """The search's verdict on the shape of ``group_keys`` plus ``new_key``,
     read through ``_passing`` as a node's mask fill reads it, with the group

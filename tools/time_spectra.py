@@ -1,5 +1,6 @@
 """Time whole engine spectra in process, one line per spectrum, one for a
-lone decision and one for the whole no-gap grid.
+lone decision, one for the ``gap-proof`` decisions and one for the whole
+no-gap grid.
 
 Each line holds the spectrum's name, its wall time in seconds, the total of
 its per-k node counts, its (group, binding) shape checks and its feasible k,
@@ -19,7 +20,16 @@ it, so a change to the failing steps of the search shows there.  It holds
 the seconds, the node count (507599) and the shape checks, counted as for
 a spectrum.
 
-Those nine lines are search-bound.  The last line, ``nogap-grid``, times
+The ``gap-proof`` line times the 13 decisions of
+``search_digest.gap_proof_pairs()``, each in a fresh search context, as the
+``gap-proof`` benchmark workload runs them: the appendix fixture at k = 3,
+4 and 8, then each gap recipe's instance at k = 1..beta+1.  It holds their
+total seconds, the median decision's seconds (most of them are small, so a
+cost every decision pays shows there), and their nodes (515056) and shape
+checks (3970), which equal those of ``tools/search_digest.py``'s
+``gap-proof`` line.
+
+Those ten lines are search-bound.  The last line, ``nogap-grid``, times
 the 108 spectra of ``verification.nogap_grid()`` together, each in a fresh
 search context, as the ``nogap-sweep`` benchmark workload runs them, so
 work done per context (colour windows, profile ids, shape groups) shows in
@@ -50,6 +60,7 @@ validator's ``range_of_keys`` calls, which read 0 when no shape is solved.
 """
 
 import importlib.util
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -57,7 +68,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from search_digest import check_counter  # noqa: E402
+from search_digest import check_counter, gap_proof_pairs  # noqa: E402
 from sigma_spectra import (  # noqa: E402
     HypergraphSpec, build_sigma, core, decide_k, is_valid, mono_colouring, mono_zone,
     spectrum, validator,
@@ -126,6 +137,18 @@ def main() -> None:
         decide_k(spec, k)
     print(f"decide {spec} k={k}: seconds={seconds:.3f} nodes={decision.nodes} "
           f"checks={counter.checks} verdict={decision.verdict}", flush=True)
+    pairs = gap_proof_pairs()
+    times, nodes = [], 0
+    for spec, k in pairs:
+        start = time.perf_counter()
+        nodes += decide_k(spec, k).nodes
+        times.append(time.perf_counter() - start)
+    with check_counter() as counter:
+        for spec, k in pairs:
+            decide_k(spec, k)
+    print(f"gap-proof ({len(pairs)} decisions): seconds={sum(times):.3f} "
+          f"median={statistics.median(times):.5f} nodes={nodes} "
+          f"checks={counter.checks}", flush=True)
     specs = nogap_grid()
     seconds, results, checks = timed(specs)
     nodes = sum(sum(res.nodes_explored.values()) for res in results)
